@@ -86,12 +86,24 @@ class HostSpeed:
         self.slices: list[float] = []
         self._due = 0.0
 
-    def sample(self):
-        """Time a slice if ``INTERVAL_S`` has passed since the last one."""
-        if perf_counter() >= self._due:
+    def sample(self, force: bool = False):
+        """Time a slice if ``INTERVAL_S`` has passed since the last one, or if ``force``."""
+        if force or perf_counter() >= self._due:
             self.slices.append(reference_slice())
             self._due = perf_counter() + self.INTERVAL_S
 
-    def scale(self) -> float:
-        """Factor that turns this run's times into nominal-speed times."""
-        return self.NOMINAL_S / statistics.fmean(self.slices)
+    def mark(self) -> int:
+        """Tag for a time that ended after the last slice; pass it to :meth:`scale`
+        once a slice has been timed after it."""
+        return len(self.slices)
+
+    def scale(self, mark: int) -> float:
+        """Factor that turns a time tagged ``mark`` into nominal-speed time,
+        from the slices just before and just after it."""
+        return self.NOMINAL_S / statistics.fmean(self.slices[mark - 1 : mark + 1])
+
+    def scaled(self, seconds: float) -> float:
+        """``seconds``, which ended just now, at nominal speed."""
+        mark = self.mark()
+        self.sample(force=True)
+        return seconds * self.scale(mark)

@@ -7,15 +7,16 @@ The run repeats whole rounds of the workload until ``S`` seconds have passed
 and checks every verdict against an answer computed apart from the program.
 
 ``--trace 0`` times the program's own entry points and prints the
-end-to-end metrics.  ``--trace 1`` calls each layer in turn, records a span
-around every call, prints each layer's self time per round, then measures
-heap peaks with ``tracemalloc`` after all timing is done; the spans are
-written to ``bench/out/``.  See ``bench/README.md``.
+end-to-end metrics.  ``--trace 1`` calls the same entry points with a span
+around each module's public functions, prints each layer's self time per
+round, then measures heap peaks with ``tracemalloc`` after all timing is
+done; the spans are written to ``bench/out/``.  See ``bench/README.md``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import random
@@ -27,6 +28,7 @@ import tempfile
 import tracemalloc
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
 
@@ -34,7 +36,7 @@ from hostspeed import HostSpeed
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "bench" / "out"
-MIN_SETUPS = 9
+MIN_SETUPS = 15
 
 LAYER_TIMES = (
     "template.render",
@@ -71,8 +73,9 @@ class Tally:
         self.busy += seconds
         if isinstance(got, Exception):
             self.failed += 1
-            self.failures[f"{op.fault or 'unexpected'}: {type(got).__name__}"] += 1
-            if op.fault is None:
+            fault, raises = op.fault or ("unexpected", None)
+            self.failures[f"{fault}: {type(got).__name__}"] += 1
+            if raises is None or not isinstance(got, raises):
                 self.problems.append(f"{op.key}: raised {got!r}")
             return
         self.latencies.append(seconds)
@@ -80,7 +83,10 @@ class Tally:
         if got not in op.answers:
             self.problems.append(f"{op.key}: got {got!r}, expected one of {op.answers!r}")
 
-    def close_round(self, rnd, done: list, results: dict, tracer):
+    def close_round(self, rnd, done: list, tracer):
+        results: dict = {}
+        for op, got, took in done:
+            self.record(op, got, took, results)
         if len(done) != len(rnd.ops):
             self.problems.append(f"{len(done)} verdicts for {len(rnd.ops)} operations")
         self.problems += rnd.check(tracer, results)
@@ -96,154 +102,170 @@ def run_op(op):
     return op, got, perf_counter() - start
 
 
-def run_layered(op, tracer):
-    with tracer.span("verdict") as span:
-        try:
-            done = op.layered(tracer)
-        except Exception as exc:  # must match the entry point's failure
-            done = exc
-    return done, span[2] - span[1]
+def play(rnd, between) -> list:
+    """Make the round's verdicts, running ``between`` after each."""
+    if rnd.batch:
+        return rnd.batch(between)
+    done = []
+    for op in rnd.ops:
+        done.append(run_op(op))
+        between()
+    return done
 
 
 def quantile(values: list[float], q: float) -> float:
-    """Harrell-Davis estimate of the ``q`` quantile: a weighted mean of all
-    order statistics, steadier on tens of samples than any single one, and
-    smooth where the verdicts of a round fall into groups of unlike cost."""
+    """Harrell-Davis estimate of the ``q`` quantile: the order statistics
+    weighted by the Beta(q(n+1), (1-q)(n+1)) density at their midpoints.
+    Where a quantile falls between operations of unlike cost it moves
+    smoothly, while a single order statistic jumps from one to the other."""
     xs = sorted(values)
     n = len(xs)
     a, b = q * (n + 1), (1 - q) * (n + 1)
-    edges = [_beta_cdf(i / n, a, b) for i in range(n + 1)]
-    return sum(x * (hi - lo) for x, lo, hi in zip(xs, edges, edges[1:]))
+    logs = [(a - 1) * math.log((i + 0.5) / n) + (b - 1) * math.log(1 - (i + 0.5) / n) for i in range(n)]
+    top = max(logs)
+    weights = [math.exp(x - top) for x in logs]
+    return sum(x * w for x, w in zip(xs, weights)) / sum(weights)
 
 
-def _beta_cdf(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta function, by its continued fraction."""
-    if x <= 0.0 or x >= 1.0:
-        return min(max(x, 0.0), 1.0)
-    if x > (a + 1) / (a + b + 2):
-        return 1.0 - _beta_cdf(1.0 - x, b, a)
-    front = math.exp(
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log(1.0 - x)
-    ) / a
-    # modified Lentz evaluation of 1 / (1 + d1 / (1 + d2 / (1 + ...)))
-    tiny = 1e-300
-    f = c = 1.0
-    d = 0.0
-    for i in range(400):
-        m = i // 2
-        if i == 0:
-            num = 1.0
-        elif i % 2:
-            num = -((a + m) * (a + b + m) * x) / ((a + 2 * m) * (a + 2 * m + 1))
-        else:
-            num = (m * (b - m) * x) / ((a + 2 * m - 1) * (a + 2 * m))
-        d = 1.0 + num * d
-        d = 1.0 / (d if abs(d) > tiny else tiny)
-        c = 1.0 + num / c
-        c = c if abs(c) > tiny else tiny
-        f *= c * d
-        if abs(c * d - 1.0) < 1e-12:
-            break
-    return front * (f - 1.0)
-
-
-def timed_setup(workload, rng, tracer, setups: list):
+def timed_setup(workload, rng, tracer):
+    drawn = workload.draw(rng)
+    gc.collect()  # so that set-up does not pay for the last round's garbage
     began = perf_counter()
-    rnd = workload.setup(rng, tracer)
-    setups.append(perf_counter() - began)
-    return rnd
+    rnd = workload.setup(drawn, tracer)
+    return rnd, perf_counter() - began
 
 
 def measure(workload, rng: random.Random, seconds: float, tracer) -> tuple[Tally, dict]:
     tally = Tally()
     host = HostSpeed()
-    setups = []
+    host.sample(force=True)
+    setups = []  # at nominal speed, as every time below
     start = perf_counter()
     while True:
-        rnd = timed_setup(workload, rng, tracer, setups)
-        host.sample()
+        rnd, took = timed_setup(workload, rng, tracer)
+        setups.append(host.scaled(took))
         rnd.expect()
-        if rnd.batch:
-            done = rnd.batch(host.sample)
-        else:
-            done = []
-            for op in rnd.ops:
-                done.append(run_op(op))
-                host.sample()
-        results: dict = {}
-        for op, got, took in done:
-            tally.record(op, got, took, results)
-        tally.close_round(rnd, done, results, tracer)
+        marks = []
+
+        def between():
+            marks.append(host.mark())
+            host.sample()
+            gc.collect()  # so that no verdict pays for another's garbage
+
+        done = play(rnd, between)
+        host.sample(force=True)
+        done = [(op, got, took * host.scale(mark)) for (op, got, took), mark in zip(done, marks)]
+        tally.close_round(rnd, done, tracer)
         if perf_counter() - start >= seconds:
             break
     while len(setups) < MIN_SETUPS:
-        timed_setup(workload, rng, tracer, setups).close()
-        host.sample()
+        rnd, took = timed_setup(workload, rng, tracer)
+        setups.append(host.scaled(took))
+        rnd.close()
 
-    scale = host.scale()
     lat = tally.latencies
+    p50, p90 = quantile(lat, 0.5), quantile(lat, 0.9)
     metrics = {
-        "setup_s": (statistics.median(setups) * scale, "s"),
-        "verdicts_per_s": (len(lat) / (tally.busy * scale), "1/s"),
-        "verdict_p50_ms": (quantile(lat, 0.5) * scale * 1e3, "ms"),
-        "verdict_p90_ms": (quantile(lat, 0.9) * scale * 1e3, "ms"),
+        "setup_s": (statistics.median(setups), "s"),
+        "verdicts_per_s": (len(lat) / tally.busy, "1/s"),
+        "verdict_p50_ms": (p50 * 1e3, "ms"),
+        "verdict_p90_ms": (p90 * 1e3, "ms"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
     }
+    speeds = [HostSpeed.NOMINAL_S / x for x in host.slices]
     print(
-        f"bench: host speed scale {scale:.3f} from {len(host.slices)} reference slices; "
-        f"unscaled verdicts_per_s {len(lat) / tally.busy:.4g}, "
-        f"verdict_p50_ms {quantile(lat, 0.5) * 1e3:.4g}",
+        f"bench: {len(host.slices)} reference slices, host speed factor "
+        f"{min(speeds):.3f}-{max(speeds):.3f}; {len(setups)} set-ups; {len(lat)} verdicts; "
+        f"plain median {statistics.median(lat) * 1e3:.6g} ms, "
+        f"plain p90 {statistics.quantiles(lat, n=10)[8] * 1e3 if len(lat) > 1 else 0:.6g} ms",
         file=sys.stderr,
     )
     return tally, metrics
 
 
-def measure_traced(workload, rng: random.Random, seconds: float, tracer) -> tuple[Tally, dict]:
-    from traceval import build_graph, sat
+def layer_functions():
+    """(owner, attribute, span name) of each module's public calls, wrapped
+    where the validator and the benchmark's checks look them up."""
+    from traceval import checker, ctl, execlog, lang, lifecycle, model
 
+    return (
+        (lifecycle.ContentStore, "get_text", "lifecycle.store_get"),
+        (lifecycle.Ledger, "append", "lifecycle.ledger_append"),
+        (lang, "parse_model", "lang.parse_model"),
+        (lifecycle, "parse_model", "lang.parse_model"),
+        (lang, "parse_formula", "lang.parse_formula"),
+        (execlog, "parse_log", "execlog.parse_log"),
+        (lifecycle, "parse_log", "execlog.parse_log"),
+        (model, "build_graph", "model.build_graph"),
+        (lifecycle, "build_graph", "model.build_graph"),
+        (execlog, "log_property", "execlog.compile"),
+        (lifecycle, "log_property", "execlog.compile"),
+        (ctl, "print_formula", "ctl.print_formula"),
+        (checker, "holds_initially", "checker.holds_initially"),
+        (lifecycle, "holds_initially", "checker.holds_initially"),
+        (checker, "sat", "checker.sat"),
+    )
+
+
+@contextmanager
+def instrumented(tracer, observers: dict):
+    """Wrap every layer function in a span for the duration of the block."""
+    saved = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in layer_functions()]
+    try:
+        for (owner, attr, name), (_, _, fn) in zip(layer_functions(), saved):
+            setattr(owner, attr, tracer.wrap(name, fn, observers.get(name)))
+        yield
+    finally:
+        for owner, attr, fn in saved:
+            setattr(owner, attr, fn)
+
+
+def span_cost(calls: int = 20_000) -> float:
+    """Seconds one span adds to a call: a wrapped empty call's time minus
+    the bare call's, the least of five tries of each."""
+    from spans import Tracer
+
+    def bare():
+        return None
+
+    wrapped = Tracer().wrap("probe", bare)
+    best = {}
+    for fn in (bare, wrapped) * 5:
+        start = perf_counter()
+        for _ in range(calls):
+            fn()
+        best[fn] = min(best.get(fn, math.inf), perf_counter() - start)
+    return (best[wrapped] - best[bare]) / calls
+
+
+def measure_traced(workload, rng: random.Random, seconds: float, tracer) -> tuple[Tally, dict]:
     tally = Tally()
     sizes = dict.fromkeys(SIZES, 0)
-    rounds = events = 0
-    rejected_holds = rejected_sat = 0.0
-    overhead: list[float] = []
+    rejected: list[int] = []  # holds_initially spans that found the property false
+    rounds = events = layer_spans = 0
+
+    def note(name, value):
+        sizes[name] = max(sizes[name], value)
+
+    observers = {
+        "lang.parse_model": lambda i, parsed: note("model.commands", len(parsed.commands)),
+        "execlog.parse_log": lambda i, log: note("execlog.rows", log.n),
+        "model.build_graph": lambda i, graph: (
+            note("model.states", graph.state_count), note("model.edges", graph.edge_count)
+        ),
+        "checker.holds_initially": lambda i, report: report.holds or rejected.append(i),
+    }
     start = perf_counter()
     while True:
+        drawn = workload.draw(rng)
         with tracer.span("setup"):
-            rnd = workload.setup(rng, tracer)
+            rnd = workload.setup(drawn, tracer)
         rnd.expect()
-        done = []
-        results: dict = {}
-        for i, op in enumerate(rnd.ops):
-            # alternate which path goes first, so warm caches favour neither
-            if (i + rounds) % 2:
-                layered, traced_s = run_layered(op, tracer)
-                done.append(run_op(op))
-            else:
-                done.append(run_op(op))
-                layered, traced_s = run_layered(op, tracer)
-            _, got, real_s = done[-1]
-            tally.record(op, got, real_s, results)
-            if isinstance(layered, Exception) or isinstance(got, Exception):
-                if isinstance(layered, Exception) != isinstance(got, Exception):
-                    tally.problems.append(f"{op.key}: traced path {layered!r}, entry point {got!r}")
-                continue
-            if layered.verdict != got:
-                tally.problems.append(f"{op.key}: traced path {layered.verdict!r}, entry point {got!r}")
-            overhead.append(traced_s - real_s)
-            # sat alone, outside the verdict, on a graph as fresh as the one
-            # holds_initially saw (the graph caches views the checker builds)
-            graph = build_graph(layered.model)
-            with tracer.span("checker.sat") as span:
-                sat(graph, layered.prop)
-            if not layered.holds:
-                rejected_holds += layered.holds_s
-                rejected_sat += span[2] - span[1]
-            found = (layered.states, layered.edges, len(layered.model.commands), layered.rows)
-            for name, value in zip(SIZES, found):
-                sizes[name] = max(sizes[name], value)
-            layered = graph = None  # free them before the next verdict
-        tally.close_round(rnd, done, results, tracer)
+        first = len(tracer.spans)
+        with instrumented(tracer, observers), tracer.span("verdicts"):
+            done = play(rnd, lambda: None)
+        layer_spans += len(tracer.spans) - first - 1
+        tally.close_round(rnd, done, tracer)
         events += rnd.events
         rounds += 1
         if perf_counter() - start >= seconds:
@@ -253,12 +275,18 @@ def measure_traced(workload, rng: random.Random, seconds: float, tracer) -> tupl
     self_times = tracer.self_times()
     metrics = {f"{name}_s": (self_times.get(name, 0.0) / rounds, "s") for name in LAYER_TIMES}
     metrics.update({name: (value, "count") for name, value in sizes.items()})
-    share = (rejected_holds - rejected_sat) / rejected_holds if rejected_holds else 0.0
-    metrics["checker.diagnostic_share"] = (share, "share")
+    # share of the rejected checks' time spent outside sat: the diagnostic
+    rejected_set = set(rejected)
+    checking = sum(tracer.spans[i][2] - tracer.spans[i][1] for i in rejected)
+    deciding = sum(
+        end - begin for name, begin, end, parent in tracer.spans
+        if name == "checker.sat" and parent in rejected_set
+    )
+    metrics["checker.diagnostic_share"] = ((checking - deciding) / checking if checking else 0.0, "share")
     metrics["lifecycle.events"] = (events / rounds, "count")
     metrics["model.heap_peak_mb"] = (model_mb, "MB")
     metrics["checker.heap_peak_mb"] = (checker_mb, "MB")
-    metrics["trace.overhead_ms"] = (statistics.fmean(overhead) * 1e3 if overhead else 0.0, "ms")
+    metrics["trace.overhead_ms"] = (span_cost() * layer_spans / tally.attempted * 1e3, "ms")
     return tally, metrics
 
 

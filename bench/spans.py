@@ -20,13 +20,14 @@ class Tracer:
 
     @contextmanager
     def span(self, name: str):
+        """Yields the span's index in :attr:`spans`."""
         index = len(self.spans)
         parent = self._open[-1] if self._open else None
         record = [name, perf_counter(), None, parent]
         self.spans.append(record)
         self._open.append(index)
         try:
-            yield record
+            yield index
         finally:
             record[2] = perf_counter()
             self._open.pop()
@@ -34,6 +35,19 @@ class Tracer:
     def call(self, name: str, fn, *args, **kwargs):
         with self.span(name):
             return fn(*args, **kwargs)
+
+    def wrap(self, name: str, fn, observe=None):
+        """``fn`` with a span around every call; ``observe(index, result)``
+        runs after a call that returned, outside its span."""
+
+        def traced(*args, **kwargs):
+            with self.span(name) as index:
+                result = fn(*args, **kwargs)
+            if observe is not None:
+                observe(index, result)
+            return result
+
+        return traced
 
     def self_times(self) -> dict[str, float]:
         """Total self time per span name: duration minus the child spans'."""

@@ -1,9 +1,10 @@
 """The benchmark's workloads: inputs made from a seed, the verdicts to time, their checks.
 
-A workload is run in rounds.  ``setup`` makes one round's inputs and stores
-and submits them (this is what ``setup_s`` times); the round's ops are its
-verdicts; ``expect`` fills in the answers computed apart from the program;
-``check`` verifies what only the whole round shows, such as the reloaded
+A workload is run in rounds.  ``draw`` picks a round's inputs from the
+seed; ``setup`` makes their texts with the program, stores them and submits
+them (this is what ``setup_s`` times); the round's ops are its verdicts;
+``expect`` fills in the answers computed apart from the program; ``check``
+verifies what only the whole round shows, such as the reloaded
 ledger.  Every round of a workload attempts the same operations, so the
 share of failed operations is the same in every run.
 """
@@ -20,10 +21,9 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable
 
-from traceval.checker import holds_initially
-from traceval.ctl import print_formula
-from traceval.execlog import MODES, format_log, log_property, parse_log
-from traceval.lang import parse_formula, parse_model
+from traceval import checker, ctl, execlog, lang, model
+from traceval.execlog import MODES, ExecutionLog, format_log
+from traceval.lang import parse_model
 from traceval.lifecycle import (
     KIND_VERDICT,
     REASON_MALFORMED_MODEL,
@@ -38,7 +38,6 @@ from traceval.lifecycle import (
     submit_result,
     validate,
 )
-from traceval.model import build_graph
 from traceval.template import Settings, render
 from traceval.town import (
     ACTIONS,
@@ -64,29 +63,15 @@ PROMISEE = "0x0000000000000002"
 
 
 @dataclass
-class Layered:
-    """What the traced path learned while reaching one verdict."""
-
-    verdict: Any
-    model: Any
-    prop: Any
-    states: int
-    edges: int
-    rows: int
-    holds: bool
-    holds_s: float  # duration of the holds_initially span
-
-
-@dataclass
 class Op:
-    """One verdict: the program's own entry point, the same calls layer by
-    layer for the traced run, and the answers that count as correct."""
+    """One verdict: the program's entry point, the answers that count as
+    correct and, for an operation a known fault fails today, the fault's
+    name and the exception it raises."""
 
     key: tuple
     real: Callable[[], Any]
-    layered: Callable[[Any], Layered]
     answers: tuple = ()
-    fault: str | None = None  # the known fault this operation fails on today
+    fault: tuple[str, type[Exception]] | None = None
 
 
 @dataclass
@@ -102,83 +87,33 @@ class Round:
 
 
 # ---------------------------------------------------------------------------
-# Entry points and their layer-by-layer twins
+# Entry points
 # ---------------------------------------------------------------------------
+
+# These look the package's functions up on their modules at call time, so
+# that the traced run's spans around those functions see these calls too.
 
 
 def check_formula(model_text: str, formula_text: str) -> tuple[bool, int, int]:
     """What ``traceval check`` computes: the verdict and the graph's size."""
-    model = parse_model(model_text)
-    formula = parse_formula(formula_text)
-    graph = build_graph(model)
-    return holds_initially(graph, formula).holds, graph.state_count, graph.edge_count
+    parsed = lang.parse_model(model_text)
+    formula = lang.parse_formula(formula_text)
+    graph = model.build_graph(parsed)
+    return checker.holds_initially(graph, formula).holds, graph.state_count, graph.edge_count
 
 
 def round_trip(model_text: str, log_text: str, mode: str) -> bool:
     """``gen-property`` then ``check``: the property passes through its text."""
-    text = print_formula(log_property(parse_log(log_text), mode))
+    text = ctl.print_formula(execlog.log_property(execlog.parse_log(log_text), mode))
     return check_formula(model_text, text)[0]
 
 
-def _holds(t, graph, prop):
-    with t.span("checker.holds_initially") as span:
-        report = holds_initially(graph, prop)
-    return report.holds, span[2] - span[1]
-
-
-def layered_adjudicate(t, model_text: str, log_text: str, mode: str, base: str = "faithful") -> Layered:
-    model = t.call("lang.parse_model", parse_model, model_text)
-    log = t.call("execlog.parse_log", parse_log, log_text)
-    graph = t.call("model.build_graph", build_graph, model)
-    prop = t.call("execlog.compile", log_property, log, mode, base)
-    holds, holds_s = _holds(t, graph, prop)
-    verdict = CONFIRMED if holds else REJECTED
-    return Layered(verdict, model, prop, graph.state_count, graph.edge_count, log.n, holds, holds_s)
-
-
-def layered_validate(t, store: ContentStore, ledger: Ledger, lid: int, mode: str) -> Layered:
-    liability = ledger.liability(lid)
-    model_text = t.call("lifecycle.store_get", store.get_text, liability.model_hash)
-    log_text = t.call("lifecycle.store_get", store.get_text, liability.result_hash)
-    done = layered_adjudicate(t, model_text, log_text, mode)
-    done.verdict = done.verdict[0]
-    return done
-
-
-def layered_check(t, model_text: str, formula_text: str, rows: int = 0) -> Layered:
-    model = t.call("lang.parse_model", parse_model, model_text)
-    formula = t.call("lang.parse_formula", parse_formula, formula_text)
-    graph = t.call("model.build_graph", build_graph, model)
-    holds, holds_s = _holds(t, graph, formula)
-    verdict = (holds, graph.state_count, graph.edge_count)
-    return Layered(verdict, model, formula, graph.state_count, graph.edge_count, rows, holds, holds_s)
-
-
-def layered_round_trip(t, model_text: str, log_text: str, mode: str) -> Layered:
-    log = t.call("execlog.parse_log", parse_log, log_text)
-    prop = t.call("execlog.compile", log_property, log, mode)
-    text = t.call("ctl.print_formula", print_formula, prop)
-    done = layered_check(t, model_text, text, log.n)
-    done.verdict = done.verdict[0]
-    return done
-
-
 def adjudicate_op(key, model_text, log_text, mode, answers, fault=None, base="faithful") -> Op:
-    return Op(
-        key,
-        partial(adjudicate, model_text, log_text, mode, base),
-        lambda t: layered_adjudicate(t, model_text, log_text, mode, base),
-        answers,
-        fault,
-    )
+    return Op(key, partial(adjudicate, model_text, log_text, mode, base), answers, fault)
 
 
 def validate_op(key, ledger, store, lid, mode) -> Op:
-    return Op(
-        key,
-        partial(validate, ledger, store, lid, mode),
-        lambda t: layered_validate(t, store, ledger, lid, mode),
-    )
+    return Op(key, partial(validate, ledger, store, lid, mode))
 
 
 class StampedLedger(Ledger):
@@ -286,7 +221,15 @@ class SettleTown5:
             for spec in self.specs
         }
 
-    def setup(self, rng: random.Random, t) -> Round:
+    def draw(self, rng: random.Random) -> dict:
+        """The order of submission in each mode."""
+        order = {}
+        for mode in MODES:
+            order[mode] = [(kind, spec) for kind in SETTLE_KINDS[mode] for spec in self.specs]
+            rng.shuffle(order[mode])
+        return order
+
+    def setup(self, order: dict, t) -> Round:
         ws = _workspace(self.work)
         logs = {
             spec: format_log(t.call("town.simulate", simulate, self.town, self.objective, fault=spec))
@@ -308,9 +251,7 @@ class SettleTown5:
         for mode in MODES:
             ledger = ledgers[mode] = StampedLedger(ws / f"{mode}.jsonl")
             by_lid[mode] = {}
-            pairs = [(kind, spec) for kind in SETTLE_KINDS[mode] for spec in self.specs]
-            rng.shuffle(pairs)
-            for kind, spec in pairs:
+            for kind, spec in order[mode]:
                 lid = t.call(
                     "lifecycle.ledger_append", create_liability,
                     ledger, store, PROMISOR, PROMISEE, model_hash[kind], objective_hash,
@@ -476,13 +417,19 @@ class TownsDistinct:
         self.ledger = Ledger(ws / "ledger.jsonl")
         self.rounds = self.events = 0
 
-    def setup(self, rng: random.Random, t) -> Round:
+    def draw(self, rng: random.Random) -> tuple:
+        """The town, its objective, the mode and the fault: drawing towns
+        until one is in range costs a varying time, so it is not set-up."""
         town, objective = random_town(rng, *self.shape)
-        parts = build_bindings(town, objective, reduce=False)
-        model_text = t.call("template.render", render, parts.template, parts.bindings, parts.settings)
         mode = MODES[self.rounds % 2]
         fault = f"wrong-turn:{rng.randint(1, self.stops)}" if self.rounds // 2 % 2 else None
         self.rounds += 1
+        return town, objective, mode, fault
+
+    def setup(self, drawn: tuple, t) -> Round:
+        town, objective, mode, fault = drawn
+        parts = build_bindings(town, objective, reduce=False)
+        model_text = t.call("template.render", render, parts.template, parts.bindings, parts.settings)
         log_text = format_log(t.call("town.simulate", simulate, town, objective, fault=fault))
         put = partial(t.call, "lifecycle.store_put", self.store.put_text)
         model_hash, objective_hash, log_hash = put(model_text), put(objective_json(objective)), put(log_text)
@@ -527,25 +474,27 @@ GRID_TEMPLATE = (
 )
 
 
-def csv_log(header: str, rows) -> str:
-    return header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
-
-
 class GridCounter:
     """Checks on one large graph: the counter ``x,y : 0..n-1`` (n*n states)."""
 
     def __init__(self, n: int = 100):
         self.n = n
-
-    def setup(self, rng: random.Random, t) -> Round:
-        n, top = self.n, self.n - 1
-        model_text = t.call("template.render", render, GRID_TEMPLATE, None, Settings({"top": top}))
+        top = n - 1
         stair = [(0, 0)]
         for i in range(2 * top):
             x, y = stair[-1]
             stair.append((x + 1, y) if i % 2 == 0 else (x, y + 1))
-        stair_log = csv_log("x,y", stair + stair[-1:])  # 2n rows
-        diagonal_log = csv_log("x,y", [(i, i) for i in range(n)] + [(top, top)])
+        self.stair = ExecutionLog(("x", "y"), tuple(stair + stair[-1:]))  # 2n rows
+        self.diagonal = ExecutionLog(("x", "y"), tuple([(i, i) for i in range(n)] + [(top, top)]))
+
+    def draw(self, rng: random.Random) -> list[int]:
+        """The order of the round's seven operations."""
+        return rng.sample(range(7), 7)
+
+    def setup(self, order: list[int], t) -> Round:
+        n, top = self.n, self.n - 1
+        model_text = t.call("template.render", render, GRID_TEMPLATE, None, Settings({"top": top}))
+        stair_log, diagonal_log = format_log(self.stair), format_log(self.diagonal)
         size = (n * n, 2 * n * (n - 1) + 1)
         ops = [
             adjudicate_op(("stair", "strong"), model_text, stair_log, "strong", (CONFIRMED,)),
@@ -557,14 +506,8 @@ class GridCounter:
         # not the midpoint between two of different cost
         checks = ((f"AF(x=={top})", True), (f"EG(x<{top})", False), (f"EF(x=={top} & y=={top})", True))
         for formula, holds in checks:
-            ops.append(Op(
-                (formula,),
-                partial(check_formula, model_text, formula),
-                partial(layered_check, formula_text=formula, model_text=model_text),
-                ((holds, *size),),
-            ))
-        rng.shuffle(ops)
-        return Round(ops, (model_text, stair_log, "strong"))
+            ops.append(Op((formula,), partial(check_formula, model_text, formula), ((holds, *size),)))
+        return Round([ops[i] for i in order], (model_text, stair_log, "strong"))
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +530,10 @@ def hostile_models(depth: int, width: int) -> dict[str, str]:
     }
 
 
+def one_column_log(values) -> ExecutionLog:
+    return ExecutionLog(("x",), tuple((v,) for v in values))
+
+
 class LongInput:
     """Logs of thousands of rows on two-state models, and deep model texts.
 
@@ -600,12 +547,18 @@ class LongInput:
         self.rows = rows
         self.hostile = hostile_models(depth, width)
         half = rows // 2
-        self.round_trip_log = csv_log("x", [(0,)] * half + [(1,)] * (rows - half))
-        self.rejected_log = csv_log("x", [(i % 2,) for i in range(rows)])
+        self.round_trip = one_column_log([0] * half + [1] * (rows - half))
+        self.rejected = one_column_log(i % 2 for i in range(rows))
 
-    def setup(self, rng: random.Random, t) -> Round:
-        zeros = rng.randint(1, self.rows - 2)
-        confirmed_log = csv_log("x", [(0,)] * zeros + [(1,)] * (self.rows - zeros))
+    def draw(self, rng: random.Random) -> tuple[int, list[int]]:
+        """Where the confirmed log moves from 0 to 1, and the order of the
+        round's ten operations."""
+        return rng.randint(1, self.rows - 2), rng.sample(range(10), 10)
+
+    def setup(self, drawn: tuple[int, list[int]], t) -> Round:
+        zeros, order = drawn
+        confirmed_log = format_log(one_column_log([0] * zeros + [1] * (self.rows - zeros)))
+        rejected_log, round_trip_log = format_log(self.rejected), format_log(self.round_trip)
         # five operations that succeed, so that the median verdict is one
         # operation's, not the midpoint between confirmed and rejected logs
         ops = [adjudicate_op(
@@ -616,23 +569,20 @@ class LongInput:
             ops += [
                 adjudicate_op(("confirmed", mode), WAIT_THEN_STAY, confirmed_log, mode, (CONFIRMED,)),
                 # the last row of an alternating log is never absorbing
-                adjudicate_op(("rejected", mode), TOGGLE, self.rejected_log, mode, (REJECTED,)),
+                adjudicate_op(("rejected", mode), TOGGLE, rejected_log, mode, (REJECTED,)),
                 Op(
                     ("round-trip", mode),
-                    partial(round_trip, WAIT_THEN_STAY, self.round_trip_log, mode),
-                    partial(layered_round_trip, model_text=WAIT_THEN_STAY,
-                            log_text=self.round_trip_log, mode=mode),
+                    partial(round_trip, WAIT_THEN_STAY, round_trip_log, mode),
                     (True,),
-                    "round-trip",
+                    ("round-trip", RecursionError),
                 ),
             ]
         for name, text in self.hostile.items():
             ops.append(adjudicate_op(
                 (name,), text, SHORT_LOG, "strong",
-                (CONFIRMED, (STATUS_REJECTED, REASON_MALFORMED_MODEL)), "hostile-input",
+                (CONFIRMED, (STATUS_REJECTED, REASON_MALFORMED_MODEL)), ("hostile-input", RecursionError),
             ))
-        rng.shuffle(ops)
-        return Round(ops, (TOGGLE, self.rejected_log, "strong"))
+        return Round([ops[i] for i in order], (TOGGLE, rejected_log, "strong"))
 
 
 WORKLOADS = ("settle-town5", "towns-distinct", "grid-counter", "long-input")
