@@ -2,10 +2,14 @@
 
 Satisfaction sets are integer bitmasks over state indices.  Each operator
 is computed from its children's sets: atoms filter valuations, boolean
-connectives are set algebra, EX is the pre-image, EF a least fixpoint
-computed as a backward frontier worklist over predecessor lists, and EG a
-greatest fixpoint refined in at most ``|S|`` rounds.  AX, AF and AG go
-through their existential duals, so only three temporal algorithms exist.
+connectives are set algebra, EX marks the predecessors of the child's
+members, EF is a least fixpoint computed as a backward worklist over
+predecessors, and EG a greatest fixpoint that counts each member's
+successors inside the set and drops members whose count reaches zero.
+Each temporal operator is O(|S| + |E|): it turns its bitmask into
+per-state marks once, walks the graph's predecessor rows and turns the
+marks back into one bitmask.  AX, AF and AG go through their existential
+duals, so only three temporal algorithms exist.
 
 ``sat`` walks the formula iteratively (no recursion), which keeps deeply
 nested generated properties within interpreter limits.  It is a pure
@@ -15,21 +19,31 @@ graph.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import compress, count
 
 from . import ctl
 from .errors import EvalError
+from .expr import CMP_OPS
 from .model import StateGraph, Valuation
 
-_CMP = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+# Per-state marks are bytes, 1 for a member and 0 otherwise; a bitmask's
+# binary digits, least significant first, are the same marks in ASCII.
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _marks(mask: int, n: int) -> bytearray:
+    return bytearray(bin(mask)[:1:-1].encode().translate(_FROM_DIGITS).ljust(n, b"\0"))
+
+
+def _mask(marks) -> int:
+    return int(marks[::-1].translate(_TO_DIGITS) or b"0", 2)
+
+
+def _members(mask: int):
+    """Ascending indices of the set bits of ``mask``."""
+    return compress(count(), _marks(mask, 0))
 
 
 class StateSet:
@@ -69,11 +83,7 @@ class StateSet:
         return 0 <= i < self.universe and bool(self.mask >> i & 1)
 
     def __iter__(self):
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        return _members(self.mask)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -102,7 +112,7 @@ class InitialFailure:
 
     state: int
     valuation: Valuation
-    conjunct: str
+    conjunct: ctl.CtlFormula
 
 
 @dataclass(frozen=True)
@@ -114,57 +124,54 @@ class CheckReport:
 def _atom_mask(graph: StateGraph, atom: ctl.Atom) -> int:
     j = graph.var_index(atom.var)
     try:
-        cmp = _CMP[atom.op]
+        cmp = CMP_OPS[atom.op]
     except KeyError:
         raise EvalError(f"unknown comparator '{atom.op}'") from None
     value = atom.value
-    mask = 0
-    for i, state in enumerate(graph.states):
-        if cmp(state[j], value):
-            mask |= 1 << i
-    return mask
+    return _mask(bytes([cmp(state[j], value) for state in graph.states]))
 
 
-def _preimage(succ_masks: list[int], z: int) -> int:
-    mask = 0
-    for i, sm in enumerate(succ_masks):
-        if sm & z:
-            mask |= 1 << i
-    return mask
+def _preimage(graph: StateGraph, z: int) -> int:
+    marks = bytearray(graph.state_count)
+    for t in _members(z):
+        for p in graph.predecessors(t):
+            marks[p] = 1
+    return _mask(marks)
 
 
 def _backward_reach(graph: StateGraph, seed: int) -> int:
-    # Least fixpoint Z = seed ∪ EX Z as a frontier worklist over predecessors.
-    preds = graph.pred_lists()
-    z = seed
-    work = deque(StateSet(seed, graph.state_count))
+    # Least fixpoint Z = seed ∪ EX Z as a worklist over predecessors.
+    inside = _marks(seed, graph.state_count)
+    work = list(_members(seed))
     while work:
-        t = work.popleft()
-        for p in preds[t]:
-            if not z >> p & 1:
-                z |= 1 << p
+        for p in graph.predecessors(work.pop()):
+            if not inside[p]:
+                inside[p] = 1
                 work.append(p)
-    return z
+    return _mask(inside)
 
 
 def _eg_fixpoint(graph: StateGraph, seed: int) -> int:
-    # Greatest fixpoint Z = seed ∩ EX Z; each unstable round drops a state,
-    # so |S| + 1 rounds always suffice.
-    succ_masks = graph.succ_masks()
-    z = seed
-    for _ in range(graph.state_count + 2):
-        nz = 0
-        m = z
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
-            if succ_masks[i] & z:
-                nz |= low
-        if nz == z:
-            return z
-        z = nz
-    raise AssertionError("EG fixpoint failed to stabilize within |S| rounds")
+    # Greatest fixpoint Z = seed ∩ EX Z.  ``left[s]`` counts the successors
+    # of member s still in Z; a member leaves when its count reaches 0, and
+    # each leaver lowers the count of its predecessors still in Z.
+    inside = _marks(seed, graph.state_count)
+    left = [0] * graph.state_count
+    work = []
+    for s in _members(seed):
+        left[s] = sum(map(inside.__getitem__, graph.successors(s)))
+        if not left[s]:
+            work.append(s)
+    for s in work:
+        inside[s] = 0
+    while work:
+        for p in graph.predecessors(work.pop()):
+            if inside[p]:
+                left[p] -= 1
+                if not left[p]:
+                    inside[p] = 0
+                    work.append(p)
+    return _mask(inside)
 
 
 def sat(
@@ -179,7 +186,6 @@ def sat(
     """
     masks = cache if cache is not None else {}
     full = (1 << graph.state_count) - 1
-    succ_masks = graph.succ_masks()
     stack = [formula]
     while stack:
         node = stack[-1]
@@ -206,13 +212,13 @@ def sat(
         elif isinstance(node, ctl.Or):
             mask = masks[id(node.left)][1] | masks[id(node.right)][1]
         elif isinstance(node, ctl.EX):
-            mask = _preimage(succ_masks, masks[id(node.child)][1])
+            mask = _preimage(graph, masks[id(node.child)][1])
         elif isinstance(node, ctl.EF):
             mask = _backward_reach(graph, masks[id(node.child)][1])
         elif isinstance(node, ctl.EG):
             mask = _eg_fixpoint(graph, masks[id(node.child)][1])
         elif isinstance(node, ctl.AX):
-            mask = ~_preimage(succ_masks, ~masks[id(node.child)][1] & full) & full
+            mask = ~_preimage(graph, ~masks[id(node.child)][1] & full) & full
         elif isinstance(node, ctl.AF):
             mask = ~_eg_fixpoint(graph, ~masks[id(node.child)][1] & full) & full
         elif isinstance(node, ctl.AG):
@@ -228,7 +234,7 @@ def holds_initially(graph: StateGraph, formula: ctl.CtlFormula) -> CheckReport:
     state satisfies the formula.
 
     On failure, reports for each initial state the first top-level conjunct
-    it violates, printed as text.
+    it violates.
     """
     cache: dict = {}
     result = sat(graph, formula, cache)
@@ -252,7 +258,7 @@ def holds_initially(graph: StateGraph, formula: ctl.CtlFormula) -> CheckReport:
             InitialFailure(
                 state=i,
                 valuation=graph.states[i],
-                conjunct=ctl.print_formula(blame if blame is not None else formula),
+                conjunct=blame if blame is not None else formula,
             )
         )
     return CheckReport(holds=False, failures=tuple(failures))

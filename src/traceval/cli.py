@@ -80,7 +80,7 @@ def cmd_check(args) -> int:
     for failure in report.failures:
         print(
             f"initial state {failure.state} {failure.valuation}"
-            f" violates: {failure.conjunct}",
+            f" violates: {print_formula(failure.conjunct)}",
             file=sys.stderr,
         )
     return 0 if report.holds else 1
@@ -139,7 +139,6 @@ def cmd_validate(args) -> int:
         except KeyboardInterrupt:
             verdicts = []
     for lid, verdict in verdicts:
-        liab = ledger.liability(lid)
         reason = _verdict_reason(ledger, lid)
         print(f"liability {lid}: {verdict}" + (f" ({reason})" if reason else ""))
     print(f"{len(verdicts)} processed")

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
-
 
 @dataclass(frozen=True)
 class TrueF:
@@ -101,18 +99,6 @@ def conjuncts(f: CtlFormula) -> list[CtlFormula]:
     out.append(f)
     out.reverse()
     return out
-
-
-def formula_vars(f: CtlFormula) -> frozenset[str]:
-    out: set[str] = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Atom):
-            out.add(node.var)
-        else:
-            stack.extend(children(node))
-    return frozenset(out)
 
 
 def _prec(f: CtlFormula) -> int:

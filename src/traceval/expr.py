@@ -8,6 +8,7 @@ range so results stay machine-representable.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -17,7 +18,15 @@ INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
 
 ARITH_OPS = ("+", "-", "*")
-CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
+# Comparator symbols and the integer comparison each one means.
+CMP_OPS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 BOOL_OPS = ("&", "|")
 
 
@@ -49,16 +58,6 @@ class NotOp:
 
 
 Expr = Union[IntLit, BoolLit, Name, BinOp, NotOp]
-
-_CMP = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
 
 def eval_expr(
     expr: Expr,
@@ -97,10 +96,10 @@ def eval_expr(
             if not INT_MIN <= r <= INT_MAX:
                 raise EvalError(f"arithmetic overflow in '{op}': result {r}")
             return r
-        if op in _CMP:
+        if op in CMP_OPS:
             if isinstance(a, bool) or isinstance(b, bool):
                 raise EvalError(f"operands of '{op}' must be integers")
-            return _CMP[op](a, b)
+            return CMP_OPS[op](a, b)
         if op == "&":
             if not (isinstance(a, bool) and isinstance(b, bool)):
                 raise EvalError("operands of '&' must be boolean")

@@ -7,16 +7,19 @@ variable in declaration order.  ``step`` fires every enabled command once
 valuation, which materializes as a self-loop in the built graph so the
 transition relation is total.
 
-Models and built graphs are immutable after construction and safe to share
-across threads for concurrent reads.
+A built graph stores its transition relation once, as compressed sparse
+rows of successors and of their transpose, the predecessors, both made in
+the constructor; nothing is cached lazily.  Models and built graphs are
+immutable after construction and safe to share across threads for
+concurrent reads.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Mapping
+from array import array
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 from .errors import EvalError, ModelError, StateExplosionError
 from .expr import Expr, eval_expr, expr_names
@@ -138,22 +141,51 @@ def step(model: SystemModel, v: Valuation) -> list[Valuation]:
     return sorted(out)
 
 
-@dataclass
 class StateGraph:
-    """Explicit state graph: indexed valuations plus a total successor map.
+    """Explicit state graph: indexed valuations plus a total transition
+    relation, stored once as compressed sparse rows in both directions.
 
-    ``initial`` and every successor set refer to indices into ``states``.
-    Instances are treated as immutable once constructed; the private
-    fields lazily cache derived views used by the checker.
+    ``initial`` and every successor refer to indices into ``states``.
+    ``succ`` gives, per state, any iterable of successor indices; duplicates
+    collapse.  Successors and their transpose, the predecessors, are kept as
+    ``array('i')`` offsets plus targets, each row sorted ascending.  Every
+    field is set in the constructor and never changes afterwards.
     """
 
-    variables: tuple[str, ...]
-    states: tuple[Valuation, ...]
-    initial: frozenset[int]
-    succ: tuple[frozenset[int], ...]
-    _succ_masks: list[int] | None = field(default=None, init=False, repr=False, compare=False)
-    _pred_lists: list[list[int]] | None = field(default=None, init=False, repr=False, compare=False)
-    _var_index: dict[str, int] | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        variables: Sequence[str],
+        states: Sequence[Valuation],
+        initial: Iterable[int],
+        succ: Sequence[Iterable[int]],
+    ):
+        self.variables = tuple(variables)
+        self.states = tuple(states)
+        self.initial = frozenset(initial)
+        n = len(self.states)
+        if len(succ) != n:
+            raise ValueError(f"{len(succ)} successor rows for {n} states")
+        start, targets = array("i", [0]), array("i")
+        for row in succ:
+            targets.extend(sorted(set(row)))
+            start.append(len(targets))
+        if targets and not (0 <= min(targets) and max(targets) < n):
+            raise ValueError(f"successor index outside 0..{n - 1}")
+        # Transpose by counting sort.  Sources are visited in ascending
+        # order, so every predecessor row comes out sorted too.
+        in_degree = [0] * n
+        for t in targets:
+            in_degree[t] += 1
+        pred_start = array("i", [0])
+        pred_start.extend(itertools.accumulate(in_degree))
+        free = pred_start.tolist()
+        preds = array("i", targets)
+        for s in range(n):
+            for t in targets[start[s]:start[s + 1]]:
+                preds[free[t]] = s
+                free[t] += 1
+        self._succ_start, self._succ = start, targets
+        self._pred_start, self._pred = pred_start, preds
 
     @property
     def state_count(self) -> int:
@@ -161,31 +193,19 @@ class StateGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(s) for s in self.succ)
+        return len(self._succ)
+
+    def successors(self, i: int) -> array:
+        return self._succ[self._succ_start[i]:self._succ_start[i + 1]]
+
+    def predecessors(self, i: int) -> array:
+        return self._pred[self._pred_start[i]:self._pred_start[i + 1]]
 
     def var_index(self, name: str) -> int:
-        if self._var_index is None:
-            self._var_index = {n: i for i, n in enumerate(self.variables)}
         try:
-            return self._var_index[name]
-        except KeyError:
+            return self.variables.index(name)
+        except ValueError:
             raise EvalError(f"unknown variable '{name}'") from None
-
-    def succ_masks(self) -> list[int]:
-        if self._succ_masks is None:
-            self._succ_masks = [
-                sum(1 << t for t in targets) for targets in self.succ
-            ]
-        return self._succ_masks
-
-    def pred_lists(self) -> list[list[int]]:
-        if self._pred_lists is None:
-            preds: list[list[int]] = [[] for _ in self.states]
-            for s, targets in enumerate(self.succ):
-                for t in targets:
-                    preds[t].append(s)
-            self._pred_lists = preds
-        return self._pred_lists
 
 
 def _initial_valuations(model: SystemModel, budget: int) -> list[Valuation]:
@@ -219,38 +239,26 @@ def build_graph(model: SystemModel, max_states: int = DEFAULT_STATE_BUDGET) -> S
     inits = _initial_valuations(model, max_states)
     index: dict[Valuation, int] = {}
     states: list[Valuation] = []
-    succ: list[frozenset[int] | None] = []
 
     def intern(v: Valuation) -> int:
         found = index.get(v)
-        if found is not None:
-            return found
-        if len(states) >= max_states:
-            raise StateExplosionError(
-                f"state explosion: more than {max_states} reachable states"
-            )
-        index[v] = len(states)
-        states.append(v)
-        succ.append(None)
-        return len(states) - 1
+        if found is None:
+            if len(states) >= max_states:
+                raise StateExplosionError(
+                    f"state explosion: more than {max_states} reachable states"
+                )
+            found = index[v] = len(states)
+            states.append(v)
+        return found
 
-    queue: deque[int] = deque(intern(v) for v in inits)
-    while queue:
-        i = queue.popleft()
-        if succ[i] is not None:
-            continue
-        targets = []
-        for nxt in step(model, states[i]):
-            j = index.get(nxt)
-            fresh = j is None
-            if fresh:
-                j = intern(nxt)
-                queue.append(j)
-            targets.append(j)
-        succ[i] = frozenset(targets)
+    for v in inits:
+        intern(v)
+    # States are numbered in discovery order, so visiting them by index, as
+    # the list grows, is the breadth-first queue.
+    succ = [[intern(nxt) for nxt in step(model, v)] for v in states]
     return StateGraph(
         variables=model.var_names,
-        states=tuple(states),
-        initial=frozenset(index[v] for v in inits),
-        succ=tuple(s if s is not None else frozenset() for s in succ),
+        states=states,
+        initial=(index[v] for v in inits),
+        succ=succ,
     )

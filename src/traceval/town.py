@@ -197,27 +197,6 @@ def _as_mapping(source, what: str) -> Mapping:
     return data
 
 
-def format_town(town: TownMap) -> str:
-    data = {
-        "width": town.width,
-        "height": town.height,
-        "nodes": [
-            {"x": n.x, "y": n.y, "tag": n.tag}
-            for n in sorted(town.nodes, key=lambda n: (n.x, n.y))
-        ],
-        "edges": [
-            {"from": list(src), "to": list(dst)} for src, dst in sorted(town.edges)
-        ],
-        "start": {"x": town.start[0], "y": town.start[1], "d": town.start[2]},
-    }
-    return json.dumps(data, indent=2) + "\n"
-
-
-def format_objective(objective: Objective) -> str:
-    data = {"sequence": [{"tag": s.tag, "action": s.action} for s in objective.steps]}
-    return json.dumps(data, indent=2) + "\n"
-
-
 def tag_letters(tag: int) -> str:
     """Spreadsheet-style letter encoding of a positive tag id (1 -> a)."""
     if tag < 1:

@@ -24,14 +24,13 @@ _CMP = {
 
 
 def _positive_closure(adj: np.ndarray) -> np.ndarray:
-    """Paths of length >= 1, by repeated boolean squaring."""
+    """Paths of length >= 1, by boolean squaring until nothing changes."""
     closure = adj.copy()
-    for _ in range(7):  # covers path lengths up to 2^7 > 64
-        nxt = closure | ((closure.astype(np.uint8) @ closure.astype(np.uint8)) > 0)
+    while True:
+        nxt = closure | (closure @ closure)
         if np.array_equal(nxt, closure):
-            break
+            return closure
         closure = nxt
-    return closure
 
 
 class NaiveChecker:
@@ -40,8 +39,8 @@ class NaiveChecker:
         n = graph.state_count
         self.n = n
         adj = np.zeros((n, n), dtype=bool)
-        for i, targets in enumerate(graph.succ):
-            for t in targets:
+        for i in range(n):
+            for t in graph.successors(i):
                 adj[i, t] = True
         self.adj = adj
         self.reach = _positive_closure(adj) | np.eye(n, dtype=bool)

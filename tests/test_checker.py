@@ -56,7 +56,7 @@ def test_holds_initially_fails_with_diagnosis(chain2_graph):
     failure = report.failures[0]
     assert failure.state == 0
     assert failure.valuation == (0,)
-    assert failure.conjunct == "x==1"
+    assert failure.conjunct == ctl.Atom("x", "==", 1)
 
 
 def test_holds_initially_reachability(toggle_graph):
@@ -111,6 +111,30 @@ def test_oracle_agreement_on_built_graphs():
             assert frozenset(sat(g, f, cache)) == oracle.sat_indices(f)
 
 
+def test_oracle_agreement_on_a_300_state_chain():
+    """Shortest paths hundreds of edges long: the chain 0..299 falls back
+    to 150 from its end, so EF walks 299 edges back and EG(x!=299) empties
+    one state at a time."""
+    from naive_ctl import NaiveChecker
+    from traceval.lang import parse_model
+    from traceval.model import build_graph
+
+    g = build_graph(
+        parse_model("var x : 0..299 init 0;\n[] x<299 -> x'=x+1;\n[] x==299 -> x'=150;\n")
+    )
+    assert (g.state_count, g.edge_count) == (300, 300)
+    oracle = NaiveChecker(g)
+    cache = {}
+    children = ("x==0", "x==299", "x!=299", "x>=150", "x<150", "x==149 | x==299", "EX(x>=200)")
+    for op in ("EX", "EF", "EG", "AX", "AF", "AG"):
+        for child in children:
+            f = parse_formula(f"{op}({child})")
+            assert frozenset(sat(g, f, cache)) == oracle.sat_indices(f), f"{op}({child})"
+    assert _indices(g, "EF(x==299)") == set(range(300))
+    assert _indices(g, "EG(x!=299)") == set()
+    assert _indices(g, "AG(x>=150)") == set(range(150, 300))
+
+
 def test_monotonicity_and_self_loop_laws_on_random_corpus():
     rng = random.Random(90210)
     for _ in range(40):
@@ -124,5 +148,5 @@ def test_monotonicity_and_self_loop_laws_on_random_corpus():
             ag = sat(g, ctl.AG(phi), cache)
             assert ag.issubset(base)
             for s in range(g.state_count):
-                if g.succ[s] == frozenset({s}):
+                if list(g.successors(s)) == [s]:
                     assert (s in ag) == (s in base)

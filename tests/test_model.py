@@ -13,6 +13,10 @@ def _cmd(guard, updates=()):
     return GuardedCommand(None, guard, tuple(updates))
 
 
+def _successor_rows(g):
+    return [list(g.successors(i)) for i in range(g.state_count)]
+
+
 def test_step_single_enabled_command():
     model = parse_model(CHAIN2)
     assert step(model, (0,)) == [(1,)]
@@ -46,20 +50,20 @@ def test_build_graph_chain2(chain2_graph):
     g = chain2_graph
     assert g.states == ((0,), (1,))
     assert g.initial == frozenset({0})
-    assert g.succ == (frozenset({1}), frozenset({1}))
+    assert _successor_rows(g) == [[1], [1]]
     assert (g.state_count, g.edge_count) == (2, 2)
 
 
 def test_build_graph_toggle(toggle_graph):
     g = toggle_graph
     assert g.states == ((0,), (1,))
-    assert g.succ == (frozenset({1}), frozenset({0}))
+    assert _successor_rows(g) == [[1], [0]]
 
 
 def test_build_graph_no_commands_single_state():
     g = build_graph(parse_model("var x : 0..5 init 3;\n"))
     assert g.states == ((3,),)
-    assert g.succ == (frozenset({0}),)
+    assert _successor_rows(g) == [[0]]
 
 
 def test_build_graph_counter_four_states():
@@ -125,7 +129,7 @@ def test_graph_invariants_on_random_models():
         again = build_graph(model)
         # determinism: same model, bit-identical graph
         assert g.states == again.states
-        assert g.succ == again.succ
+        assert _successor_rows(g) == _successor_rows(again)
         assert g.initial == again.initial
         index = {v: i for i, v in enumerate(g.states)}
         assert len(index) == g.state_count  # deduplicated
@@ -138,13 +142,13 @@ def test_graph_invariants_on_random_models():
         frontier = list(g.initial)
         while frontier:
             s = frontier.pop()
-            for t in g.succ[s]:
+            for t in g.successors(s):
                 if t not in reachable:
                     reachable.add(t)
                     frontier.append(t)
         assert reachable == set(range(g.state_count))  # reachability-closed
         for i, valuation in enumerate(g.states):
-            targets = g.succ[i]
+            targets = set(g.successors(i))
             assert len(targets) >= 1  # totality
             assert all(0 <= t < g.state_count for t in targets)  # closure
             successors = step(model, valuation)
@@ -152,3 +156,8 @@ def test_graph_invariants_on_random_models():
             # agreement: graph edges are exactly the step successors
             # (step already folds the deadlock self-loop in)
             assert targets == expected
+        # predecessors are exactly the transpose of successors
+        edges = [(s, t) for s in range(g.state_count) for t in g.successors(s)]
+        transposed = [(s, t) for t in range(g.state_count) for s in g.predecessors(t)]
+        assert sorted(transposed) == sorted(edges)
+        assert g.edge_count == sum(len(g.successors(s)) for s in range(g.state_count))

@@ -76,7 +76,7 @@ def test_two_node_model_has_unique_run():
     graph = build_graph(parse_model(town_model_text(town, objective)))
     assert graph.state_count == 2
     assert graph.states == ((0, 0, 1, 0), (1, 0, 1, 1))
-    assert graph.succ == (frozenset({1}), frozenset({1}))
+    assert [list(graph.successors(i)) for i in range(2)] == [[1], [1]]
 
 
 def test_two_node_simulation_log():
@@ -141,7 +141,7 @@ def test_honest_round_trip_5x5(town5x5, objective4):
 
 def test_reduced_model_is_deterministic_everywhere(town5x5, objective4):
     graph = build_graph(parse_model(town_model_text(town5x5, objective4)))
-    assert all(len(targets) == 1 for targets in graph.succ)
+    assert all(len(graph.successors(i)) == 1 for i in range(graph.state_count))
 
 
 def test_unreduced_model_still_confirms_honest_log(town5x5, objective4):
@@ -168,7 +168,7 @@ def test_random_towns_honest_round_trip():
         honest = simulate(town, objective)
         assert adjudicate(model_text, format_log(honest)) == ("Confirmed", None)
         graph = build_graph(parse_model(model_text))
-        assert all(len(targets) == 1 for targets in graph.succ)
+        assert all(len(graph.successors(i)) == 1 for i in range(graph.state_count))
 
 
 def test_full_grid_helper_matches_sample(town5x5, samples_dir):
