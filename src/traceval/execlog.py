@@ -1,7 +1,8 @@
 """Execution logs and their compilation into CTL properties.
 
-A log is a CSV table: a header of variable names, then one row of integer
-values per observed state.  The log compiles into two property shapes:
+A log is a CSV table: a header of variable names, then one row of signed
+64-bit integer values per observed state.  The log compiles into two
+property shapes:
 
 * strong -- consecutive rows must be connected by single transitions (EX)
   and the final row must hold forever (AG);
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 from . import ctl
 from .errors import LogError
+from .expr import INT_MAX, INT_MIN, int_literal
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT_RE = re.compile(r"-?\d+\Z")
@@ -86,7 +88,12 @@ def parse_log(text: str) -> ExecutionLog:
         for col, cell in enumerate(cells, start=1):
             if not _INT_RE.match(cell):
                 raise LogError(f"non-integer cell {cell!r} at line {line_no}, column {col}")
-            values.append(int(cell))
+            value = int_literal(cell)
+            if value is None:
+                raise LogError(
+                    f"cell at line {line_no}, column {col} is outside {INT_MIN}..{INT_MAX}"
+                )
+            values.append(value)
         rows.append(tuple(values))
     if len(rows) < 2:
         raise LogError("fewer than 2 rows")

@@ -1,8 +1,11 @@
 """Integer/boolean expression trees used in guards, updates and constraints.
 
-Expressions are plain frozen dataclasses.  Evaluation is dynamically typed:
-arithmetic (``+ - *``) works on integers, comparisons produce booleans and
-``& | !`` combine booleans.  Arithmetic is checked against the signed 64-bit
+Expressions are plain frozen dataclasses.  Typing is static: arithmetic
+(``+ - *``) works on integers, comparisons produce booleans and ``& | !``
+combine booleans, and a mismatch is found without evaluating anything.
+``compile_expr`` type-checks a tree and turns it into a function of a
+valuation tuple in one pass, so a model's guards and updates are walked
+once, not at every state.  Arithmetic is checked against the signed 64-bit
 range so results stay machine-representable.
 """
 
@@ -10,15 +13,17 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Union
+from operator import itemgetter
+from typing import Callable, Mapping, Sequence, Union
 
 from .errors import EvalError
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
+_INT_DIGITS = len(str(INT_MAX))
 
-ARITH_OPS = ("+", "-", "*")
-# Comparator symbols and the integer comparison each one means.
+# Arithmetic and comparator symbols and the integer operation each one means.
+ARITH_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 CMP_OPS = {
     "==": operator.eq,
     "!=": operator.ne,
@@ -59,6 +64,172 @@ class NotOp:
 
 Expr = Union[IntLit, BoolLit, Name, BinOp, NotOp]
 
+# The type rules: the type of each kind of leaf, and the operand type each
+# binary operator takes and the type it returns.  '!' takes and returns a
+# boolean.
+_LEAF_TYPES = {IntLit: "int", Name: "int", BoolLit: "bool"}
+_SIGNATURES = {op: ("int", "int") for op in ARITH_OPS}
+_SIGNATURES.update({op: ("int", "bool") for op in CMP_OPS})
+_SIGNATURES.update({op: ("bool", "bool") for op in BOOL_OPS})
+_PLURAL = {"int": "integers", "bool": "boolean"}
+
+
+def _binary_type(op: str, left: str, right: str) -> str:
+    if op not in _SIGNATURES:
+        raise EvalError(f"unknown operator '{op}'")
+    want, result = _SIGNATURES[op]
+    if left != want or right != want:
+        raise EvalError(f"operands of '{op}' must be {_PLURAL[want]}")
+    return result
+
+
+def _not_type(operand: str) -> str:
+    if operand != "bool":
+        raise EvalError("operand of '!' must be boolean")
+    return "bool"
+
+
+def _leaf_type(expr) -> str:
+    kind = _LEAF_TYPES.get(type(expr))
+    if kind is None:
+        raise EvalError(f"not an expression: {expr!r}")
+    return kind
+
+
+def infer_type(expr: Expr) -> str:
+    """Return ``'int'`` or ``'bool'`` for a well-typed expression.
+
+    Variables and constants are always integers in this language.  Unlike
+    :func:`compile_expr`, this recurses once per nesting level.
+    """
+    kind = _LEAF_TYPES.get(type(expr))
+    if kind is not None:
+        return kind
+    if isinstance(expr, BinOp):
+        return _binary_type(expr.op, infer_type(expr.left), infer_type(expr.right))
+    if isinstance(expr, NotOp):
+        return _not_type(infer_type(expr.operand))
+    return _leaf_type(expr)  # raises: not an expression
+
+
+def compile_expr(
+    expr: Expr,
+    names: Sequence[str],
+    consts: Mapping[str, int] | None = None,
+) -> tuple[str, Callable[[tuple[int, ...]], int | bool]]:
+    """Type-check ``expr`` and compile it into a function of a valuation.
+
+    ``names[i]`` is the variable held in slot ``i`` of the valuation tuple;
+    any other identifier is looked up in ``consts``.  Returns ``(type,
+    fn)`` where ``type`` is ``'int'`` or ``'bool'``.  Unknown identifiers
+    and operand type mismatches raise :class:`EvalError` here; ``fn`` can
+    raise it only on 64-bit overflow.
+    """
+    slots = {name: i for i, name in enumerate(names)}
+    consts = consts or {}
+    # Pre-order with the right operand taken first, reversed, is post-order
+    # with the left operand first: the order the operands are evaluated in.
+    order = []
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        order.append(e)
+        if isinstance(e, BinOp):
+            stack += (e.left, e.right)
+        elif isinstance(e, NotOp):
+            stack.append(e.operand)
+    done: list = []
+    for e in reversed(order):
+        if isinstance(e, BinOp):
+            right = done.pop()
+            done[-1] = _compile_binary(e, done[-1], right)
+        elif isinstance(e, NotOp):
+            done[-1] = _compile_not(done[-1])
+        else:
+            done.append(_compile_leaf(e, slots, consts))
+    return done[0][0], _function(done[0])
+
+
+# A node compiles to (type, fn, slot, value, safe, pins).  A variable
+# leaves fn unset and gives its slot, a literal or a constant its value, so
+# that comparing a variable with a constant reads the slot directly.  A
+# conjunction of equalities between variables and constants leaves fn unset
+# and gives its (slot, value) pairs as pins, and compiles to one comparison
+# of tuples.  ``safe`` means fn cannot raise: the node holds no arithmetic.
+
+
+def _compile_leaf(e, slots: Mapping[str, int], consts: Mapping[str, int]):
+    kind = _leaf_type(e)
+    if not isinstance(e, Name):
+        return kind, None, None, e.value, True, ()
+    if e.ident in slots:
+        return kind, None, slots[e.ident], None, True, ()
+    if e.ident in consts:
+        return kind, None, None, consts[e.ident], True, ()
+    raise EvalError(f"unknown identifier '{e.ident}'")
+
+
+def _compile_not(operand):
+    kind = _not_type(operand[0])
+    a = _function(operand)
+    return kind, lambda v: not a(v), None, None, operand[4], ()
+
+
+def _compile_binary(e: BinOp, left, right):
+    kind = _binary_type(e.op, left[0], right[0])
+    op, slot, value = e.op, left[2], right[3]
+    safe = left[4] and right[4]
+    if op in CMP_OPS and slot is not None and value is not None:
+        if op == "==":
+            return kind, None, None, None, True, ((slot, value),)
+        f = CMP_OPS[op]
+        return kind, lambda v: f(v[slot], value), None, None, True, ()
+    if op == "&" and left[5] and right[5]:
+        return kind, None, None, None, True, left[5] + right[5]
+    a, b = _function(left), _function(right)
+    if op in CMP_OPS:
+        f = CMP_OPS[op]
+        return kind, lambda v: f(a(v), b(v)), None, None, safe, ()
+    if op in ARITH_OPS:
+        return kind, _arith(op, a, b), None, None, False, ()
+    # Both operands of '&' and '|' are always evaluated, so that an overflow
+    # on the right raises whatever the left gives; when the right cannot
+    # raise, skipping it changes nothing.
+    if op == "&":
+        fn = (lambda v: a(v) and b(v)) if right[4] else (lambda v: a(v) & b(v))
+    else:
+        fn = (lambda v: a(v) or b(v)) if right[4] else (lambda v: a(v) | b(v))
+    return kind, fn, None, None, safe, ()
+
+
+def _function(compiled):
+    """The function of a valuation that a compiled node computes."""
+    _, fn, slot, value, _, pins = compiled
+    if fn is not None:
+        return fn
+    if pins:
+        slots, values = zip(*pins)
+        get = itemgetter(*slots)
+        if len(pins) == 1:
+            values = values[0]  # one slot: itemgetter returns the value itself
+        return lambda v: get(v) == values
+    if slot is not None:
+        return itemgetter(slot)
+    return lambda v: value
+
+
+def _arith(op: str, a, b):
+    f = ARITH_OPS[op]
+
+    def fn(v):
+        r = f(a(v), b(v))
+        if INT_MIN <= r <= INT_MAX:
+            return r
+        raise EvalError(f"arithmetic overflow in '{op}': result {r}")
+
+    return fn
+
+
 def eval_expr(
     expr: Expr,
     values: Mapping[str, int],
@@ -70,78 +241,23 @@ def eval_expr(
     disjoint in well-formed models.  Raises :class:`EvalError` on unknown
     identifiers, operand type mismatches or 64-bit overflow.
     """
-    if isinstance(expr, IntLit):
-        return expr.value
-    if isinstance(expr, BoolLit):
-        return expr.value
-    if isinstance(expr, Name):
-        if expr.ident in values:
-            return values[expr.ident]
-        if consts and expr.ident in consts:
-            return consts[expr.ident]
-        raise EvalError(f"unknown identifier '{expr.ident}'")
-    if isinstance(expr, NotOp):
-        v = eval_expr(expr.operand, values, consts)
-        if not isinstance(v, bool):
-            raise EvalError("operand of '!' must be boolean")
-        return not v
-    if isinstance(expr, BinOp):
-        a = eval_expr(expr.left, values, consts)
-        b = eval_expr(expr.right, values, consts)
-        op = expr.op
-        if op in ARITH_OPS:
-            if isinstance(a, bool) or isinstance(b, bool):
-                raise EvalError(f"operands of '{op}' must be integers")
-            r = a + b if op == "+" else a - b if op == "-" else a * b
-            if not INT_MIN <= r <= INT_MAX:
-                raise EvalError(f"arithmetic overflow in '{op}': result {r}")
-            return r
-        if op in CMP_OPS:
-            if isinstance(a, bool) or isinstance(b, bool):
-                raise EvalError(f"operands of '{op}' must be integers")
-            return CMP_OPS[op](a, b)
-        if op == "&":
-            if not (isinstance(a, bool) and isinstance(b, bool)):
-                raise EvalError("operands of '&' must be boolean")
-            return a and b
-        if op == "|":
-            if not (isinstance(a, bool) and isinstance(b, bool)):
-                raise EvalError("operands of '|' must be boolean")
-            return a or b
-        raise EvalError(f"unknown operator '{op}'")
-    raise EvalError(f"not an expression: {expr!r}")
+    return compile_expr(expr, tuple(values), consts)[1](tuple(values.values()))
 
 
-def infer_type(expr: Expr) -> str:
-    """Return ``'int'`` or ``'bool'`` for a well-typed expression.
-
-    Variables and constants are always integers in this language.
-    """
-    if isinstance(expr, (IntLit, Name)):
-        return "int"
-    if isinstance(expr, BoolLit):
-        return "bool"
-    if isinstance(expr, NotOp):
-        if infer_type(expr.operand) != "bool":
-            raise EvalError("operand of '!' must be boolean")
-        return "bool"
-    if isinstance(expr, BinOp):
-        lt = infer_type(expr.left)
-        rt = infer_type(expr.right)
-        if expr.op in ARITH_OPS:
-            if lt != "int" or rt != "int":
-                raise EvalError(f"operands of '{expr.op}' must be integers")
-            return "int"
-        if expr.op in CMP_OPS:
-            if lt != "int" or rt != "int":
-                raise EvalError(f"operands of '{expr.op}' must be integers")
-            return "bool"
-        if expr.op in BOOL_OPS:
-            if lt != "bool" or rt != "bool":
-                raise EvalError(f"operands of '{expr.op}' must be boolean")
-            return "bool"
-        raise EvalError(f"unknown operator '{expr.op}'")
-    raise EvalError(f"not an expression: {expr!r}")
+def int_literal(text: str) -> int | None:
+    """The value of the decimal literal ``text`` (``-?[0-9]+``), or ``None``
+    when it lies outside ``INT_MIN..INT_MAX``.  Leading zeros are dropped
+    and the length checked before ``int()``, which refuses strings of more
+    than 4300 digits."""
+    if len(text) < _INT_DIGITS:
+        return int(text)  # always fits
+    digits = text.lstrip("-").lstrip("0")
+    if len(digits) > _INT_DIGITS:
+        return None
+    value = int(digits or "0")
+    if text.startswith("-"):
+        value = -value
+    return value if INT_MIN <= value <= INT_MAX else None
 
 
 def expr_names(expr: Expr) -> frozenset[str]:
@@ -163,13 +279,13 @@ def expr_names(expr: Expr) -> frozenset[str]:
 # Printing: precedence levels, loosest first.  Right operands of equal
 # precedence are parenthesized so printed text re-parses to the same tree.
 _PREC_LEAF = 9
-_PREC = {"|": 1, "&": 2, "+": 5, "-": 5, "*": 6}
-_PREC.update({op: 4 for op in CMP_OPS})
+BIN_PREC = {"|": 1, "&": 2, "+": 5, "-": 5, "*": 6}
+BIN_PREC.update({op: 4 for op in CMP_OPS})
 
 
 def _prec(expr: Expr) -> int:
     if isinstance(expr, BinOp):
-        return _PREC[expr.op]
+        return BIN_PREC[expr.op]
     if isinstance(expr, NotOp):
         return 3
     return _PREC_LEAF
@@ -189,7 +305,7 @@ def print_expr(expr: Expr) -> str:
             s = f"({s})"
         return f"!{s}"
     if isinstance(expr, BinOp):
-        p = _PREC[expr.op]
+        p = BIN_PREC[expr.op]
         ls = print_expr(expr.left)
         if _prec(expr.left) < p:
             ls = f"({ls})"

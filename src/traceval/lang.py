@@ -11,7 +11,8 @@ Model grammar::
     assign  := IDENT "'" "=" arithexpr
 
 Identifiers are ASCII letters or ``_`` followed by letters, digits or
-``_``; ``//`` comments run to end of line; INT literals may carry a sign.
+``_``; ``//`` comments run to end of line; INT literals may carry a sign
+and must lie in the signed 64-bit range.
 Expressions use ``+ - *``, the six comparators, ``& | !`` and parentheses;
 ``true`` and ``false`` are keywords.
 
@@ -30,17 +31,21 @@ import sys
 from typing import NamedTuple
 
 from . import ctl
-from .errors import EvalError, ModelError, ParseError
+from .errors import EvalError, ParseError
 from .expr import (
+    BIN_PREC,
+    CMP_OPS,
+    INT_MAX,
+    INT_MIN,
     BinOp,
     BoolLit,
-    CMP_OPS,
     Expr,
     IntLit,
     Name,
     NotOp,
     expr_names,
     infer_type,
+    int_literal,
     print_expr,
 )
 from .model import GuardedCommand, SystemModel, VarDecl
@@ -138,15 +143,11 @@ class _Stream:
 # Unified expression parsing (model guards, updates, init constraints)
 # ---------------------------------------------------------------------------
 
-_BIN_PREC = {"|": 1, "&": 2, "+": 5, "-": 5, "*": 6}
-_BIN_PREC.update({op: 4 for op in CMP_OPS})
-
-
 def _parse_expr(s: _Stream, min_prec: int = 1) -> Expr:
     left = _parse_unary(s)
     while True:
         tok = s.cur
-        prec = _BIN_PREC.get(tok.text) if tok.kind == "op" else None
+        prec = BIN_PREC.get(tok.text) if tok.kind == "op" else None
         if prec is None or prec < min_prec:
             return left
         s.advance()
@@ -166,7 +167,7 @@ def _parse_unary(s: _Stream) -> Expr:
     if tok.kind == "op" and tok.text == "-":
         s.advance()
         lit = s.expect_kind("int", "an integer after '-'")
-        return IntLit(-int(lit.text))
+        return IntLit(_literal(lit, negative=True))
     if tok.kind == "op" and tok.text == "(":
         s.advance()
         inner = _parse_expr(s, 1)
@@ -174,7 +175,7 @@ def _parse_unary(s: _Stream) -> Expr:
         return inner
     if tok.kind == "int":
         s.advance()
-        return IntLit(int(tok.text))
+        return IntLit(_literal(tok))
     if tok.kind == "ident":
         s.advance()
         if tok.text == "true":
@@ -224,13 +225,18 @@ def parse_expression(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 
 
+def _literal(tok: Token, negative: bool = False) -> int:
+    value = int_literal("-" + tok.text if negative else tok.text)
+    if value is None:
+        raise ParseError(
+            f"integer literal outside {INT_MIN}..{INT_MAX}", tok.line, tok.col
+        )
+    return value
+
+
 def _signed_int(s: _Stream, what: str) -> int:
-    sign = 1
-    if s.cur.kind == "op" and s.cur.text == "-":
-        s.advance()
-        sign = -1
-    tok = s.expect_kind("int", what)
-    return sign * int(tok.text)
+    negative = s.accept("-") is not None
+    return _literal(s.expect_kind("int", what), negative)
 
 
 def _decl_name(s: _Stream, what: str, taken: set[str]) -> Token:
@@ -289,7 +295,6 @@ def parse_model(text: str) -> SystemModel:
 
     commands: list[GuardedCommand] = []
     while s.cur.kind != "eof":
-        open_tok = s.cur
         if not s.accept("["):
             raise s.error("expected a command ('[')")
         label = None
@@ -322,10 +327,7 @@ def parse_model(text: str) -> SystemModel:
                 if not s.accept("&"):
                     break
         s.expect(";")
-        try:
-            commands.append(GuardedCommand(label, guard, tuple(updates)))
-        except ModelError as exc:
-            raise ParseError(str(exc), open_tok.line, open_tok.col) from None
+        commands.append(GuardedCommand(label, guard, tuple(updates)))
 
     return SystemModel(
         constants=constants,

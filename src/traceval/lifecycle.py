@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import time
 import warnings
 from dataclasses import dataclass
@@ -74,9 +75,16 @@ class ContentStore:
         digest = hashlib.sha256(data).hexdigest()
         path = self.root / digest
         if not path.exists():
-            tmp = path.with_name(digest + ".tmp")
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
+            # A temporary name of its own per writer: two writers of one blob
+            # never write into one file.  ``hashes`` ignores such names.
+            fd, tmp = tempfile.mkstemp(dir=self.root)
+            try:
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(data)
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
         return digest
 
     def put_text(self, text: str) -> str:

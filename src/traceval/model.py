@@ -7,6 +7,12 @@ variable in declaration order.  ``step`` fires every enabled command once
 valuation, which materializes as a self-loop in the built graph so the
 transition relation is total.
 
+``compile_step`` compiles every guard and update into a function of the
+valuation tuple once per model, and returns the successor function that
+``step`` and ``build_graph`` both call; no state builds a dict or walks an
+expression tree.  Static type errors in guards, runtime errors in updates
+and arithmetic overflow all raise :class:`ModelError` naming the command.
+
 A built graph stores its transition relation once, as compressed sparse
 rows of successors and of their transpose, the predecessors, both made in
 the constructor; nothing is cached lazily.  Models and built graphs are
@@ -19,10 +25,10 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import EvalError, ModelError, StateExplosionError
-from .expr import Expr, eval_expr, expr_names
+from .expr import BoolLit, Expr, compile_expr, expr_names
 
 Valuation = tuple[int, ...]
 
@@ -106,6 +112,82 @@ class SystemModel:
         return tuple(v.init for v in self.variables)
 
 
+def _fails(message: str):
+    def fail(v: Valuation):
+        raise ModelError(message)
+
+    return fail
+
+
+def _compile_command(model: SystemModel, names: tuple[str, ...], i: int):
+    """``(where, guard, fire)`` for command ``i``: its description, whether
+    it is enabled at a valuation, and the valuation it leads to.  Like a
+    failing update, an update that cannot be typed raises only when its
+    command fires."""
+    cmd = model.commands[i]
+    where = cmd.describe(i)
+    try:
+        kind, guard = compile_expr(cmd.guard, names, model.constants)
+    except EvalError as exc:
+        raise ModelError(f"{where}: {exc}") from None
+    if kind != "bool":
+        raise ModelError(f"{where}: guard is not boolean")
+    updates = []
+    for name, rhs in cmd.updates:
+        slot = names.index(name)
+        decl = model.variables[slot]
+        try:
+            kind, value = compile_expr(rhs, names, model.constants)
+        except EvalError as exc:
+            kind, value = "int", _fails(f"{where}: {exc}")
+        if kind != "int":
+            value = _fails(f"{where}: update of '{name}' is not integer")
+        updates.append((slot, value, decl.lo, decl.hi, name))
+
+    def fire(v: Valuation) -> Valuation:
+        nxt = list(v)
+        for slot, value, lo, hi, name in updates:
+            val = value(v)
+            if not lo <= val <= hi:
+                raise ModelError(
+                    f"{where}: update drives '{name}' to {val}, outside {lo}..{hi}"
+                )
+            nxt[slot] = val
+        return tuple(nxt)
+
+    return where, guard, fire
+
+
+def compile_step(model: SystemModel) -> Callable[[Valuation], list[Valuation]]:
+    """Compile every guard and update of ``model`` once, and return its
+    successor function: see :func:`step`.
+
+    Raises :class:`ModelError` for a guard that is not boolean or cannot be
+    typed; the successor function raises it when an update is not integer
+    or leaves its variable's range, or when arithmetic overflows.
+    """
+    names = model.var_names
+    # A command guarded by the literal 'false' never fires, so its updates
+    # are never evaluated; reduced models consist mostly of such commands.
+    commands = [
+        _compile_command(model, names, i)
+        for i, cmd in enumerate(model.commands)
+        if cmd.guard != BoolLit(False)
+    ]
+
+    def successors(v: Valuation) -> list[Valuation]:
+        out: set[Valuation] = set()
+        try:
+            for where, guard, fire in commands:
+                if guard(v):
+                    out.add(fire(v))
+        except EvalError as exc:
+            raise ModelError(f"{where}: {exc}") from None
+        return sorted(out) if out else [v]
+
+    return successors
+
+
 def step(model: SystemModel, v: Valuation) -> list[Valuation]:
     """Successor valuations of ``v``: one per enabled command, deduplicated
     and sorted; ``[v]`` itself when no command is enabled.
@@ -113,32 +195,7 @@ def step(model: SystemModel, v: Valuation) -> list[Valuation]:
     All update right-hand sides are evaluated against the pre-state, so
     updates within one command are simultaneous.
     """
-    env = dict(zip(model.var_names, v))
-    bounds = {decl.name: (decl.lo, decl.hi) for decl in model.variables}
-    index = {decl.name: i for i, decl in enumerate(model.variables)}
-    out: set[Valuation] = set()
-    for i, cmd in enumerate(model.commands):
-        enabled = eval_expr(cmd.guard, env, model.constants)
-        if not isinstance(enabled, bool):
-            raise ModelError(f"{cmd.describe(i)}: guard is not boolean")
-        if not enabled:
-            continue
-        nxt = list(v)
-        for name, rhs in cmd.updates:
-            val = eval_expr(rhs, env, model.constants)
-            if isinstance(val, bool):
-                raise ModelError(f"{cmd.describe(i)}: update of '{name}' is not integer")
-            lo, hi = bounds[name]
-            if not lo <= val <= hi:
-                raise ModelError(
-                    f"{cmd.describe(i)}: update drives '{name}' to {val}, "
-                    f"outside {lo}..{hi}"
-                )
-            nxt[index[name]] = val
-        out.add(tuple(nxt))
-    if not out:
-        return [v]
-    return sorted(out)
+    return compile_step(model)(v)
 
 
 class StateGraph:
@@ -215,16 +272,19 @@ def _initial_valuations(model: SystemModel, budget: int) -> list[Valuation]:
     # Widening constraint: every domain valuation satisfying it is initial,
     # alongside the declared init vector.  Enumeration is bounded by the
     # state budget to keep degenerate constraints from running away.
-    inits = {base}
-    ranges = [range(v.lo, v.hi + 1) for v in model.variables]
-    names = model.var_names
-    for count, cand in enumerate(itertools.product(*ranges), start=1):
-        if count > budget:
-            raise StateExplosionError(
-                f"state explosion: init constraint enumeration exceeded {budget} candidates"
-            )
-        if eval_expr(model.init_constraint, dict(zip(names, cand)), model.constants):
-            inits.add(cand)
+    try:
+        _, allows = compile_expr(model.init_constraint, model.var_names, model.constants)
+        inits = {base}
+        ranges = [range(v.lo, v.hi + 1) for v in model.variables]
+        for count, cand in enumerate(itertools.product(*ranges), start=1):
+            if count > budget:
+                raise StateExplosionError(
+                    f"state explosion: init constraint enumeration exceeded {budget} candidates"
+                )
+            if allows(cand):
+                inits.add(cand)
+    except EvalError as exc:
+        raise ModelError(f"init constraint: {exc}") from None
     return sorted(inits)
 
 
@@ -253,9 +313,10 @@ def build_graph(model: SystemModel, max_states: int = DEFAULT_STATE_BUDGET) -> S
 
     for v in inits:
         intern(v)
+    successors = compile_step(model)
     # States are numbered in discovery order, so visiting them by index, as
     # the list grows, is the breadth-first queue.
-    succ = [[intern(nxt) for nxt in step(model, v)] for v in states]
+    succ = [[intern(nxt) for nxt in successors(v)] for v in states]
     return StateGraph(
         variables=model.var_names,
         states=states,

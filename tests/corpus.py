@@ -1,11 +1,15 @@
-"""Seeded random corpora: graphs, formulas and towns for the big sweeps."""
+"""Seeded random corpora: graphs, formulas and towns for the big sweeps,
+and a hypothesis strategy for guarded-command models."""
 
 from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from traceval import ctl
-from traceval.model import StateGraph
+from traceval.expr import BinOp, BoolLit, IntLit, Name, NotOp, expr_names
+from traceval.model import GuardedCommand, StateGraph, SystemModel, VarDecl
 from traceval.town import ACTIONS, DIR_VECS, Objective, ObjectiveStep, TownMap, TownNode, turn
 
 GRAPH_VARS = ("x", "y")
@@ -110,3 +114,60 @@ def random_town_and_objective(
 def _neighbor(x: int, y: int, d: int) -> tuple[int, int]:
     dx, dy = DIR_VECS[d]
     return (x + dx, y + dy)
+
+
+IDENTS = st.sampled_from(("x", "y", "zz", "v_one"))
+CMPS = st.sampled_from(_CMP)
+
+_arith = st.recursive(
+    st.one_of(st.builds(IntLit, st.integers(-9, 9)), st.builds(Name, IDENTS)),
+    lambda children: st.builds(BinOp, st.sampled_from(("+", "-", "*")), children, children),
+    max_leaves=6,
+)
+
+_bool_exprs = st.recursive(
+    st.one_of(
+        st.builds(BoolLit, st.booleans()),
+        st.builds(BinOp, CMPS, _arith, _arith),
+    ),
+    lambda children: st.one_of(
+        st.builds(NotOp, children),
+        st.builds(BinOp, st.sampled_from(("&", "|")), children, children),
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def models(draw):
+    """Well-typed models of one to three small variables, an optional
+    constant, up to three commands and an optional init constraint."""
+    var_count = draw(st.integers(1, 3))
+    names = ("x", "y", "zz")[:var_count]
+    variables = []
+    for name in names:
+        lo = draw(st.integers(-4, 2))
+        hi = lo + draw(st.integers(0, 5))
+        variables.append(VarDecl(name, lo, hi, draw(st.integers(lo, hi))))
+    consts = {}
+    if draw(st.booleans()):
+        consts["v_one"] = draw(st.integers(-9, 9))
+    declared = set(names) | set(consts)
+    commands = []
+    for _ in range(draw(st.integers(0, 3))):
+        guard = draw(_bool_exprs.filter(lambda e: _names_ok(e, declared)))
+        updates = []
+        perm = draw(st.permutations(names))
+        for target in perm[: draw(st.integers(0, var_count))]:
+            rhs = draw(_arith.filter(lambda e: _names_ok(e, declared)))
+            updates.append((target, rhs))
+        label = draw(st.one_of(st.none(), st.just("act")))
+        commands.append(GuardedCommand(label, guard, tuple(updates)))
+    init_c = None
+    if draw(st.booleans()):
+        init_c = draw(_bool_exprs.filter(lambda e: _names_ok(e, declared)))
+    return SystemModel(consts, tuple(variables), tuple(commands), init_c)
+
+
+def _names_ok(expr, declared):
+    return expr_names(expr) <= declared

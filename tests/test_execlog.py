@@ -4,6 +4,7 @@ from traceval import ctl
 from traceval.checker import holds_initially, sat
 from traceval.ctl import print_formula
 from traceval.errors import LogError
+from traceval.expr import INT_MAX, INT_MIN
 from traceval.execlog import (
     ExecutionLog,
     UnsatisfiableLogWarning,
@@ -41,6 +42,15 @@ def test_parse_fewer_than_two_rows():
 def test_parse_non_integer_cell():
     with pytest.raises(LogError, match="non-integer cell"):
         parse_log("x\n0\noops\n")
+
+
+def test_parse_cell_outside_64_bits():
+    with pytest.raises(LogError, match="outside"):
+        parse_log("x\n0\n1" + "0" * 4999 + "\n")  # past the digits int() converts
+    with pytest.raises(LogError, match="outside"):
+        parse_log("x\n0\n9223372036854775808\n")
+    log = parse_log("x\n-9223372036854775808\n0009223372036854775807\n")
+    assert log.rows == ((INT_MIN,), (INT_MAX,))
 
 
 def test_parse_duplicate_header():

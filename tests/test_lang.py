@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CHAIN2
+from corpus import CMPS, IDENTS, models
 from traceval import ctl
 from traceval.ctl import print_formula
 from traceval.errors import ParseError
-from traceval.expr import BinOp, BoolLit, IntLit, Name, NotOp, eval_expr
+from traceval.expr import INT_MIN, BinOp, IntLit, Name, eval_expr
 from traceval.lang import parse_expression, parse_formula, parse_model, print_model
 from traceval.model import build_graph
 
@@ -115,6 +116,27 @@ def test_parse_formula_keywords_and_negatives():
     assert parse_formula("x>=-2") == ctl.Atom("x", ">=", -2)
 
 
+def test_integer_literals_must_fit_64_bits():
+    huge = "1" + "0" * 4999  # past the 4300 digits int() converts
+    for text in (
+        f"var x : 0..1 init 0; [] x=={huge} -> x'=1;",
+        f"var x : 0..{huge} init 0;",
+        "var x : 0..1 init 0; [] x==9223372036854775808 -> x'=1;",
+        "const K = -9223372036854775809; var x : 0..1 init 0;",
+    ):
+        with pytest.raises(ParseError, match="integer literal outside"):
+            parse_model(text)
+    with pytest.raises(ParseError, match="integer literal outside"):
+        parse_formula(f"x=={huge}")
+    model = parse_model(
+        "const K = -9223372036854775808; var x : 0..1 init 0;"
+        " [] x<=9223372036854775807 -> x'=0001;"
+    )
+    assert model.constants["K"] == INT_MIN
+    assert model.commands[0].updates == (("x", IntLit(1)),)
+    assert parse_formula("x>=-9223372036854775808") == ctl.Atom("x", ">=", INT_MIN)
+
+
 def test_parse_formula_unknown_comparator():
     with pytest.raises(ParseError, match="unknown comparator"):
         parse_formula("x = 1")
@@ -137,11 +159,8 @@ def test_print_formula_temporals():
 
 # --- property-based round trips and fuzz -------------------------------------
 
-_IDENTS = st.sampled_from(("x", "y", "zz", "v_one"))
-_CMPS = st.sampled_from(("==", "!=", "<", "<=", ">", ">="))
-
 _atoms = st.one_of(
-    st.builds(ctl.Atom, _IDENTS, _CMPS, st.integers(-30, 30)),
+    st.builds(ctl.Atom, IDENTS, CMPS, st.integers(-30, 30)),
     st.just(ctl.TrueF()),
     st.just(ctl.FalseF()),
 )
@@ -168,64 +187,8 @@ def test_formula_round_trip(f):
     assert parse_formula(print_formula(f)) == f
 
 
-_arith = st.recursive(
-    st.one_of(st.builds(IntLit, st.integers(-9, 9)), st.builds(Name, _IDENTS)),
-    lambda children: st.builds(BinOp, st.sampled_from(("+", "-", "*")), children, children),
-    max_leaves=6,
-)
-
-_bool_exprs = st.recursive(
-    st.one_of(
-        st.builds(BoolLit, st.booleans()),
-        st.builds(BinOp, _CMPS, _arith, _arith),
-    ),
-    lambda children: st.one_of(
-        st.builds(NotOp, children),
-        st.builds(BinOp, st.sampled_from(("&", "|")), children, children),
-    ),
-    max_leaves=6,
-)
-
-
-@st.composite
-def _models(draw):
-    from traceval.model import GuardedCommand, SystemModel, VarDecl
-
-    var_count = draw(st.integers(1, 3))
-    names = ("x", "y", "zz")[:var_count]
-    variables = []
-    for name in names:
-        lo = draw(st.integers(-4, 2))
-        hi = lo + draw(st.integers(0, 5))
-        variables.append(VarDecl(name, lo, hi, draw(st.integers(lo, hi))))
-    consts = {}
-    if draw(st.booleans()):
-        consts["v_one"] = draw(st.integers(-9, 9))
-    declared = set(names) | set(consts)
-    commands = []
-    for _ in range(draw(st.integers(0, 3))):
-        guard = draw(_bool_exprs.filter(lambda e: _names_ok(e, declared)))
-        updates = []
-        perm = draw(st.permutations(names))
-        for target in perm[: draw(st.integers(0, var_count))]:
-            rhs = draw(_arith.filter(lambda e: _names_ok(e, declared)))
-            updates.append((target, rhs))
-        label = draw(st.one_of(st.none(), st.just("act")))
-        commands.append(GuardedCommand(label, guard, tuple(updates)))
-    init_c = None
-    if draw(st.booleans()):
-        init_c = draw(_bool_exprs.filter(lambda e: _names_ok(e, declared)))
-    return SystemModel(consts, tuple(variables), tuple(commands), init_c)
-
-
-def _names_ok(expr, declared):
-    from traceval.expr import expr_names
-
-    return expr_names(expr) <= declared
-
-
 @settings(max_examples=60)
-@given(_models())
+@given(models())
 def test_model_round_trip(model):
     assert parse_model(print_model(model)) == model
 

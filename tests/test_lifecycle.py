@@ -21,6 +21,7 @@ from traceval.lifecycle import (
 )
 
 SHA_ABC = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+HUGE = "1" + "0" * 4999  # past the 4300 digits int() converts
 
 
 @pytest.fixture
@@ -51,6 +52,18 @@ def test_store_put_is_idempotent(store):
     b = store.put(b"same bytes")
     assert a == b
     assert store.hashes() == [a]
+
+
+def test_store_put_leaves_other_temporary_files_alone(store):
+    """Each writer writes its own temporary file, so a stale or concurrent
+    ``<hash>.tmp`` keeps its bytes."""
+    digest = hashlib.sha256(b"blob").hexdigest()
+    stale = store.root / f"{digest}.tmp"
+    stale.write_bytes(b"another writer's half")
+    assert store.put(b"blob") == digest
+    assert stale.read_bytes() == b"another writer's half"
+    assert store.get(digest) == b"blob"
+    assert store.hashes() == [digest]
 
 
 def test_store_get_unknown(store):
@@ -149,6 +162,29 @@ def test_validate_never_double_verdicts(ledger, store):
         ("var x :", "x\n0\n1\n1\n", "malformed-model"),
         (CHAIN2, "x\n0\n", "malformed-log"),
         (CHAIN2, "y\n0\n1\n1\n", "variable-mismatch"),
+        # 64-bit overflow in an update, the init constraint and a guard
+        pytest.param(
+            "var x : 0..1 init 0;\n[] true -> x'=9223372036854775807+1;\n",
+            "x\n0\n0\n", "malformed-model", id="overflow-in-update",
+        ),
+        pytest.param(
+            "var x : 0..1 init 0;\ninit x*9223372036854775807*4==0;\n",
+            "x\n0\n0\n", "malformed-model", id="overflow-in-init",
+        ),
+        pytest.param(
+            "var x : 0..1 init 0;\n[] x*9223372036854775807*4==0 -> x'=1;\n",
+            "x\n0\n0\n", "malformed-model", id="overflow-in-guard",
+        ),
+        # integer literals too long for int()
+        pytest.param(
+            f"var x : 0..1 init 0;\n[] x=={HUGE} -> x'=1;\n",
+            "x\n0\n0\n", "malformed-model", id="huge-literal-in-guard",
+        ),
+        pytest.param(
+            f"var x : 0..{HUGE} init 0;\n", "x\n0\n0\n", "malformed-model",
+            id="huge-literal-in-bound",
+        ),
+        pytest.param(CHAIN2, f"x\n0\n{HUGE}\n", "malformed-log", id="huge-literal-in-log"),
     ],
 )
 def test_adjudicate_reason_codes(model_text, log_text, reason):

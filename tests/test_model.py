@@ -1,12 +1,17 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
+import naive_eval
 from conftest import CHAIN2, TOGGLE
-from traceval.errors import ModelError, StateExplosionError
-from traceval.expr import BinOp, IntLit, Name
+from corpus import full_grid_town, models
+from traceval.errors import EvalError, ModelError, StateExplosionError
+from traceval.expr import INT_MAX, BinOp, BoolLit, IntLit, Name
 from traceval.lang import parse_model
 from traceval.model import GuardedCommand, SystemModel, VarDecl, build_graph, step
+from traceval.town import Objective, ObjectiveStep, town_model_text
 
 
 def _cmd(guard, updates=()):
@@ -151,13 +156,100 @@ def test_graph_invariants_on_random_models():
             targets = set(g.successors(i))
             assert len(targets) >= 1  # totality
             assert all(0 <= t < g.state_count for t in targets)  # closure
-            successors = step(model, valuation)
+            successors = naive_eval.step(model, valuation)
             expected = {index[t] for t in successors}
-            # agreement: graph edges are exactly the step successors
-            # (step already folds the deadlock self-loop in)
+            # agreement: graph edges are exactly the reference successors
+            # (the reference step already folds the deadlock self-loop in)
             assert targets == expected
         # predecessors are exactly the transpose of successors
         edges = [(s, t) for s in range(g.state_count) for t in g.successors(s)]
         transposed = [(s, t) for t in range(g.state_count) for s in g.predecessors(t)]
         assert sorted(transposed) == sorted(edges)
         assert g.edge_count == sum(len(g.successors(s)) for s in range(g.state_count))
+
+
+# --- the compiled evaluator against the tree-walking reference ---------------
+
+
+def _reference_raises(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except (ModelError, EvalError):
+        return True
+    return False
+
+
+def _assert_graph_matches_reference(model):
+    if _reference_raises(naive_eval.reachable_graph, model):
+        with pytest.raises(ModelError):
+            build_graph(model)
+        return
+    states, initial, rows = naive_eval.reachable_graph(model)
+    g = build_graph(model)
+    assert g.states == tuple(states)
+    assert g.initial == frozenset(initial)
+    assert _successor_rows(g) == rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(models())
+def test_compiled_step_and_graph_match_reference(model):
+    domain = itertools.product(*(range(v.lo, v.hi + 1) for v in model.variables))
+    for valuation in domain:
+        if _reference_raises(naive_eval.step, model, valuation):
+            with pytest.raises(ModelError):
+                step(model, valuation)
+        else:
+            assert step(model, valuation) == naive_eval.step(model, valuation)
+    _assert_graph_matches_reference(model)
+
+
+def test_build_graph_matches_reference_on_towns(town5x5, objective4):
+    tags = {(5, 0): 1, (5, 6): 2, (9, 6): 3, (9, 10): 4, (2, 10): 5, (2, 3): 6}
+    grid12 = full_grid_town(12, 12, tags, (0, 0, 1))
+    drive = Objective(tuple(
+        ObjectiveStep(tag, action)
+        for tag, action in ((1, "left"), (2, "right"), (3, "left"), (4, "left"), (5, "left"), (6, "forward"))
+    ))
+    for town, objective, reduce in (
+        (town5x5, objective4, True),
+        (town5x5, objective4, False),
+        (grid12, drive, False),
+    ):
+        _assert_graph_matches_reference(parse_model(town_model_text(town, objective, reduce=reduce)))
+
+
+_X_IS_1 = BinOp("==", Name("x"), IntLit(1))
+_OVERFLOWS_UNLESS_X_IS_0 = BinOp("==", BinOp("*", BinOp("*", Name("x"), IntLit(INT_MAX)), IntLit(4)), IntLit(0))
+
+
+@pytest.mark.parametrize(
+    "guard,updates,raising,message",
+    [
+        (BinOp("+", Name("x"), IntLit(1)), (), {0, 1, 2}, r"#1 \[bad\]: guard is not boolean"),
+        (_X_IS_1, (("x", _X_IS_1),), {1}, r"#1 \[bad\]: update of 'x' is not integer"),
+        (
+            BinOp("==", Name("x"), IntLit(2)),
+            (("x", BinOp("+", BoolLit(True), IntLit(1))),),
+            {2},
+            r"#1 \[bad\]: operands of '\+' must be integers",
+        ),
+        # '&' evaluates its right operand even when its left one is false
+        (
+            BinOp("&", BinOp("==", Name("x"), IntLit(5)), _OVERFLOWS_UNLESS_X_IS_0),
+            (),
+            {1, 2},
+            r"#1 \[bad\]: arithmetic overflow in '\*'",
+        ),
+    ],
+    ids=["non-boolean-guard", "non-integer-update", "ill-typed-update", "overflow-right-of-and"],
+)
+def test_errors_raise_model_error_exactly_where_the_reference_raises(guard, updates, raising, message):
+    model = SystemModel({}, (VarDecl("x", 0, 2, 0),), (GuardedCommand("bad", guard, updates),))
+    for x in range(3):
+        assert _reference_raises(naive_eval.step, model, (x,)) == (x in raising)
+        if x in raising:
+            with pytest.raises(ModelError, match=message):
+                step(model, (x,))
+        else:
+            assert step(model, (x,)) == naive_eval.step(model, (x,))
