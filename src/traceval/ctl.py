@@ -4,6 +4,7 @@ The fragment is: ``true``/``false``, integer atoms ``var op value``,
 ``!``/``&``/``|`` and the temporal operators EX, EF, EG, AX, AF, AG.
 Temporal operators always print with parentheses (``EX(...)``); ``&``
 binds tighter than ``|`` and both bind looser than ``!`` and temporals.
+The printer takes time and memory linear in the text it prints.
 """
 
 from __future__ import annotations
@@ -115,46 +116,39 @@ def _prec(f: CtlFormula) -> int:
 def print_formula(f: CtlFormula) -> str:
     """Canonical text; ``parse_formula(print_formula(f))`` equals ``f``.
 
-    Iterative so arbitrarily deep generated properties print without
-    hitting the interpreter recursion limit.
+    One explicit stack of nodes and literal pieces, appended to one list and
+    joined once: time and memory are linear in the text, and arbitrarily
+    deep generated properties print without hitting the recursion limit.
     """
-    done: dict[int, str] = {}
-    stack = [f]
+    out: list[str] = []
+    stack: list[CtlFormula | str] = [f]
     while stack:
-        node = stack[-1]
-        if id(node) in done:
-            stack.pop()
-            continue
-        kids = children(node)
-        missing = [k for k in kids if id(k) not in done]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
-        done[id(node)] = _fmt(node, done)
-    return done[id(f)]
-
-
-def _fmt(node: CtlFormula, done: dict[int, str]) -> str:
-    if isinstance(node, TrueF):
-        return "true"
-    if isinstance(node, FalseF):
-        return "false"
-    if isinstance(node, Atom):
-        return f"{node.var}{node.op}{node.value}"
-    if isinstance(node, Not):
-        s = done[id(node.child)]
-        if _prec(node.child) < 3:
-            s = f"({s})"
-        return f"!{s}"
-    if isinstance(node, (And, Or)):
-        p = _prec(node)
-        sym = "&" if isinstance(node, And) else "|"
-        ls = done[id(node.left)]
-        if _prec(node.left) < p:
-            ls = f"({ls})"
-        rs = done[id(node.right)]
-        if _prec(node.right) <= p:
-            rs = f"({rs})"
-        return f"{ls} {sym} {rs}"
-    return f"{TEMPORAL_NAMES[type(node)]}({done[id(node.child)]})"
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, TrueF):
+            out.append("true")
+        elif isinstance(node, FalseF):
+            out.append("false")
+        elif isinstance(node, Atom):
+            out.append(f"{node.var}{node.op}{node.value}")
+        elif isinstance(node, Not):
+            if _prec(node.child) < 3:
+                stack += (")", node.child, "!(")
+            else:
+                stack += (node.child, "!")
+        elif isinstance(node, (And, Or)):
+            p = _prec(node)
+            # pushed in reverse: left, operator, right
+            if _prec(node.right) <= p:
+                stack += (")", node.right, "(")
+            else:
+                stack.append(node.right)
+            stack.append(" & " if isinstance(node, And) else " | ")
+            if _prec(node.left) < p:
+                stack += (")", node.left, "(")
+            else:
+                stack.append(node.left)
+        else:
+            stack += (")", node.child, TEMPORAL_NAMES[type(node)] + "(")
+    return "".join(out)

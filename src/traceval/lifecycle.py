@@ -8,9 +8,13 @@ would take a liability through an illegal transition
 
 Validation is deterministic: fetch the model and the result log from the
 store, build the state graph, compile the log into a property and check it
-from the initial state.  Malformed artifacts reject the liability with a
-reason code instead of raising, so a hostile provider cannot crash the
-validator.
+from the initial state.  It runs in two stages: ``PreparedModel`` parses a
+model text and builds its graph on first demand, and ``PreparedModel.judge``
+checks one log against it.  ``run_validator`` prepares each distinct model
+text once per call and keeps the few most recently used; ``adjudicate`` and
+``validate`` prepare a fresh one per call.  Malformed artifacts reject the
+liability with a reason code instead of raising, so a hostile provider
+cannot crash the validator.
 
 Single writer per ledger file; concurrent readers of ledger and store are
 safe (append-only file, immutable blobs).
@@ -24,6 +28,7 @@ import os
 import tempfile
 import time
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,6 +62,9 @@ REASON_PROPERTY_FAILED = "property-failed"
 REASON_MISSING_BLOB = "missing-blob"
 
 _HASH_RE_LEN = 64
+
+# Prepared models one run_validator call keeps; the least recently used goes.
+_CACHED_MODELS = 8
 
 
 class ContentStore:
@@ -272,6 +280,85 @@ def submit_result(ledger: Ledger, store: ContentStore, lid: int, result_hash: st
     ledger.append(KIND_RESULT, id=lid, result_hash=result_hash)
 
 
+class PreparedModel:
+    """One model text, parsed on creation, its graph built on first demand.
+
+    Holds the model's variable names and its graph, or the reason either was
+    refused; the parsed model is dropped once its graph is built or refused.
+    A parse or build that raises anything other than ``ParseError``,
+    ``ModelError`` or ``StateExplosionError`` propagates and records nothing.
+    Graphs are immutable and the checker is pure, so one prepared model can
+    judge any number of logs.
+    """
+
+    def __init__(self, model_text: str, max_states: int = DEFAULT_STATE_BUDGET):
+        self.max_states = max_states
+        self.var_names = self.graph = self.reason = self._model = None
+        try:
+            self._model = parse_model(model_text)
+        except (ParseError, ModelError):
+            self.reason = REASON_MALFORMED_MODEL
+        else:
+            self.var_names = self._model.var_names
+
+    def _build(self) -> str | None:
+        """Build the graph unless it is built or refused; the refusal reason."""
+        if self._model is not None:
+            try:
+                self.graph = build_graph(self._model, max_states=self.max_states)
+            except StateExplosionError:
+                self.reason = REASON_STATE_EXPLOSION
+            except ModelError:
+                self.reason = REASON_MALFORMED_MODEL
+            self._model = None
+        return self.reason
+
+    def judge(
+        self, log_text: str, mode: str = "strong", base: str = "faithful"
+    ) -> tuple[str, str | None]:
+        """(verdict, reason) for a log text.  The graph is built only for a
+        log that parses and names the model's variables."""
+        if self.var_names is None:
+            return STATUS_REJECTED, self.reason
+        try:
+            log = parse_log(log_text)
+        except LogError:
+            return STATUS_REJECTED, REASON_MALFORMED_LOG
+        if log.variables != self.var_names:
+            return STATUS_REJECTED, REASON_VARIABLE_MISMATCH
+        reason = self._build()
+        if reason is not None:
+            return STATUS_REJECTED, reason
+        with warnings.catch_warnings():
+            # an unsatisfiable faithful property is simply a failing one here
+            warnings.simplefilter("ignore", UnsatisfiableLogWarning)
+            prop = log_property(log, mode, base)
+        if holds_initially(self.graph, prop).holds:
+            return STATUS_CONFIRMED, None
+        return STATUS_REJECTED, REASON_PROPERTY_FAILED
+
+
+class _ModelCache:
+    """Prepared models keyed by model text, for one ``validate`` or
+    ``run_validator`` call.  The key is the text, not its hash, because
+    ``ContentStore.get`` does not re-hash: a replaced blob file would make a
+    hash key stale.  Holds the ``_CACHED_MODELS`` most recently used, so a
+    ``--watch`` run keeps bounded memory."""
+
+    def __init__(self, max_states: int):
+        self.max_states = max_states
+        self._models: OrderedDict[str, PreparedModel] = OrderedDict()
+
+    def prepare(self, model_text: str) -> PreparedModel:
+        prepared = self._models.pop(model_text, None)
+        if prepared is None:
+            prepared = PreparedModel(model_text, self.max_states)
+        self._models[model_text] = prepared  # now the most recently used
+        if len(self._models) > _CACHED_MODELS:
+            self._models.popitem(last=False)
+        return prepared
+
+
 def adjudicate(
     model_text: str,
     log_text: str,
@@ -281,29 +368,7 @@ def adjudicate(
 ) -> tuple[str, str | None]:
     """Pure validation core: (verdict, reason) for a model text and a log
     text.  Never raises on malformed provider artifacts."""
-    try:
-        model = parse_model(model_text)
-    except (ParseError, ModelError):
-        return STATUS_REJECTED, REASON_MALFORMED_MODEL
-    try:
-        log = parse_log(log_text)
-    except LogError:
-        return STATUS_REJECTED, REASON_MALFORMED_LOG
-    if log.variables != model.var_names:
-        return STATUS_REJECTED, REASON_VARIABLE_MISMATCH
-    try:
-        graph = build_graph(model, max_states=max_states)
-    except StateExplosionError:
-        return STATUS_REJECTED, REASON_STATE_EXPLOSION
-    except ModelError:
-        return STATUS_REJECTED, REASON_MALFORMED_MODEL
-    with warnings.catch_warnings():
-        # an unsatisfiable faithful property is simply a failing one here
-        warnings.simplefilter("ignore", UnsatisfiableLogWarning)
-        prop = log_property(log, mode, base)
-    if holds_initially(graph, prop).holds:
-        return STATUS_CONFIRMED, None
-    return STATUS_REJECTED, REASON_PROPERTY_FAILED
+    return PreparedModel(model_text, max_states).judge(log_text, mode, base)
 
 
 def validate(
@@ -315,6 +380,20 @@ def validate(
     max_states: int = DEFAULT_STATE_BUDGET,
 ) -> str:
     """Model-check one pending liability and record the verdict event."""
+    return _validate(ledger, store, lid, mode, base, _ModelCache(max_states))
+
+
+def _validate(
+    ledger: Ledger,
+    store: ContentStore,
+    lid: int,
+    mode: str,
+    base: str,
+    models: _ModelCache,
+) -> str:
+    """``validate`` with the model prepared through ``models``.  Both blobs
+    are read for every verdict, so missing and undecodable blobs are found
+    whether or not the model is cached."""
     liab = ledger.liability(lid)
     if liab.status != STATUS_RESULT_SUBMITTED:
         raise LedgerError(f"liability {lid}: nothing to validate in status {liab.status}")
@@ -333,7 +412,7 @@ def validate(
         except UnicodeDecodeError:
             verdict, reason = STATUS_REJECTED, REASON_MALFORMED_LOG
     if verdict is None:
-        verdict, reason = adjudicate(model_text, log_text, mode, base, max_states)
+        verdict, reason = models.prepare(model_text).judge(log_text, mode, base)
     event = {"id": lid, "verdict": verdict}
     if reason is not None:
         event["reason"] = reason
@@ -356,13 +435,15 @@ def run_validator(
     With ``watch`` the ledger file is re-read every ``interval`` seconds
     until interrupted (or ``max_polls`` re-reads, when given).  A failing
     liability becomes a Rejected verdict; the loop itself never aborts.
+    Each distinct model text is parsed and built once per call.
     """
+    models = _ModelCache(max_states)
     results: list[tuple[int, str]] = []
     polls = 0
     while True:
         for liab in ledger.pending():
             try:
-                verdict = validate(ledger, store, liab.id, mode, base, max_states)
+                verdict = _validate(ledger, store, liab.id, mode, base, models)
             except LedgerError:
                 raise
             except Exception:

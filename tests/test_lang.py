@@ -1,11 +1,15 @@
+import tracemalloc
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import CHAIN2
+import naive_print
 from corpus import CMPS, IDENTS, models
 from traceval import ctl
 from traceval.ctl import print_formula
 from traceval.errors import ParseError
+from traceval.execlog import ExecutionLog, strong_property, weak_property
 from traceval.expr import INT_MIN, BinOp, IntLit, Name, eval_expr
 from traceval.lang import parse_expression, parse_formula, parse_model, print_model
 from traceval.model import build_graph
@@ -185,6 +189,45 @@ _formulas = st.recursive(
 @given(_formulas)
 def test_formula_round_trip(f):
     assert parse_formula(print_formula(f)) == f
+
+
+_A, _B = ctl.Atom("a", "==", 1), ctl.Atom("b", "<", -2)
+
+
+@given(_formulas)
+@example(ctl.And(_A, ctl.And(_B, _A)))
+@example(ctl.Or(ctl.Or(_A, _B), ctl.Or(_B, ctl.And(_A, _B))))
+@example(ctl.Not(ctl.Or(_A, ctl.Not(ctl.And(_B, ctl.TrueF())))))
+def test_print_formula_matches_reference(f):
+    assert print_formula(f) == naive_print.print_formula(f)
+
+
+def _two_column_log(rows: int) -> ExecutionLog:
+    """``rows`` rows whose last two are equal, so the faithful property is
+    satisfiable."""
+    cells = [(i % 2, -(i % 3)) for i in range(rows - 1)]
+    return ExecutionLog(("x", "y"), tuple(cells + cells[-1:]))
+
+
+@pytest.mark.parametrize("rows", [10, 4000])
+@pytest.mark.parametrize("prop", [strong_property, weak_property])
+def test_print_formula_matches_reference_on_log_properties(prop, rows):
+    f = prop(_two_column_log(rows))
+    assert print_formula(f) == naive_print.print_formula(f)
+
+
+def test_print_formula_memory_is_linear():
+    """A 4000-row strong property nests 4000 deep; the printer must not keep
+    a copy of every subformula's text (the reference peaks near 200 MB)."""
+    f = strong_property(_two_column_log(4000))
+    tracemalloc.start()
+    try:
+        text = print_formula(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text.count("EX(") == 3998  # the last row is under AG
+    assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 @settings(max_examples=60)

@@ -4,7 +4,8 @@ import shutil
 
 import pytest
 
-from conftest import CHAIN2
+from conftest import CHAIN2, TOGGLE
+from traceval import lifecycle
 from traceval.errors import LedgerError, StoreError
 from traceval.lifecycle import (
     ContentStore,
@@ -248,6 +249,125 @@ def test_run_validator_watch_polls_and_stops(ledger, store):
     _submitted(ledger, store)
     results = run_validator(ledger, store, watch=True, interval=0.01, max_polls=2)
     assert len(results) == 1
+
+
+# --- models prepared once per run_validator call -----------------------------
+
+EXPLODING = "var n : 0..999999 init 0;\n[] n<999999 -> n'=n+1;\n"
+
+
+def _count_calls(monkeypatch, name):
+    """Replace ``lifecycle.<name>`` by a wrapper; returns its list of calls."""
+    calls = []
+    real = getattr(lifecycle, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lifecycle, name, counting)
+    return calls
+
+
+def _verdict_events(ledger):
+    return {e["id"]: (e["verdict"], e.get("reason")) for e in ledger.events if e["kind"] == "Verdict"}
+
+
+def test_run_validator_parses_and_builds_each_model_once(monkeypatch, ledger, store):
+    parses = _count_calls(monkeypatch, "parse_model")
+    builds = _count_calls(monkeypatch, "build_graph")
+    pairs = [(model, log) for log in ("x\n0\n1\n1\n", "x\n0\n0\n1\n") for model in (CHAIN2, TOGGLE)]
+    lids = [_submitted(ledger, store, model, log) for model, log in pairs]
+    results = run_validator(ledger, store)
+    assert (len(parses), len(builds)) == (2, 2)
+    assert results == list(zip(lids, [STATUS_CONFIRMED] + [STATUS_REJECTED] * 3))
+
+
+def test_run_validator_verdicts_equal_adjudicate_on_a_mixed_ledger(ledger, store):
+    overflow = "var x : 0..1 init 0;\n[] true -> x'=9223372036854775807+1;\n"
+    cases = [
+        (CHAIN2, "x\n0\n1\n1\n"),  # honest
+        ("var x :", "x\n0\n1\n1\n"),  # malformed model
+        (overflow, "x\n0\n0\n"),
+        (EXPLODING, "n\n0\n1\n1\n"),  # state explosion under max_states=50
+        (CHAIN2, "x\n0\n0\n1\n"),  # forged
+        (EXPLODING, "n\n0\n"),  # malformed log before the model is built
+        ("var x :", "x\n0\n"),
+        (CHAIN2, "x\n0\n"),  # malformed log
+        (overflow, "x\n0\n1\n1\n"),
+        (CHAIN2, "y\n0\n1\n1\n"),  # variable mismatch
+        (EXPLODING, "n\n0\n1\n2\n"),
+        (overflow, "y\n0\n0\n"),
+    ]
+    lids = [_submitted(ledger, store, model, log) for model, log in cases]
+    run_validator(ledger, store, max_states=50)
+    got = _verdict_events(ledger)
+    want = {lid: adjudicate(model, log, max_states=50) for lid, (model, log) in zip(lids, cases)}
+    assert got == want
+    assert {reason for _, reason in want.values()} == {
+        None, "malformed-model", "malformed-log", "variable-mismatch", "state-explosion",
+        "property-failed",
+    }
+
+
+def test_run_validator_builds_nothing_behind_a_malformed_log(monkeypatch, ledger, store):
+    builds = _count_calls(monkeypatch, "build_graph")
+    _submitted(ledger, store, EXPLODING, "n\n0\n")
+    assert run_validator(ledger, store, max_states=50) == [(1, STATUS_REJECTED)]
+    assert _verdict_events(ledger) == {1: (STATUS_REJECTED, "malformed-log")}
+    assert builds == []
+
+
+def test_run_validator_holds_a_bounded_number_of_models(monkeypatch, ledger, store):
+    """Past the bound the least recently used model is dropped, and every
+    verdict is still right."""
+    parses = _count_calls(monkeypatch, "parse_model")
+    sizes = []
+    prepare = lifecycle._ModelCache.prepare
+
+    def recording(cache, model_text):
+        prepared = prepare(cache, model_text)
+        sizes.append(len(cache._models))
+        return prepared
+
+    monkeypatch.setattr(lifecycle._ModelCache, "prepare", recording)
+    bound = lifecycle._CACHED_MODELS
+    models = [f"var x : 0..{k + 1} init 0;\n[] x==0 -> x'=1;\n" for k in range(bound + 2)]
+    # Every model once leaves models[2:] cached.  Reusing models[2] makes it
+    # the most recently used, so parsing models[0] again drops models[3]
+    # instead, and models[2] is still cached after it.
+    for model in models + [models[2], models[0], models[2]]:
+        _submitted(ledger, store, model, "x\n0\n1\n1\n")
+    results = run_validator(ledger, store)
+    assert [verdict for _, verdict in results] == [STATUS_CONFIRMED] * (bound + 5)
+    assert max(sizes) == bound
+    assert len(parses) == bound + 3
+
+
+@pytest.mark.parametrize("stage", ["parse_model", "build_graph"])
+def test_run_validator_caches_no_exception(monkeypatch, ledger, store, stage):
+    """A model whose parse or build raises unexpectedly is tried again for
+    each of its liabilities; each gets ``validator-error``."""
+    hostile = "var z : 0..1 init 0;\n[] z==0 -> z'=1;\n"
+    real = getattr(lifecycle, stage)
+    tries = []
+
+    def raising(arg, **kwargs):
+        if arg == hostile or getattr(arg, "var_names", None) == ("z",):
+            tries.append(arg)
+            raise RecursionError("maximum recursion depth exceeded")
+        return real(arg, **kwargs)
+
+    monkeypatch.setattr(lifecycle, stage, raising)
+    for model, log in ((hostile, "z\n0\n1\n1\n"), (CHAIN2, "x\n0\n1\n1\n"), (hostile, "z\n0\n1\n1\n")):
+        _submitted(ledger, store, model, log)
+    run_validator(ledger, store)
+    assert _verdict_events(ledger) == {
+        1: (STATUS_REJECTED, "validator-error"),
+        2: (STATUS_CONFIRMED, None),
+        3: (STATUS_REJECTED, "validator-error"),
+    }
+    assert len(tries) == 2
 
 
 def test_replayability_same_artifacts_same_verdicts(tmp_path, ledger, store):
