@@ -1,15 +1,22 @@
 """Explicit-state CTL checking by bottom-up labeling.
 
 Satisfaction sets are integer bitmasks over state indices.  Each operator
-is computed from its children's sets: atoms filter valuations, boolean
-connectives are set algebra, EX marks the predecessors of the child's
-members, EF is a least fixpoint computed as a backward worklist over
-predecessors, and EG a greatest fixpoint that counts each member's
-successors inside the set and drops members whose count reaches zero.
-Each temporal operator is O(|S| + |E|): it turns its bitmask into
-per-state marks once, walks the graph's predecessor rows and turns the
-marks back into one bitmask.  AX, AF and AG go through their existential
-duals, so only three temporal algorithms exist.
+is computed from its children's sets: atoms read a per-variable index
+from value to states, boolean connectives are set algebra, EX marks the
+predecessors of the child's members, EF is a least fixpoint computed as a
+backward worklist over predecessors, and EG a greatest fixpoint that
+counts each member's successors inside the set and drops members whose
+count reaches zero.  Each temporal operator is O(|S| + |E|): it turns its
+bitmask into per-state marks once, walks the graph's predecessor rows and
+turns the marks back into one bitmask.  AX, AF and AG go through their
+existential duals, so only three temporal algorithms exist.
+
+Atoms do not compare valuations state by state.  The first atom over a
+variable builds that variable's value index, the states sorted by value;
+an atom ``var op c`` then marks the states of every distinct value ``v``
+with ``v op c`` (for ``==`` only the states of ``c``).  The ``sat`` cache
+keeps each index and each distinct atom's mask, so equal atoms in
+different rows of a log are computed once.
 
 ``sat`` walks the formula iteratively (no recursion), which keeps deeply
 nested generated properties within interpreter limits.  It is a pure
@@ -19,8 +26,11 @@ graph.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import accumulate, compress, count
 
 from . import ctl
 from .errors import EvalError
@@ -57,12 +67,12 @@ class StateSet:
 
     @classmethod
     def from_indices(cls, indices, universe: int) -> "StateSet":
-        mask = 0
+        marks = bytearray(universe)
         for i in indices:
             if not 0 <= i < universe:
                 raise ValueError(f"state index {i} outside 0..{universe - 1}")
-            mask |= 1 << i
-        return cls(mask, universe)
+            marks[i] = 1
+        return cls(_mask(marks), universe)
 
     def indices(self) -> tuple[int, ...]:
         return tuple(self)
@@ -121,30 +131,70 @@ class CheckReport:
     failures: tuple[InitialFailure, ...] = ()
 
 
-def _atom_mask(graph: StateGraph, atom: ctl.Atom) -> int:
-    j = graph.var_index(atom.var)
-    try:
+# A variable's value index ``(values, starts, order)``: its distinct values
+# ascending, and the states sorted by value, ``order[starts[k]:starts[k + 1]]``
+# being the states, ascending, whose value is ``values[k]``.  Its size is
+# linear in the states; a mask per value would be O(values x states).
+_ValueIndex = tuple[list, array, array]
+
+
+def _value_index(graph: StateGraph, j: int) -> _ValueIndex:
+    column = [state[j] for state in graph.states]
+    # sorted() is stable, so each value's states stay ascending
+    order = array("i", sorted(range(len(column)), key=column.__getitem__))
+    counts = Counter(column)
+    values = sorted(counts)
+    starts = array("i", [0, *accumulate(map(counts.__getitem__, values))])
+    return values, starts, order
+
+
+def _atom_mask(graph: StateGraph, index: _ValueIndex, atom: ctl.Atom) -> int:
+    values, starts, order = index
+    c = atom.value
+    if atom.op == "==":
+        k = bisect_left(values, c)
+        ranks = [k] if k < len(values) and values[k] == c else []
+    else:
         cmp = CMP_OPS[atom.op]
-    except KeyError:
-        raise EvalError(f"unknown comparator '{atom.op}'") from None
-    value = atom.value
-    return _mask(bytes([cmp(state[j], value) for state in graph.states]))
+        ranks = [k for k, v in enumerate(values) if cmp(v, c)]
+    marks = bytearray(graph.state_count)
+    for k in ranks:
+        for s in order[starts[k]:starts[k + 1]]:
+            marks[s] = 1
+    return _mask(marks)
+
+
+def _cached_atom_mask(graph: StateGraph, atom: ctl.Atom, cache: dict) -> int:
+    key = (atom.var, atom.op, atom.value)
+    mask = cache.get(key)
+    if mask is None:
+        j = graph.var_index(atom.var)
+        if atom.op not in CMP_OPS:
+            raise EvalError(f"unknown comparator '{atom.op}'")
+        index = cache.get(atom.var)
+        if index is None:
+            index = cache[atom.var] = _value_index(graph, j)
+        mask = cache[key] = _atom_mask(graph, index, atom)
+    return mask
 
 
 def _preimage(graph: StateGraph, z: int) -> int:
+    start, sources = graph.predecessor_rows
     marks = bytearray(graph.state_count)
     for t in _members(z):
-        for p in graph.predecessors(t):
+        for p in sources[start[t]:start[t + 1]]:
             marks[p] = 1
     return _mask(marks)
 
 
 def _backward_reach(graph: StateGraph, seed: int) -> int:
     # Least fixpoint Z = seed ∪ EX Z as a worklist over predecessors.
+    start, sources = graph.predecessor_rows
     inside = _marks(seed, graph.state_count)
     work = list(_members(seed))
     while work:
-        for p in graph.predecessors(work.pop()):
+        t = work.pop()
+        for p in sources[start[t]:start[t + 1]]:
             if not inside[p]:
                 inside[p] = 1
                 work.append(p)
@@ -155,17 +205,20 @@ def _eg_fixpoint(graph: StateGraph, seed: int) -> int:
     # Greatest fixpoint Z = seed ∩ EX Z.  ``left[s]`` counts the successors
     # of member s still in Z; a member leaves when its count reaches 0, and
     # each leaver lowers the count of its predecessors still in Z.
+    succ_start, targets = graph.successor_rows
+    pred_start, sources = graph.predecessor_rows
     inside = _marks(seed, graph.state_count)
     left = [0] * graph.state_count
     work = []
     for s in _members(seed):
-        left[s] = sum(map(inside.__getitem__, graph.successors(s)))
+        left[s] = sum(map(inside.__getitem__, targets[succ_start[s]:succ_start[s + 1]]))
         if not left[s]:
             work.append(s)
     for s in work:
         inside[s] = 0
     while work:
-        for p in graph.predecessors(work.pop()):
+        t = work.pop()
+        for p in sources[pred_start[t]:pred_start[t + 1]]:
             if inside[p]:
                 left[p] -= 1
                 if not left[p]:
@@ -181,8 +234,11 @@ def sat(
 ) -> StateSet:
     """Exact satisfaction set of ``formula`` over ``graph``.
 
-    ``cache`` maps ``id(subformula)`` to ``(subformula, mask)`` and may be
-    shared across calls on the same graph to reuse subformula results.
+    ``cache`` maps ``id(subformula)`` to ``(subformula, mask)`` for every
+    node evaluated, atoms included.  It also maps each variable name an atom
+    has named to that variable's value index, and each distinct atom's
+    ``(var, op, value)`` to its mask, so equal atoms are computed once.  It
+    may be shared across calls on the same graph to reuse all of these.
     """
     masks = cache if cache is not None else {}
     full = (1 << graph.state_count) - 1
@@ -204,7 +260,7 @@ def sat(
         elif isinstance(node, ctl.FalseF):
             mask = 0
         elif isinstance(node, ctl.Atom):
-            mask = _atom_mask(graph, node)
+            mask = _cached_atom_mask(graph, node, masks)
         elif isinstance(node, ctl.Not):
             mask = ~masks[id(node.child)][1] & full
         elif isinstance(node, ctl.And):

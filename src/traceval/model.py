@@ -252,6 +252,18 @@ class StateGraph:
     def edge_count(self) -> int:
         return len(self._succ)
 
+    @property
+    def successor_rows(self) -> tuple[array, array]:
+        """``(start, targets)``: the successors of state ``i`` are
+        ``targets[start[i]:start[i + 1]]``.  Callers must not modify them."""
+        return self._succ_start, self._succ
+
+    @property
+    def predecessor_rows(self) -> tuple[array, array]:
+        """``(start, sources)``: the predecessors of state ``i`` are
+        ``sources[start[i]:start[i + 1]]``.  Callers must not modify them."""
+        return self._pred_start, self._pred
+
     def successors(self, i: int) -> array:
         return self._succ[self._succ_start[i]:self._succ_start[i + 1]]
 

@@ -166,6 +166,11 @@ def test_graph_invariants_on_random_models():
         transposed = [(s, t) for t in range(g.state_count) for s in g.predecessors(t)]
         assert sorted(transposed) == sorted(edges)
         assert g.edge_count == sum(len(g.successors(s)) for s in range(g.state_count))
+        # the row arrays are the same relation the per-state methods slice
+        for rows, row in ((g.successor_rows, g.successors), (g.predecessor_rows, g.predecessors)):
+            start, flat = rows
+            assert len(start) == g.state_count + 1 and start[-1] == len(flat) == g.edge_count
+            assert all(flat[start[i]:start[i + 1]] == row(i) for i in range(g.state_count))
 
 
 # --- the compiled evaluator against the tree-walking reference ---------------
