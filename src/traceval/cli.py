@@ -36,7 +36,7 @@ from .town import build_bindings, load_objective, load_town, parse_fault, simula
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TracevalError(f"cannot read {path}: {exc}") from exc
 
 

@@ -5,20 +5,40 @@ class TracevalError(Exception):
     """Base class for every error raised by this package."""
 
 
+def line_col(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of character ``offset`` in ``text``."""
+    line = text.count("\n", 0, offset) + 1
+    col = offset - (text.rfind("\n", 0, offset) + 1) + 1
+    return line, col
+
+
 class ParseError(TracevalError):
     """Syntax or semantic error in model, formula or settings text.
 
     Carries a 1-based ``line`` and ``col`` whenever the offending position
-    is known; the position is prefixed to the message.
+    is known; the position is prefixed to the message.  Errors in model,
+    formula and expression text also carry the 0-based character
+    ``offset`` of that position; settings errors carry ``None``.
     """
 
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+    def __init__(
+        self,
+        message: str,
+        line: int | None = None,
+        col: int | None = None,
+        offset: int | None = None,
+    ):
         self.bare_message = message
         self.line = line
         self.col = col
+        self._offset = offset
         if line is not None:
             message = f"{line}:{col}: {message}"
         super().__init__(message)
+
+    @property
+    def offset(self) -> int | None:
+        return self._offset
 
 
 class EvalError(TracevalError):

@@ -95,8 +95,6 @@ def parse_log(text: str) -> ExecutionLog:
                 )
             values.append(value)
         rows.append(tuple(values))
-    if len(rows) < 2:
-        raise LogError("fewer than 2 rows")
     return ExecutionLog(tuple(header), tuple(rows))
 
 
@@ -123,8 +121,6 @@ def _temporal_chain(log: ExecutionLog, op, base: str) -> ctl.CtlFormula:
         raise LogError(f"unknown base mode '{base}'")
     n = log.n
     if base == "faithful":
-        if n < 2:
-            raise LogError("faithful base needs at least 2 rows")
         if log.rows[n - 2] != log.rows[n - 1]:
             warnings.warn(
                 UnsatisfiableLogWarning(
@@ -137,8 +133,6 @@ def _temporal_chain(log: ExecutionLog, op, base: str) -> ctl.CtlFormula:
         formula = ctl.And(row_conjunction(log, n - 1), ctl.AG(row_conjunction(log, n)))
         start = 3
     else:
-        if n < 1:
-            raise LogError("corrected base needs at least 1 row")
         formula = ctl.And(row_conjunction(log, n), ctl.AG(row_conjunction(log, n)))
         start = 2
     for i in range(start, n + 1):

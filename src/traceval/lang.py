@@ -22,6 +22,10 @@ Property grammar: atoms ``IDENT op INT``; ``!`` and the temporal operators
 
 Both printers emit canonical text, so ``parse(print(x))`` is structurally
 ``x``.  All functions here are pure and safe to call concurrently.
+
+The lexer records each token's position as a character offset into the
+text; the line and column of a :class:`ParseError` are computed from that
+offset only when the error is raised.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import sys
 from typing import NamedTuple
 
 from . import ctl
-from .errors import EvalError, ParseError
+from .errors import EvalError, ParseError, line_col
 from .expr import (
     BIN_PREC,
     CMP_OPS,
@@ -58,6 +62,7 @@ _TOKEN_RE = re.compile(
       | (?P<int>\d+)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<op>->|\.\.|==|!=|<=|>=|[;:'=<>+\-*&|!()\[\]])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -66,32 +71,25 @@ _TOKEN_RE = re.compile(
 class Token(NamedTuple):
     kind: str  # "int" | "ident" | "op" | "eof"
     text: str
-    line: int
-    col: int
+    offset: int
+
+
+def _error_at(text: str, offset: int, message: str) -> ParseError:
+    return ParseError(message, *line_col(text, offset), offset=offset)
 
 
 def _lex(text: str, allow_comments: bool) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    # "bad" takes any character the other groups refuse ("\n" is ws), so
+    # the matches tile the text and finditer skips nothing.
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        lexeme = m.group()
-        if kind == "comment" and not allow_comments:
-            raise ParseError("unexpected character '/'", line, col)
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind == "ws" or (kind == "comment" and allow_comments):
+            continue
+        if kind == "comment" or kind == "bad":
+            raise _error_at(text, m.start(), f"unexpected character {text[m.start()]!r}")
+        tokens.append(Token(kind, m.group(), m.start()))
+    tokens.append(Token("eof", "", len(text)))
     return tokens
 
 
@@ -103,8 +101,9 @@ def _ensure_recursion_headroom():
 
 
 class _Stream:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str, allow_comments: bool):
+        self.text = text
+        self.tokens = _lex(text, allow_comments)
         self.pos = 0
 
     @property
@@ -136,7 +135,10 @@ class _Stream:
     def error(self, message: str) -> ParseError:
         tok = self.cur
         found = repr(tok.text) if tok.kind != "eof" else "end of input"
-        return ParseError(f"{message}, found {found}", tok.line, tok.col)
+        return self.error_at(tok, f"{message}, found {found}")
+
+    def error_at(self, tok: Token, message: str) -> ParseError:
+        return _error_at(self.text, tok.offset, message)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +169,7 @@ def _parse_unary(s: _Stream) -> Expr:
     if tok.kind == "op" and tok.text == "-":
         s.advance()
         lit = s.expect_kind("int", "an integer after '-'")
-        return IntLit(_literal(lit, negative=True))
+        return IntLit(_literal(s, lit, negative=True))
     if tok.kind == "op" and tok.text == "(":
         s.advance()
         inner = _parse_expr(s, 1)
@@ -175,7 +177,7 @@ def _parse_unary(s: _Stream) -> Expr:
         return inner
     if tok.kind == "int":
         s.advance()
-        return IntLit(_literal(tok))
+        return IntLit(_literal(s, tok))
     if tok.kind == "ident":
         s.advance()
         if tok.text == "true":
@@ -193,27 +195,21 @@ def _typed_expr(
     expr = _parse_expr(s, min_prec)
     unknown = expr_names(expr) - declared
     if unknown:
-        raise ParseError(
-            f"unknown identifier '{sorted(unknown)[0]}' in {context}",
-            start.line,
-            start.col,
-        )
+        raise s.error_at(start, f"unknown identifier '{sorted(unknown)[0]}' in {context}")
     try:
         got = infer_type(expr)
     except EvalError as exc:
-        raise ParseError(f"{context}: {exc}", start.line, start.col) from None
+        raise s.error_at(start, f"{context}: {exc}") from None
     if got != want:
-        raise ParseError(
-            f"{context} must be {'boolean' if want == 'bool' else 'integer'}",
-            start.line,
-            start.col,
+        raise s.error_at(
+            start, f"{context} must be {'boolean' if want == 'bool' else 'integer'}"
         )
     return expr
 
 
 def parse_expression(text: str) -> Expr:
     """Parse a standalone expression fragment (no name or type checks)."""
-    s = _Stream(_lex(text, allow_comments=True))
+    s = _Stream(text, allow_comments=True)
     expr = _parse_expr(s)
     if s.cur.kind != "eof":
         raise s.error("trailing input after expression")
@@ -225,33 +221,31 @@ def parse_expression(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _literal(tok: Token, negative: bool = False) -> int:
+def _literal(s: _Stream, tok: Token, negative: bool = False) -> int:
     value = int_literal("-" + tok.text if negative else tok.text)
     if value is None:
-        raise ParseError(
-            f"integer literal outside {INT_MIN}..{INT_MAX}", tok.line, tok.col
-        )
+        raise s.error_at(tok, f"integer literal outside {INT_MIN}..{INT_MAX}")
     return value
 
 
 def _signed_int(s: _Stream, what: str) -> int:
     negative = s.accept("-") is not None
-    return _literal(s.expect_kind("int", what), negative)
+    return _literal(s, s.expect_kind("int", what), negative)
 
 
 def _decl_name(s: _Stream, what: str, taken: set[str]) -> Token:
     tok = s.expect_kind("ident", what)
     if tok.text in MODEL_KEYWORDS:
-        raise ParseError(f"'{tok.text}' is a reserved word", tok.line, tok.col)
+        raise s.error_at(tok, f"'{tok.text}' is a reserved word")
     if tok.text in taken:
-        raise ParseError(f"duplicate declaration of '{tok.text}'", tok.line, tok.col)
+        raise s.error_at(tok, f"duplicate declaration of '{tok.text}'")
     return tok
 
 
 def parse_model(text: str) -> SystemModel:
     """Parse model text into a validated :class:`SystemModel`."""
     _ensure_recursion_headroom()
-    s = _Stream(_lex(text, allow_comments=True))
+    s = _Stream(text, allow_comments=True)
     constants: dict[str, int] = {}
     variables: list[VarDecl] = []
     taken: set[str] = set()
@@ -271,13 +265,11 @@ def parse_model(text: str) -> SystemModel:
         s.expect("..")
         hi = _signed_int(s, "an upper bound")
         if hi < lo:
-            raise ParseError(f"empty domain {lo}..{hi}", name.line, name.col)
+            raise s.error_at(name, f"empty domain {lo}..{hi}")
         s.expect("init")
         init = _signed_int(s, "an initial value")
         if not lo <= init <= hi:
-            raise ParseError(
-                f"init out of bounds ({init} not in {lo}..{hi})", name.line, name.col
-            )
+            raise s.error_at(name, f"init out of bounds ({init} not in {lo}..{hi})")
         s.expect(";")
         variables.append(VarDecl(name.text, lo, hi, init))
         taken.add(name.text)
@@ -308,17 +300,14 @@ def parse_model(text: str) -> SystemModel:
             while True:
                 target = s.expect_kind("ident", "a variable to update")
                 if target.text not in var_names:
-                    raise ParseError(
+                    raise s.error_at(
+                        target,
                         f"unknown identifier '{target.text}' in update"
                         if target.text not in constants
                         else f"'{target.text}' is a constant, not a variable",
-                        target.line,
-                        target.col,
                     )
                 if any(target.text == n for n, _ in updates):
-                    raise ParseError(
-                        f"variable '{target.text}' updated twice", target.line, target.col
-                    )
+                    raise s.error_at(target, f"variable '{target.text}' updated twice")
                 s.expect("'")
                 s.expect("=")
                 # Arithmetic precedence only: '&' separates assignments.
@@ -365,7 +354,7 @@ _TEMPORAL_BY_NAME = {name: cls for cls, name in ctl.TEMPORAL_NAMES.items()}
 def parse_formula(text: str) -> ctl.CtlFormula:
     """Parse property text into a :class:`~traceval.ctl.CtlFormula`."""
     _ensure_recursion_headroom()
-    s = _Stream(_lex(text, allow_comments=False))
+    s = _Stream(text, allow_comments=False)
     f = _parse_or(s)
     if s.cur.kind != "eof":
         raise s.error("trailing input after formula")
@@ -421,7 +410,7 @@ def _parse_fprimary(s: _Stream) -> ctl.CtlFormula:
         if op_tok.kind == "op" and op_tok.text in CMP_OPS:
             s.advance()
         elif op_tok.kind == "op" and op_tok.text == "=":
-            raise ParseError("unknown comparator '='", op_tok.line, op_tok.col)
+            raise s.error_at(op_tok, "unknown comparator '='")
         else:
             raise s.error(f"expected a comparator after '{tok.text}'")
         value = _signed_int(s, "an integer")

@@ -168,6 +168,8 @@ class Ledger:
                     event = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise LedgerError(f"{self.path}:{line_no}: not valid JSON: {exc}") from exc
+                if not isinstance(event, dict):
+                    raise LedgerError(f"{self.path}:{line_no}: not a JSON object")
                 self._apply(event)
                 self.events.append(event)
 

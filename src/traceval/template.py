@@ -4,6 +4,9 @@ A tag is one or more ASCII letters or underscores between ``@`` symbols;
 ``@@`` escapes a literal ``@``.  Substitution is a single pass over the
 template: replacement text is never re-scanned.  Tags resolve from the
 bindings first, then the settings parameters, then the settings defaults.
+The rendered text must parse as a model.  A parse error is blamed on a tag
+by the character offset it carries; line:col is computed only for the
+messages of errors.
 
 The settings format is a restricted two-map subset of YAML: the top-level
 keys ``parameters:`` and ``defaults:``, each holding flat ``key: value``
@@ -18,7 +21,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import ParseError, TemplateError
+from .errors import ParseError, TemplateError, line_col
+from .lang import parse_model
 
 _TAG_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _TAG_RE = re.compile(r"[A-Za-z_]+\Z")
@@ -37,24 +41,16 @@ def is_tag_name(name: str) -> bool:
     return bool(_TAG_RE.match(name))
 
 
-def _line_col(text: str, offset: int) -> tuple[int, int]:
-    line = text.count("\n", 0, offset) + 1
-    col = offset - (text.rfind("\n", 0, offset) + 1) + 1
-    return line, col
-
-
 def render(
     template: str,
     bindings: Mapping[str, str] | None = None,
     settings: Settings | None = None,
-    *,
-    validate: bool = True,
 ) -> str:
     """Substitute every tag in ``template`` and return the rendered text.
 
-    With ``validate`` (the default) the result must parse as a model;
-    parse failures are reported as :class:`TemplateError` and name the tag
-    whose substituted text contains the offending position.
+    The result must parse as a model; parse failures are reported as
+    :class:`TemplateError` and name the tag whose substituted text contains
+    the offending position.
     """
     bindings = bindings or {}
     settings = settings or Settings()
@@ -80,7 +76,7 @@ def render(
             j += 1
         name = template[i + 1 : j]
         if not name or j >= n or template[j] != "@":
-            line, col = _line_col(template, i)
+            line, col = line_col(template, i)
             raise TemplateError(f"malformed tag at {line}:{col}")
         if name in bindings:
             value = bindings[name]
@@ -89,7 +85,7 @@ def render(
         elif name in settings.defaults:
             value = settings.defaults[name]
         else:
-            line, col = _line_col(template, i)
+            line, col = line_col(template, i)
             raise TemplateError(f"unresolved tag '{name}' at {line}:{col}")
         out.append(value)
         spans.append((out_len, out_len + len(value), name))
@@ -97,37 +93,24 @@ def render(
         i = j + 1
     rendered = "".join(out)
 
-    if validate:
-        from .lang import parse_model
-
-        try:
-            parse_model(rendered)
-        except ParseError as exc:
-            detail = str(exc)
-            if exc.line is not None:
-                offset = _offset_of(rendered, exc.line, exc.col)
-                blame = None
-                for start, end, name in spans:
-                    if start > offset:
-                        break
-                    # inside the substituted text, or just after it on the
-                    # same line (bad fragments often break the next token)
-                    if offset < end or "\n" not in rendered[end:offset]:
-                        blame = name
-                if blame is not None:
-                    detail += f" (near text substituted for tag '{blame}')"
-            raise TemplateError(f"rendered model fails to parse: {detail}") from exc
+    try:
+        parse_model(rendered)
+    except ParseError as exc:
+        detail = str(exc)
+        # every model parse error carries the offset of its token
+        offset = exc.offset
+        blame = None
+        for start, end, name in spans:
+            if start > offset:
+                break
+            # inside the substituted text, or just after it on the
+            # same line (bad fragments often break the next token)
+            if offset < end or "\n" not in rendered[end:offset]:
+                blame = name
+        if blame is not None:
+            detail += f" (near text substituted for tag '{blame}')"
+        raise TemplateError(f"rendered model fails to parse: {detail}") from exc
     return rendered
-
-
-def _offset_of(text: str, line: int, col: int) -> int:
-    offset = 0
-    for _ in range(line - 1):
-        nl = text.find("\n", offset)
-        if nl < 0:
-            break
-        offset = nl + 1
-    return offset + col - 1
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,25 @@ def test_check_missing_file_is_code_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_check_non_utf8_file_is_code_2(tmp_path, capsys):
+    bad = tmp_path / "bad.gcm"
+    bad.write_bytes(b"\xff\xfe")
+    prop = tmp_path / "p.ctl"
+    prop.write_text("x==0\n")
+    code = main(["check", "--model", str(bad), "--property", str(prop)])
+    assert code == 2
+    assert f"error: cannot read {bad}: " in capsys.readouterr().err
+
+
+def test_validate_ledger_line_not_an_object_is_code_2(tmp_path, capsys):
+    ledger = tmp_path / "ledger.jsonl"
+    ledger.write_text("[]\n")
+    (tmp_path / "store").mkdir()
+    code = main(["validate", "--ledger", str(ledger), "--store", str(tmp_path / "store")])
+    assert code == 2
+    assert f"{ledger}:1: not a JSON object" in capsys.readouterr().err
+
+
 def test_order_prints_monotone_ids(tmp_path, capsys):
     assert _order(tmp_path, capsys) == 1
     assert _order(tmp_path, capsys) == 2

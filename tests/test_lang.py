@@ -3,16 +3,18 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import CHAIN2
+from conftest import CHAIN2, SAMPLES
+import naive_lex
 import naive_print
 from corpus import CMPS, IDENTS, models
 from traceval import ctl
 from traceval.ctl import print_formula
-from traceval.errors import ParseError
+from traceval.errors import ParseError, TemplateError, line_col
 from traceval.execlog import ExecutionLog, strong_property, weak_property
 from traceval.expr import INT_MIN, BinOp, IntLit, Name, eval_expr
-from traceval.lang import parse_expression, parse_formula, parse_model, print_model
+from traceval.lang import _lex, parse_expression, parse_formula, parse_model, print_model
 from traceval.model import build_graph
+from traceval.template import render
 
 
 # --- model parsing -----------------------------------------------------------
@@ -40,6 +42,40 @@ def test_parse_errors_carry_positions():
         parse_model("var x : 0..1 init 0;\n[] x == -> x'=1;")
     assert err.value.line == 2
     assert err.value.col is not None
+
+
+_PARSERS = {"model": parse_model, "formula": parse_formula, "expression": parse_expression}
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ('model', "// header\nvar x : 0..3 init 0;\n[] x==0 -> x'=#;", "3:15: unexpected character '#'"),
+        ('formula', 'x==0 &\n  // c', "2:3: unexpected character '/'"),
+        ('model', "// header\nvar x : 0..3 init 0;\n[] x == -> x'=1;", "3:9: expected an expression, found '->'"),
+        ('model', "// header\nvar x : 0..3 init 0;\n[] x==0 &\n   y==0 -> x'=1;", "3:4: unknown identifier 'y' in guard"),
+        ('model', "// header\nvar x : 0..3 init 0;\n[] x==0 &\n  (x + true)==1 -> x'=1;", "3:4: guard: operands of '+' must be integers"),
+        ('model', "// header\nvar x : 0..3 init 0;\n[] x==0 -> x'=\n  (x==0);", '4:3: update expression must be integer'),
+        ('model', "// header\nvar x : 0..3 init 0;\n[]  x+1 -> x'=1;", '3:5: guard must be boolean'),
+        ('model', 'const K = 1;\nvar x : 0..99999999999999999999 init 0;', '2:12: integer literal outside -9223372036854775808..9223372036854775807'),
+        ('model', 'var x : 0..3 init 0;\n  var skip : 0..1 init 0;', "2:7: 'skip' is a reserved word"),
+        ('model', 'const x = 1;\n  var x : 0..1 init 0;', "2:7: duplicate declaration of 'x'"),
+        ('model', 'var y : 0..1 init 0;\n  var x : 3..1 init 0;', '2:7: empty domain 3..1'),
+        ('model', 'var y : 0..1 init 0;\n  var x : 0..1 init 2;', '2:7: init out of bounds (2 not in 0..1)'),
+        ('model', "const K = 1;\n// header\nvar x : 0..3 init 0;\n[] x==0 -> x'=1 & K'=2;", "4:19: 'K' is a constant, not a variable"),
+        ('model', "// header\nvar x : 0..3 init 0;\n[] x==0 -> x'=1 &\n  z'=2;", "4:3: unknown identifier 'z' in update"),
+        ('model', "// header\nvar x : 0..3 init 0;\n[] x==0 -> x'=1 & x'=2;", "3:19: variable 'x' updated twice"),
+        ('model', "// header\nvar x : 0..3 init 0;\n[] 1 < x < 2 -> x'=1;", "3:10: chained comparison is not allowed, found '<'"),
+        ('formula', 'x==0 &\n  EX(y = 1)', "2:8: unknown comparator '='"),
+        ('formula', '\n\tx==0 x==1', "2:7: trailing input after formula, found 'x'"),
+        ('expression', 'x + 1\n  )', "2:3: trailing input after expression, found ')'"),
+    ],
+)
+def test_each_parse_error_names_its_position(kind, text, message):
+    with pytest.raises(ParseError) as err:
+        _PARSERS[kind](text)
+    assert str(err.value) == message
+    assert line_col(text, err.value.offset) == (err.value.line, err.value.col)
 
 
 def test_parse_duplicate_declaration():
@@ -252,6 +288,61 @@ def test_formula_parser_never_panics(text):
         parse_formula(text)
     except ParseError as exc:
         assert exc.line is None or (exc.line >= 1 and exc.col >= 1)
+
+
+# Garbage over every ASCII character, the token alphabet, comment and line
+# breaks, a non-ASCII letter and a Unicode digit, plus a model header so
+# that garbage also reaches guards and updates.
+_GARBAGE_PIECES = (
+    [chr(c) for c in range(128)]
+    + "-> .. == != <= >= // const var init skip true false EX EF EG AX AF AG x k 0 7".split()
+    + ["\n", "\t", "\r", "\r\n", "é", "\u0663", "99999999999999999999", "var x : 0..1 init 0;"]
+)
+_garbage = st.lists(st.sampled_from(_GARBAGE_PIECES), max_size=30).map("".join)
+_GATE_TEMPLATE = (SAMPLES / "gate.gcmt").read_text()
+
+
+def _outcome(fn, text, *args):
+    try:
+        return "value", fn(text, *args)
+    except ParseError as exc:
+        if exc.offset is not None:
+            assert line_col(text, exc.offset) == (exc.line, exc.col)
+        return "error", (str(exc), exc.bare_message, exc.line, exc.col)
+
+
+def _positions(text, allow_comments):
+    """The tokens of ``_lex`` with their offsets turned into line:col."""
+    tokens = _lex(text, allow_comments)
+    return [(tok.kind, tok.text, line_col(text, tok.offset)) for tok in tokens]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_garbage)
+@example("x==0 // c")
+@example("var x : 0..1 init 0;\r\n[] x==\u0663 -> x'=é;")
+def test_offset_lexer_matches_the_line_col_lexer(text):
+    for allow_comments in (True, False):
+        got = _outcome(_positions, text, allow_comments)
+        want = _outcome(naive_lex._lex, text, allow_comments)
+        if want[0] == "value":
+            want = "value", [(tok.kind, tok.text, (tok.line, tok.col)) for tok in want[1]]
+        assert got == want
+
+    for parse in (parse_model, parse_formula, parse_expression):
+        got = _outcome(parse, text)
+        with naive_lex.parsing():
+            want = _outcome(parse, text)
+        assert got == want
+
+    start = _GATE_TEMPLATE.index("@go@")
+    rendered = _GATE_TEMPLATE[:start] + text + _GATE_TEMPLATE[start + len("@go@"):]
+    want = naive_lex.render_error(rendered, [(start, start + len(text), "go")])
+    try:
+        assert render(_GATE_TEMPLATE, {"go": text}) == rendered
+        assert want is None
+    except TemplateError as exc:
+        assert str(exc) == want
 
 
 @given(

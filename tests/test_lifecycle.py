@@ -402,6 +402,10 @@ def test_ledger_rejects_corrupt_histories(tmp_path):
     path.write_text("not json\n")
     with pytest.raises(LedgerError):
         Ledger(path)
+    for line in ("[]", "3", '"Verdict"', "null"):
+        path.write_text(line + "\n")
+        with pytest.raises(LedgerError, match=":1: not a JSON object"):
+            Ledger(path)
 
 
 def test_ledger_rejects_bad_seq_and_kind(ledger):

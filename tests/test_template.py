@@ -15,6 +15,11 @@ from traceval.template import (
 _GATE = "var x : 0..1 init 0;\n[] @go@ -> x'=1;\n"
 
 
+def _commented(text: str) -> str:
+    """A one-variable model whose trailing comment is ``text``."""
+    return f"var x : 0..1 init 0; // {text}\n"
+
+
 def test_render_direct_substitution():
     out = render(_GATE, {"go": "x==0"})
     assert out == "var x : 0..1 init 0;\n[] x==0 -> x'=1;\n"
@@ -30,36 +35,37 @@ def test_render_default_false_prunes_state_space():
 
 def test_render_unresolved_tag():
     with pytest.raises(TemplateError, match="unresolved tag 'a'"):
-        render("@a@", validate=False)
+        render("@a@")
 
 
 def test_render_bindings_shadow_parameters_shadow_defaults():
     settings = Settings(parameters={"go": 7}, defaults={"go": "false"})
-    assert render("@go@", {"go": "x==0"}, settings, validate=False) == "x==0"
-    assert render("@go@", {}, settings, validate=False) == "7"
-    assert render("@go@", {}, Settings(defaults={"go": "false"}), validate=False) == "false"
+    template = _commented("@go@")
+    assert render(template, {"go": "x==0"}, settings) == _commented("x==0")
+    assert render(template, {}, settings) == _commented("7")
+    assert render(template, {}, Settings(defaults={"go": "false"})) == _commented("false")
 
 
 def test_render_single_pass_no_rescan():
-    out = render("@a@", {"a": "@b@", "b": "nope"}, validate=False)
-    assert out == "@b@"
+    out = render(_commented("@a@"), {"a": "@b@", "b": "nope"})
+    assert out == _commented("@b@")
 
 
 def test_render_escape_doubles():
-    assert render("a@@b@@c", validate=False) == "a@b@c"
-    assert render("@@go@@", validate=False) == "@go@"  # escapes, not a tag
+    assert render(_commented("a@@b@@c")) == _commented("a@b@c")
+    assert render(_commented("@@go@@")) == _commented("@go@")  # escapes, not a tag
 
 
 def test_render_malformed_tag():
     with pytest.raises(TemplateError, match="malformed tag"):
-        render("@go", validate=False)
+        render("@go")
     with pytest.raises(TemplateError, match="malformed tag"):
-        render("@x1@", {"x": "1"}, validate=False)  # digits not allowed in tags
+        render("@x1@", {"x": "1"})  # digits not allowed in tags
 
 
 def test_render_idempotent_on_tag_free_text():
-    text = "anything at all, even // not a model\n"
-    assert render(text, {"go": "x"}, validate=False) == text
+    text = _commented("anything at all, even // not a model")
+    assert render(text, {"go": "x"}) == text
 
 
 def test_render_parse_failure_carries_tag_provenance():
