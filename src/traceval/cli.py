@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .checker import holds_initially
 from .ctl import print_formula
-from .errors import TracevalError
+from .errors import ParseError, TracevalError
 from .execlog import format_log, log_property, parse_log
 from .lang import parse_formula, parse_model
 from .lifecycle import (
@@ -29,7 +29,7 @@ from .lifecycle import (
     validate,
 )
 from .model import DEFAULT_STATE_BUDGET, build_graph
-from .template import Settings, parse_bindings, parse_settings, render
+from .template import Settings, blame, parse_bindings, parse_settings, render
 from .town import build_bindings, load_objective, load_town, parse_fault, simulate
 
 
@@ -43,7 +43,7 @@ def _read(path: str) -> str:
 def _write(path: str, text: str):
     try:
         Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         raise TracevalError(f"cannot write {path}: {exc}") from exc
 
 
@@ -56,7 +56,12 @@ def cmd_gen_model(args) -> int:
     template = _read(args.template)
     bindings = parse_bindings(_read(args.bindings)) if args.bindings else {}
     settings = parse_settings(_read(args.settings)) if args.settings else Settings()
-    _write(args.output, render(template, bindings, settings))
+    model_text = render(template, bindings, settings)
+    try:
+        parse_model(model_text)  # write only a model that parses
+    except ParseError as exc:
+        raise blame(exc, template, bindings, settings) from exc
+    _write(args.output, model_text)
     return 0
 
 

@@ -4,17 +4,19 @@ The store is a directory of blobs named by the lowercase-hex SHA-256 of
 their bytes.  The ledger is an append-only JSON-lines file; replaying it
 rebuilds every liability's status, and the ledger refuses any event that
 would take a liability through an illegal transition
-(Created -> ResultSubmitted -> Confirmed | Rejected).
+(Created -> ResultSubmitted -> Confirmed | Rejected).  A ledger file that
+is not UTF-8, has a line that is not a JSON object, or records an illegal
+history raises :class:`LedgerError` when it is loaded.
 
 Validation is deterministic: fetch the model and the result log from the
 store, build the state graph, compile the log into a property and check it
 from the initial state.  It runs in two stages: ``PreparedModel`` parses a
 model text and builds its graph on first demand, and ``PreparedModel.judge``
 checks one log against it.  ``run_validator`` prepares each distinct model
-text once per call and keeps the few most recently used; ``adjudicate`` and
-``validate`` prepare a fresh one per call.  Malformed artifacts reject the
-liability with a reason code instead of raising, so a hostile provider
-cannot crash the validator.
+text once per call, through a ``functools.lru_cache`` of the few most
+recently used; ``adjudicate`` and ``validate`` prepare a fresh one per
+call.  Malformed artifacts reject the liability with a reason code instead
+of raising, so a hostile provider cannot crash the validator.
 
 Single writer per ledger file; concurrent readers of ledger and store are
 safe (append-only file, immutable blobs).
@@ -28,9 +30,10 @@ import os
 import tempfile
 import time
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from pathlib import Path
+from typing import Callable
 
 from .checker import holds_initially
 from .errors import (
@@ -159,19 +162,22 @@ class Ledger:
         self.liabilities = {}
         if not self.path.exists():
             return
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise LedgerError(f"{self.path}:{line_no}: not valid JSON: {exc}") from exc
-                if not isinstance(event, dict):
-                    raise LedgerError(f"{self.path}:{line_no}: not a JSON object")
-                self._apply(event)
-                self.events.append(event)
+        try:
+            text = self.path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise LedgerError(f"{self.path}: not UTF-8: {exc}") from exc
+        for line_no, line in enumerate(text.split("\n"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                event = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise LedgerError(f"{self.path}:{line_no}: not valid JSON: {exc}") from exc
+            if not isinstance(event, dict):
+                raise LedgerError(f"{self.path}:{line_no}: not a JSON object")
+            self._apply(event)
+            self.events.append(event)
 
     def reload(self):
         self._load()
@@ -340,27 +346,6 @@ class PreparedModel:
         return STATUS_REJECTED, REASON_PROPERTY_FAILED
 
 
-class _ModelCache:
-    """Prepared models keyed by model text, for one ``validate`` or
-    ``run_validator`` call.  The key is the text, not its hash, because
-    ``ContentStore.get`` does not re-hash: a replaced blob file would make a
-    hash key stale.  Holds the ``_CACHED_MODELS`` most recently used, so a
-    ``--watch`` run keeps bounded memory."""
-
-    def __init__(self, max_states: int):
-        self.max_states = max_states
-        self._models: OrderedDict[str, PreparedModel] = OrderedDict()
-
-    def prepare(self, model_text: str) -> PreparedModel:
-        prepared = self._models.pop(model_text, None)
-        if prepared is None:
-            prepared = PreparedModel(model_text, self.max_states)
-        self._models[model_text] = prepared  # now the most recently used
-        if len(self._models) > _CACHED_MODELS:
-            self._models.popitem(last=False)
-        return prepared
-
-
 def adjudicate(
     model_text: str,
     log_text: str,
@@ -382,7 +367,7 @@ def validate(
     max_states: int = DEFAULT_STATE_BUDGET,
 ) -> str:
     """Model-check one pending liability and record the verdict event."""
-    return _validate(ledger, store, lid, mode, base, _ModelCache(max_states))
+    return _validate(ledger, store, lid, mode, base, partial(PreparedModel, max_states=max_states))
 
 
 def _validate(
@@ -391,9 +376,9 @@ def _validate(
     lid: int,
     mode: str,
     base: str,
-    models: _ModelCache,
+    prepare: Callable[[str], PreparedModel],
 ) -> str:
-    """``validate`` with the model prepared through ``models``.  Both blobs
+    """``validate`` with the model text prepared by ``prepare``.  Both blobs
     are read for every verdict, so missing and undecodable blobs are found
     whether or not the model is cached."""
     liab = ledger.liability(lid)
@@ -414,7 +399,7 @@ def _validate(
         except UnicodeDecodeError:
             verdict, reason = STATUS_REJECTED, REASON_MALFORMED_LOG
     if verdict is None:
-        verdict, reason = models.prepare(model_text).judge(log_text, mode, base)
+        verdict, reason = prepare(model_text).judge(log_text, mode, base)
     event = {"id": lid, "verdict": verdict}
     if reason is not None:
         event["reason"] = reason
@@ -439,13 +424,16 @@ def run_validator(
     liability becomes a Rejected verdict; the loop itself never aborts.
     Each distinct model text is parsed and built once per call.
     """
-    models = _ModelCache(max_states)
+    # Keyed by the model text, not its hash, because ContentStore.get does
+    # not re-hash: a replaced blob file would make a hash key stale.  The
+    # bound keeps a --watch run's memory bounded.
+    prepare = lru_cache(maxsize=_CACHED_MODELS)(partial(PreparedModel, max_states=max_states))
     results: list[tuple[int, str]] = []
     polls = 0
     while True:
         for liab in ledger.pending():
             try:
-                verdict = _validate(ledger, store, liab.id, mode, base, models)
+                verdict = _validate(ledger, store, liab.id, mode, base, prepare)
             except LedgerError:
                 raise
             except Exception:

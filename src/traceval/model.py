@@ -13,6 +13,14 @@ valuation tuple once per model, and returns the successor function that
 expression tree.  Static type errors in guards, runtime errors in updates
 and arithmetic overflow all raise :class:`ModelError` naming the command.
 
+Names in expressions are checked where they are resolved.  ``lang``
+refuses model text that uses an undeclared name; for a model constructed
+directly, ``SystemModel`` checks only its declarations and update
+targets, and compiling resolves every other name.  An unknown name in a
+guard or the init constraint raises :class:`ModelError` from
+``build_graph`` and ``step``; one in an update raises when its command
+fires, as an update that cannot be typed does.
+
 A built graph stores its transition relation once, as compressed sparse
 rows of successors and of their transpose, the predecessors, both made in
 the constructor; nothing is cached lazily.  Models and built graphs are
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import EvalError, ModelError, StateExplosionError
-from .expr import BoolLit, Expr, compile_expr, expr_names
+from .expr import BoolLit, Expr, compile_expr
 
 Valuation = tuple[int, ...]
 
@@ -87,22 +95,10 @@ class SystemModel:
         clash = set(names) & set(self.constants)
         if clash:
             raise ModelError(f"constant and variable share a name: {sorted(clash)}")
-        declared = set(names) | set(self.constants)
         for i, cmd in enumerate(self.commands):
-            unknown = expr_names(cmd.guard) - declared
-            for _, rhs in cmd.updates:
-                unknown |= expr_names(rhs) - declared
-            if unknown:
-                raise ModelError(
-                    f"{cmd.describe(i)}: unknown identifier(s) {sorted(unknown)}"
-                )
             for name, _ in cmd.updates:
                 if name not in names:
                     raise ModelError(f"{cmd.describe(i)}: '{name}' is not a variable")
-        if self.init_constraint is not None:
-            unknown = expr_names(self.init_constraint) - declared
-            if unknown:
-                raise ModelError(f"init constraint: unknown identifier(s) {sorted(unknown)}")
 
     @property
     def var_names(self) -> tuple[str, ...]:

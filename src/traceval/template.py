@@ -4,9 +4,10 @@ A tag is one or more ASCII letters or underscores between ``@`` symbols;
 ``@@`` escapes a literal ``@``.  Substitution is a single pass over the
 template: replacement text is never re-scanned.  Tags resolve from the
 bindings first, then the settings parameters, then the settings defaults.
-The rendered text must parse as a model.  A parse error is blamed on a tag
-by the character offset it carries; line:col is computed only for the
-messages of errors.
+``render`` only substitutes; it does not check that its output is a model.
+A caller that parses the output turns a :class:`ParseError` into a
+:class:`TemplateError` that names a tag with :func:`blame`, which maps the
+error's character offset back to the tag substituted there.
 
 The settings format is a restricted two-map subset of YAML: the top-level
 keys ``parameters:`` and ``defaults:``, each holding flat ``key: value``
@@ -19,14 +20,22 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import ParseError, TemplateError, line_col
-from .lang import parse_model
 
-_TAG_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _TAG_RE = re.compile(r"[A-Za-z_]+\Z")
 _INT_RE = re.compile(r"-?\d+\Z")
+# The matches tile the template: a lone "@" that starts neither "@@" nor a
+# tag is "bad", so finditer skips nothing.
+_PIECE_RE = re.compile(
+    r"""(?P<text>[^@]+)
+      | (?P<escape>@@)
+      | @(?P<tag>[A-Za-z_]+)@
+      | (?P<bad>@)
+    """,
+    re.VERBOSE,
+)
 
 
 @dataclass
@@ -41,6 +50,35 @@ def is_tag_name(name: str) -> bool:
     return bool(_TAG_RE.match(name))
 
 
+def _pieces(
+    template: str, bindings: Mapping[str, str] | None, settings: Settings | None
+) -> Iterator[tuple[str, str | None]]:
+    """The rendered text in pieces: ``(text, tag)``, where ``tag`` names
+    the tag ``text`` was substituted for and is ``None`` for literal text."""
+    bindings = bindings or {}
+    settings = settings or Settings()
+    for m in _PIECE_RE.finditer(template):
+        kind = m.lastgroup
+        if kind == "text":
+            yield m.group(), None
+        elif kind == "escape":
+            yield "@", None
+        elif kind == "bad":
+            line, col = line_col(template, m.start())
+            raise TemplateError(f"malformed tag at {line}:{col}")
+        else:
+            name = m.group("tag")
+            if name in bindings:
+                yield bindings[name], name
+            elif name in settings.parameters:
+                yield str(settings.parameters[name]), name
+            elif name in settings.defaults:
+                yield settings.defaults[name], name
+            else:
+                line, col = line_col(template, m.start())
+                raise TemplateError(f"unresolved tag '{name}' at {line}:{col}")
+
+
 def render(
     template: str,
     bindings: Mapping[str, str] | None = None,
@@ -48,69 +86,37 @@ def render(
 ) -> str:
     """Substitute every tag in ``template`` and return the rendered text.
 
-    The result must parse as a model; parse failures are reported as
-    :class:`TemplateError` and name the tag whose substituted text contains
-    the offending position.
+    Raises :class:`TemplateError` for a malformed or unresolved tag.
     """
-    bindings = bindings or {}
-    settings = settings or Settings()
-    out: list[str] = []
-    spans: list[tuple[int, int, str]] = []  # offsets into rendered text
-    out_len = 0
-    i = 0
-    n = len(template)
-    while i < n:
-        ch = template[i]
-        if ch != "@":
-            out.append(ch)
-            out_len += 1
-            i += 1
-            continue
-        if i + 1 < n and template[i + 1] == "@":
-            out.append("@")
-            out_len += 1
-            i += 2
-            continue
-        j = i + 1
-        while j < n and template[j] in _TAG_CHARS:
-            j += 1
-        name = template[i + 1 : j]
-        if not name or j >= n or template[j] != "@":
-            line, col = line_col(template, i)
-            raise TemplateError(f"malformed tag at {line}:{col}")
-        if name in bindings:
-            value = bindings[name]
-        elif name in settings.parameters:
-            value = str(settings.parameters[name])
-        elif name in settings.defaults:
-            value = settings.defaults[name]
-        else:
-            line, col = line_col(template, i)
-            raise TemplateError(f"unresolved tag '{name}' at {line}:{col}")
-        out.append(value)
-        spans.append((out_len, out_len + len(value), name))
-        out_len += len(value)
-        i = j + 1
-    rendered = "".join(out)
+    return "".join(text for text, _ in _pieces(template, bindings, settings))
 
-    try:
-        parse_model(rendered)
-    except ParseError as exc:
-        detail = str(exc)
-        # every model parse error carries the offset of its token
-        offset = exc.offset
-        blame = None
-        for start, end, name in spans:
-            if start > offset:
-                break
-            # inside the substituted text, or just after it on the
-            # same line (bad fragments often break the next token)
-            if offset < end or "\n" not in rendered[end:offset]:
-                blame = name
-        if blame is not None:
-            detail += f" (near text substituted for tag '{blame}')"
-        raise TemplateError(f"rendered model fails to parse: {detail}") from exc
-    return rendered
+
+def blame(
+    exc: ParseError,
+    template: str,
+    bindings: Mapping[str, str] | None = None,
+    settings: Settings | None = None,
+) -> TemplateError:
+    """The :class:`TemplateError` for ``exc``, a model parse error raised on
+    the text ``render(template, bindings, settings)`` returned.  It names
+    the tag whose substituted text holds the error's offset, or ends before
+    it on the same line: bad fragments often break the next token."""
+    pieces = list(_pieces(template, bindings, settings))
+    rendered = "".join(text for text, _ in pieces)
+    offset = exc.offset
+    culprit = None
+    start = 0
+    for text, name in pieces:
+        if start > offset:
+            break
+        end = start + len(text)
+        if name is not None and (offset < end or "\n" not in rendered[end:offset]):
+            culprit = name
+        start = end
+    detail = str(exc)
+    if culprit is not None:
+        detail += f" (near text substituted for tag '{culprit}')"
+    return TemplateError(f"rendered model fails to parse: {detail}")
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ The lexer as it was before tokens carried offsets: one regex ``match`` per
 token, with a running line and column kept for every token.  ``Stream`` is
 ``lang``'s token stream over these tokens, raising each error at the line
 and column its token recorded, and ``parsing`` makes ``lang``'s parsers use
-it.  ``render_error`` is template rendering's parse check as it was then:
-it turns an error's line and column back into an offset to find the tag
-to blame.
+it.  ``render_error`` is the parse check of a rendered model as it was
+then: it turns an error's line and column back into an offset to find the
+tag to blame.
 """
 
 from __future__ import annotations

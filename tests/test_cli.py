@@ -1,5 +1,6 @@
 import pytest
 
+import naive_lex
 from conftest import CHAIN2, SAMPLES
 from traceval.cli import main
 from traceval.lifecycle import Ledger
@@ -67,6 +68,28 @@ def test_gen_model_unresolved_tag_is_code_2(tmp_path, capsys):
     assert "unresolved tag" in capsys.readouterr().err
 
 
+def test_gen_model_parse_failure_names_the_tag(tmp_path, capsys):
+    bindings, out = tmp_path / "bad.json", tmp_path / "out.gcm"
+    bindings.write_text('{"go": "x=="}')
+    code = main(["gen-model", "--template", str(SAMPLES / "gate.gcmt"), "--bindings", str(bindings), "-o", str(out)])
+    template = (SAMPLES / "gate.gcmt").read_text()
+    start = template.index("@go@")
+    want = naive_lex.render_error(template.replace("@go@", "x=="), [(start, start + 3, "go")])
+    assert "(near text substituted for tag 'go')" in want
+    assert (code, capsys.readouterr().err) == (2, f"error: {want}\n")
+    assert not out.exists()
+
+
+def test_gen_model_unencodable_output_is_code_2(tmp_path, capsys):
+    # the JSON escape decodes to a lone surrogate, which parses inside a
+    # comment but has no UTF-8 encoding
+    bindings, out = tmp_path / "surrogate.json", tmp_path / "out.gcm"
+    bindings.write_text('{"go": "x==0 -> x\'=1; // \\ud800\\n[] false"}')
+    code = main(["gen-model", "--template", str(SAMPLES / "gate.gcmt"), "--bindings", str(bindings), "-o", str(out)])
+    assert code == 2
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+
 def test_gen_property_golden(tmp_path, capsys):
     out = tmp_path / "prop.ctl"
     code = main(["gen-property", "--log", str(SAMPLES / "chain2.csv"), "-o", str(out)])
@@ -126,6 +149,15 @@ def test_validate_ledger_line_not_an_object_is_code_2(tmp_path, capsys):
     code = main(["validate", "--ledger", str(ledger), "--store", str(tmp_path / "store")])
     assert code == 2
     assert f"{ledger}:1: not a JSON object" in capsys.readouterr().err
+
+
+def test_validate_ledger_not_utf8_is_code_2(tmp_path, capsys):
+    ledger = tmp_path / "ledger.jsonl"
+    ledger.write_bytes(b"\xff\xfe")
+    (tmp_path / "store").mkdir()
+    code = main(["validate", "--ledger", str(ledger), "--store", str(tmp_path / "store")])
+    assert code == 2
+    assert f"{ledger}: not UTF-8: " in capsys.readouterr().err
 
 
 def test_order_prints_monotone_ids(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import pytest
@@ -8,13 +9,14 @@ import naive_lex
 import naive_print
 from corpus import CMPS, IDENTS, models
 from traceval import ctl
+from traceval.cli import build_parser
 from traceval.ctl import print_formula
 from traceval.errors import ParseError, TemplateError, line_col
 from traceval.execlog import ExecutionLog, strong_property, weak_property
-from traceval.expr import INT_MIN, BinOp, IntLit, Name, eval_expr
+from traceval.expr import INT_MIN, BinOp, IntLit, Name, eval_expr, expr_names
 from traceval.lang import _lex, parse_expression, parse_formula, parse_model, print_model
 from traceval.model import build_graph
-from traceval.template import render
+from traceval.town import town_model_text
 
 
 # --- model parsing -----------------------------------------------------------
@@ -83,6 +85,23 @@ def test_parse_duplicate_declaration():
         parse_model("var x : 0..1 init 0; var x : 0..1 init 0;")
     with pytest.raises(ParseError, match="duplicate declaration"):
         parse_model("const x = 1; var x : 0..1 init 0;")
+
+
+def test_parse_checks_names_once_per_expression(monkeypatch, town5x5, objective4):
+    calls = []
+
+    def counting(expr):
+        calls.append(expr)
+        return expr_names(expr)
+
+    monkeypatch.setattr("traceval.lang.expr_names", counting)
+    # a module that imported expr_names by name calls its own binding
+    monkeypatch.setattr("traceval.model.expr_names", counting, raising=False)
+    model = parse_model(town_model_text(town5x5, objective4))
+    expressions = [] if model.init_constraint is None else [model.init_constraint]
+    for cmd in model.commands:
+        expressions += [cmd.guard] + [rhs for _, rhs in cmd.updates]
+    assert [id(e) for e in calls] == [id(e) for e in expressions]
 
 
 def test_parse_unknown_identifier_in_guard():
@@ -302,6 +321,29 @@ _garbage = st.lists(st.sampled_from(_GARBAGE_PIECES), max_size=30).map("".join)
 _GATE_TEMPLATE = (SAMPLES / "gate.gcmt").read_text()
 
 
+@pytest.fixture(scope="module")
+def gen_model(tmp_path_factory):
+    """Runs the ``gen-model`` command on the sample ``gate.gcmt`` with given
+    bindings; returns ``("error", text)`` for its ``TemplateError`` or
+    ``("written", text)`` for its output.  The command line is parsed once,
+    because argparse costs several times what the command does."""
+    workdir = tmp_path_factory.mktemp("gen-model")
+    bindings_file, out = workdir / "bindings.json", workdir / "out.gcm"
+    args = build_parser().parse_args(
+        ["gen-model", "--template", str(SAMPLES / "gate.gcmt"), "--bindings", str(bindings_file), "-o", str(out)]
+    )
+
+    def run(bindings):
+        bindings_file.write_text(json.dumps(bindings))
+        try:
+            args.func(args)
+        except TemplateError as exc:
+            return "error", str(exc)
+        return "written", out.read_bytes().decode("utf-8")
+
+    return run
+
+
 def _outcome(fn, text, *args):
     try:
         return "value", fn(text, *args)
@@ -321,7 +363,7 @@ def _positions(text, allow_comments):
 @given(_garbage)
 @example("x==0 // c")
 @example("var x : 0..1 init 0;\r\n[] x==\u0663 -> x'=é;")
-def test_offset_lexer_matches_the_line_col_lexer(text):
+def test_offset_lexer_matches_the_line_col_lexer(gen_model, text):
     for allow_comments in (True, False):
         got = _outcome(_positions, text, allow_comments)
         want = _outcome(naive_lex._lex, text, allow_comments)
@@ -338,11 +380,10 @@ def test_offset_lexer_matches_the_line_col_lexer(text):
     start = _GATE_TEMPLATE.index("@go@")
     rendered = _GATE_TEMPLATE[:start] + text + _GATE_TEMPLATE[start + len("@go@"):]
     want = naive_lex.render_error(rendered, [(start, start + len(text), "go")])
-    try:
-        assert render(_GATE_TEMPLATE, {"go": text}) == rendered
-        assert want is None
-    except TemplateError as exc:
-        assert str(exc) == want
+    if want is None:
+        assert gen_model({"go": text}) == ("written", rendered)
+    else:
+        assert gen_model({"go": text}) == ("error", want)
 
 
 @given(

@@ -322,26 +322,17 @@ def test_run_validator_holds_a_bounded_number_of_models(monkeypatch, ledger, sto
     """Past the bound the least recently used model is dropped, and every
     verdict is still right."""
     parses = _count_calls(monkeypatch, "parse_model")
-    sizes = []
-    prepare = lifecycle._ModelCache.prepare
-
-    def recording(cache, model_text):
-        prepared = prepare(cache, model_text)
-        sizes.append(len(cache._models))
-        return prepared
-
-    monkeypatch.setattr(lifecycle._ModelCache, "prepare", recording)
     bound = lifecycle._CACHED_MODELS
-    models = [f"var x : 0..{k + 1} init 0;\n[] x==0 -> x'=1;\n" for k in range(bound + 2)]
-    # Every model once leaves models[2:] cached.  Reusing models[2] makes it
-    # the most recently used, so parsing models[0] again drops models[3]
-    # instead, and models[2] is still cached after it.
-    for model in models + [models[2], models[0], models[2]]:
+    models = [f"var x : 0..{k + 1} init 0;\n[] x==0 -> x'=1;\n" for k in range(bound + 1)]
+    # The first `bound` models fill the cache, so models[0] is still held.
+    # Reusing it makes models[1] the least recently used, which the new
+    # models[bound] drops: models[0] is still held, and models[1] is parsed
+    # again.
+    for model in models[:bound] + [models[0], models[bound], models[0], models[1]]:
         _submitted(ledger, store, model, "x\n0\n1\n1\n")
     results = run_validator(ledger, store)
-    assert [verdict for _, verdict in results] == [STATUS_CONFIRMED] * (bound + 5)
-    assert max(sizes) == bound
-    assert len(parses) == bound + 3
+    assert [verdict for _, verdict in results] == [STATUS_CONFIRMED] * (bound + 4)
+    assert parses == models + [models[1]]
 
 
 @pytest.mark.parametrize("stage", ["parse_model", "build_graph"])

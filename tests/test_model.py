@@ -96,12 +96,13 @@ def test_model_validation_rejects_clashes():
         SystemModel({}, (), ())
     with pytest.raises(ModelError):
         VarDecl("x", 0, 1, 2)
-    with pytest.raises(ModelError):
-        SystemModel(
-            {},
-            (VarDecl("x", 0, 1, 0),),
-            (_cmd(BinOp("==", Name("ghost"), IntLit(0))),),
-        )
+    # names in expressions are resolved when the model is compiled
+    ghost = SystemModel({}, (VarDecl("x", 0, 1, 0),), (_cmd(BinOp("==", Name("ghost"), IntLit(0))),))
+    with pytest.raises(ModelError, match="unknown identifier 'ghost'"):
+        build_graph(ghost)
+    ghost_init = SystemModel({}, (VarDecl("x", 0, 1, 0),), (), BinOp("==", Name("ghost"), IntLit(0)))
+    with pytest.raises(ModelError, match="init constraint: unknown identifier 'ghost'"):
+        build_graph(ghost_init)
 
 
 def _random_model(rng: random.Random) -> SystemModel:
@@ -239,6 +240,7 @@ _OVERFLOWS_UNLESS_X_IS_0 = BinOp("==", BinOp("*", BinOp("*", Name("x"), IntLit(I
             {2},
             r"#1 \[bad\]: operands of '\+' must be integers",
         ),
+        (_X_IS_1, (("x", Name("ghost")),), {1}, r"#1 \[bad\]: unknown identifier 'ghost'"),
         # '&' evaluates its right operand even when its left one is false
         (
             BinOp("&", BinOp("==", Name("x"), IntLit(5)), _OVERFLOWS_UNLESS_X_IS_0),
@@ -247,7 +249,13 @@ _OVERFLOWS_UNLESS_X_IS_0 = BinOp("==", BinOp("*", BinOp("*", Name("x"), IntLit(I
             r"#1 \[bad\]: arithmetic overflow in '\*'",
         ),
     ],
-    ids=["non-boolean-guard", "non-integer-update", "ill-typed-update", "overflow-right-of-and"],
+    ids=[
+        "non-boolean-guard",
+        "non-integer-update",
+        "ill-typed-update",
+        "unknown-name-in-update",
+        "overflow-right-of-and",
+    ],
 )
 def test_errors_raise_model_error_exactly_where_the_reference_raises(guard, updates, raising, message):
     model = SystemModel({}, (VarDecl("x", 0, 2, 0),), (GuardedCommand("bad", guard, updates),))

@@ -68,9 +68,22 @@ def test_render_idempotent_on_tag_free_text():
     assert render(text, {"go": "x"}) == text
 
 
-def test_render_parse_failure_carries_tag_provenance():
-    with pytest.raises(TemplateError, match="tag 'go'"):
-        render(_GATE, {"go": "x=="})
+def test_render_makes_no_parse_model_call(monkeypatch):
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parse_model(text)
+
+    monkeypatch.setattr("traceval.lang.parse_model", counting)
+    # a module that imported parse_model by name calls its own binding
+    monkeypatch.setattr("traceval.template.parse_model", counting, raising=False)
+    render(_GATE, {"go": "x==0"})
+    assert calls == []
+
+
+def test_render_returns_text_that_is_not_a_model():
+    assert render(_GATE, {"go": "x=="}) == "var x : 0..1 init 0;\n[] x== -> x'=1;\n"
 
 
 def test_parse_settings_example():
