@@ -3,11 +3,13 @@
 The pipeline: describe a service as a guarded-command model (optionally
 rendered from a template), build its explicit state graph, compile an
 execution log into a CTL property and check whether the model admits the
-logged run.  A simulated liability lifecycle (content store + append-only
-ledger + validator) and a grid-town scenario generator wrap the core.
+logged run; the validator decides that property by walking the log's rows
+forward through the graph.  A simulated liability lifecycle (content
+store + append-only ledger + validator) and a grid-town scenario generator
+wrap the core.
 """
 
-from .checker import CheckReport, InitialFailure, StateSet, holds_initially, sat
+from .checker import CheckReport, InitialFailure, StateSet, Witness, follow, holds_initially, sat
 from .ctl import (
     AF,
     AG,

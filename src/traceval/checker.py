@@ -1,4 +1,5 @@
-"""Explicit-state CTL checking by bottom-up labeling.
+"""Explicit-state CTL checking by bottom-up labeling, and the forward walk
+that judges logs.
 
 Satisfaction sets are integer bitmasks over state indices.  Each operator
 is computed from its children's sets: atoms read a per-variable index
@@ -22,6 +23,27 @@ different rows of a log are computed once.
 nested generated properties within interpreter limits.  It is a pure
 function of immutable inputs and safe to call concurrently on a shared
 graph.
+
+Labelling serves ``check`` and ``gen-property``.  Logs are judged by
+``follow`` instead, which decides the property ``execlog.log_property``
+builds without labelling the graph.  A log names every variable, so each
+row is one valuation, and ``StateGraph.states_with`` finds its states.
+The walk keeps the frontier of states some path of the graph can reach
+while following the rows so far:
+
+* F1 is the initial states of row 1;
+* strong: F(k+1) is the successors of Fk in row k+1;
+* weak: F(k+1) is the states of row k+1 reachable from Fk in zero or more
+  steps, by a forward search that stops once it has found them all;
+* the chain ends at row n-1 (``faithful``) or row n (``corrected``), and
+  the log is admitted when some frontier state satisfies AG(row n).  One
+  backward pass over row n's states decides that per state: a union of
+  the frontier's closures would be wrong when several states share row
+  n's valuation.
+
+Each step costs the frontier's out-edges, or the weak search's explored
+part of the graph, not O(|S|).  The first empty frontier is the
+``Witness``: the row the log leaves the model at and the check it fails.
 """
 
 from __future__ import annotations
@@ -34,6 +56,7 @@ from itertools import accumulate, compress, count
 
 from . import ctl
 from .errors import EvalError
+from .execlog import ExecutionLog, check_shape
 from .expr import CMP_OPS
 from .model import StateGraph, Valuation
 
@@ -318,3 +341,96 @@ def holds_initially(graph: StateGraph, formula: ctl.CtlFormula) -> CheckReport:
             )
         )
     return CheckReport(holds=False, failures=tuple(failures))
+
+
+@dataclass(frozen=True)
+class Witness:
+    """Where a log leaves the model: the first row (1-based) that no path
+    of the graph follows, and the check that row fails: ``not-a-model-state``,
+    ``not-initial``, ``no-transition`` (strong), ``unreachable`` (weak) or
+    ``not-absorbing`` (the final AG)."""
+
+    row: int
+    check: str
+
+
+def _reach_among(graph: StateGraph, sources, wanted) -> set[int]:
+    """The states of ``wanted`` reachable from ``sources`` in zero or more
+    steps: a breadth-first search that stops once it has found them all."""
+    start, targets = graph.successor_rows
+    wanted = set(wanted)
+    seen = set(sources)
+    found = wanted & seen
+    queue = list(seen)
+    for s in queue:
+        if len(found) == len(wanted):
+            break
+        for t in targets[start[s]:start[s + 1]]:
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+                if t in wanted:
+                    found.add(t)
+    return found
+
+
+def _absorbing(graph: StateGraph, candidates, final) -> bool:
+    """Whether some candidate satisfies AG(final): it is one of ``final``
+    and no path from it leaves them.  The states of ``final`` that do reach
+    outside are found backwards from the ones with a successor outside,
+    over predecessors within ``final``."""
+    start, targets = graph.successor_rows
+    pred_start, sources = graph.predecessor_rows
+    inside = set(final)
+    work = [s for s in inside if any(t not in inside for t in targets[start[s]:start[s + 1]])]
+    leaks = set(work)
+    while work:
+        t = work.pop()
+        for p in sources[pred_start[t]:pred_start[t + 1]]:
+            if p in inside and p not in leaks:
+                leaks.add(p)
+                work.append(p)
+    return any(s in inside and s not in leaks for s in candidates)
+
+
+def follow(
+    graph: StateGraph, log: ExecutionLog, mode: str = "strong", base: str = "faithful"
+) -> Witness | None:
+    """``None`` when the graph admits the log, exactly when
+    ``holds_initially(graph, log_property(log, mode, base)).holds``;
+    otherwise where the log leaves the model.
+
+    The log's columns must be the graph's variables, in order.  Raises
+    :class:`LogError` for an unknown mode or base, as ``log_property`` does.
+    """
+    check_shape(mode, base)
+    if log.variables != graph.variables:
+        raise EvalError(
+            f"log columns {', '.join(log.variables)} are not the graph's variables "
+            f"{', '.join(graph.variables)}"
+        )
+    rows = log.rows
+    start, targets = graph.successor_rows
+    frontier: set[int] = set()
+    for k in range(1, len(rows) if base == "faithful" else len(rows) + 1):
+        pinned = graph.states_with(rows[k - 1])
+        if not pinned:
+            return Witness(k, "not-a-model-state")
+        if k == 1:
+            frontier = graph.initial.intersection(pinned)
+            check = "not-initial"
+        elif mode == "strong":
+            after = {t for s in frontier for t in targets[start[s]:start[s + 1]]}
+            frontier = after.intersection(pinned)
+            check = "no-transition"
+        else:
+            frontier = _reach_among(graph, frontier, pinned)
+            check = "unreachable"
+        if not frontier:
+            return Witness(k, check)
+    final = graph.states_with(rows[-1])
+    if not final:
+        return Witness(len(rows), "not-a-model-state")
+    if _absorbing(graph, frontier, final):
+        return None
+    return Witness(len(rows), "not-absorbing")

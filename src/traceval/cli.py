@@ -8,6 +8,7 @@ code 2.  Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import tempfile
 import warnings
@@ -41,10 +42,29 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str):
+    """Write ``text`` as UTF-8 to a temporary file beside ``path`` and rename
+    it over ``path``, so a failed write leaves any old file as it was.  A
+    target that exists but is no regular file (a device, say) is written in
+    place."""
+    target = Path(path)
+    tmp = None
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        if target.exists() and not target.is_file():
+            target.write_text(text, encoding="utf-8")
+            return
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode a new file gets, not mkstemp's 0600
+        os.replace(tmp, target)
+        tmp = None
     except (OSError, UnicodeEncodeError) as exc:
         raise TracevalError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None:
+            os.unlink(tmp)
 
 
 def _relay_warnings(caught):

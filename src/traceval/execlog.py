@@ -13,6 +13,10 @@ second-to-last row with ``AG`` of the last row at the same state, so it is
 satisfiable only when the log repeats its final row; the ``corrected``
 base anchors ``AG`` on the last row alone and chains every earlier row
 through the temporal operator.  ``faithful`` is the default.
+
+The validator decides these properties with ``checker.follow``, a walk
+through the rows, without building them; the formulas serve
+``gen-property``, ``check`` and the walk's tests.
 """
 
 from __future__ import annotations
@@ -151,7 +155,14 @@ def weak_property(log: ExecutionLog, base: str = "faithful") -> ctl.CtlFormula:
     return _temporal_chain(log, ctl.EF, base)
 
 
-def log_property(log: ExecutionLog, mode: str = "strong", base: str = "faithful") -> ctl.CtlFormula:
+def check_shape(mode: str, base: str) -> None:
+    """Raise :class:`LogError` for an unknown property mode or base."""
     if mode not in MODES:
         raise LogError(f"unknown property mode '{mode}'")
+    if base not in BASES:
+        raise LogError(f"unknown base mode '{base}'")
+
+
+def log_property(log: ExecutionLog, mode: str = "strong", base: str = "faithful") -> ctl.CtlFormula:
+    check_shape(mode, base)
     return strong_property(log, base) if mode == "strong" else weak_property(log, base)

@@ -9,10 +9,13 @@ is not UTF-8, has a line that is not a JSON object, or records an illegal
 history raises :class:`LedgerError` when it is loaded.
 
 Validation is deterministic: fetch the model and the result log from the
-store, build the state graph, compile the log into a property and check it
-from the initial state.  It runs in two stages: ``PreparedModel`` parses a
-model text and builds its graph on first demand, and ``PreparedModel.judge``
-checks one log against it.  ``run_validator`` prepares each distinct model
+store, build the state graph and walk the log's rows forward through it
+(``checker.follow``), which decides the property the log compiles into
+without labelling the graph.  It runs in two stages: ``PreparedModel``
+parses a model text and builds its graph on first demand, and
+``PreparedModel.judge`` checks one log against it.  A ``property-failed``
+verdict event also records the row the log left the model at and the
+check that row failed.  ``run_validator`` prepares each distinct model
 text once per call, through a ``functools.lru_cache`` of the few most
 recently used; ``adjudicate`` and ``validate`` prepare a fresh one per
 call.  Malformed artifacts reject the liability with a reason code instead
@@ -29,13 +32,12 @@ import json
 import os
 import tempfile
 import time
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable
 
-from .checker import holds_initially
+from .checker import Witness, follow
 from .errors import (
     LedgerError,
     ModelError,
@@ -44,7 +46,11 @@ from .errors import (
     StateExplosionError,
     StoreError,
 )
-from .execlog import UnsatisfiableLogWarning, log_property, parse_log
+from .execlog import parse_log
+
+# Unused here; kept because bench/run.py's layer_functions wraps them on this module by name.
+from .checker import holds_initially
+from .execlog import log_property
 from .lang import parse_model
 from .model import DEFAULT_STATE_BUDGET, build_graph
 
@@ -323,27 +329,26 @@ class PreparedModel:
 
     def judge(
         self, log_text: str, mode: str = "strong", base: str = "faithful"
-    ) -> tuple[str, str | None]:
-        """(verdict, reason) for a log text.  The graph is built only for a
-        log that parses and names the model's variables."""
+    ) -> tuple[str, str | None, Witness | None]:
+        """(verdict, reason, witness) for a log text, the witness saying
+        where the log left the model when its property failed.  The graph
+        is built only for a log that parses and names the model's
+        variables."""
         if self.var_names is None:
-            return STATUS_REJECTED, self.reason
+            return STATUS_REJECTED, self.reason, None
         try:
             log = parse_log(log_text)
         except LogError:
-            return STATUS_REJECTED, REASON_MALFORMED_LOG
+            return STATUS_REJECTED, REASON_MALFORMED_LOG, None
         if log.variables != self.var_names:
-            return STATUS_REJECTED, REASON_VARIABLE_MISMATCH
+            return STATUS_REJECTED, REASON_VARIABLE_MISMATCH, None
         reason = self._build()
         if reason is not None:
-            return STATUS_REJECTED, reason
-        with warnings.catch_warnings():
-            # an unsatisfiable faithful property is simply a failing one here
-            warnings.simplefilter("ignore", UnsatisfiableLogWarning)
-            prop = log_property(log, mode, base)
-        if holds_initially(self.graph, prop).holds:
-            return STATUS_CONFIRMED, None
-        return STATUS_REJECTED, REASON_PROPERTY_FAILED
+            return STATUS_REJECTED, reason, None
+        witness = follow(self.graph, log, mode, base)
+        if witness is None:
+            return STATUS_CONFIRMED, None, None
+        return STATUS_REJECTED, REASON_PROPERTY_FAILED, witness
 
 
 def adjudicate(
@@ -355,7 +360,7 @@ def adjudicate(
 ) -> tuple[str, str | None]:
     """Pure validation core: (verdict, reason) for a model text and a log
     text.  Never raises on malformed provider artifacts."""
-    return PreparedModel(model_text, max_states).judge(log_text, mode, base)
+    return PreparedModel(model_text, max_states).judge(log_text, mode, base)[:2]
 
 
 def validate(
@@ -380,11 +385,12 @@ def _validate(
 ) -> str:
     """``validate`` with the model text prepared by ``prepare``.  Both blobs
     are read for every verdict, so missing and undecodable blobs are found
-    whether or not the model is cached."""
+    whether or not the model is cached.  A failed property's event carries
+    the witness's ``row`` and ``check``."""
     liab = ledger.liability(lid)
     if liab.status != STATUS_RESULT_SUBMITTED:
         raise LedgerError(f"liability {lid}: nothing to validate in status {liab.status}")
-    verdict = reason = None
+    verdict = reason = witness = None
     try:
         model_text = store.get_text(liab.model_hash)
     except StoreError:
@@ -399,10 +405,12 @@ def _validate(
         except UnicodeDecodeError:
             verdict, reason = STATUS_REJECTED, REASON_MALFORMED_LOG
     if verdict is None:
-        verdict, reason = prepare(model_text).judge(log_text, mode, base)
+        verdict, reason, witness = prepare(model_text).judge(log_text, mode, base)
     event = {"id": lid, "verdict": verdict}
     if reason is not None:
         event["reason"] = reason
+    if witness is not None:
+        event.update(row=witness.row, check=witness.check)
     ledger.append(KIND_VERDICT, **event)
     return verdict
 

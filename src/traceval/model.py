@@ -22,8 +22,10 @@ guard or the init constraint raises :class:`ModelError` from
 fires, as an update that cannot be typed does.
 
 A built graph stores its transition relation once, as compressed sparse
-rows of successors and of their transpose, the predecessors, both made in
-the constructor; nothing is cached lazily.  Models and built graphs are
+rows of successors and of their transpose, the predecessors, and one
+valuation -> states lookup, the state indices sorted by valuation, that
+``states_with`` searches by bisection; all three are made in the
+constructor and nothing is cached lazily.  Models and built graphs are
 immutable after construction and safe to share across threads for
 concurrent reads.
 """
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -201,8 +204,9 @@ class StateGraph:
     ``initial`` and every successor refer to indices into ``states``.
     ``succ`` gives, per state, any iterable of successor indices; duplicates
     collapse.  Successors and their transpose, the predecessors, are kept as
-    ``array('i')`` offsets plus targets, each row sorted ascending.  Every
-    field is set in the constructor and never changes afterwards.
+    ``array('i')`` offsets plus targets, each row sorted ascending.  The
+    states sorted by valuation, ties ascending, answer ``states_with``.
+    Every field is set in the constructor and never changes afterwards.
     """
 
     def __init__(
@@ -218,6 +222,9 @@ class StateGraph:
         n = len(self.states)
         if len(succ) != n:
             raise ValueError(f"{len(succ)} successor rows for {n} states")
+        # sorted() is stable, so the states of one valuation stay ascending.
+        # Sorted before the transpose, so the two transients never coexist.
+        self._by_valuation = array("i", sorted(range(n), key=self.states.__getitem__))
         start, targets = array("i", [0]), array("i")
         for row in succ:
             targets.extend(sorted(set(row)))
@@ -265,6 +272,13 @@ class StateGraph:
 
     def predecessors(self, i: int) -> array:
         return self._pred[self._pred_start[i]:self._pred_start[i + 1]]
+
+    def states_with(self, valuation: Valuation) -> array:
+        """Indices, ascending, of the states whose valuation is ``valuation``;
+        empty when it is not a state of the graph."""
+        order, key = self._by_valuation, self.states.__getitem__
+        lo = bisect_left(order, valuation, key=key)
+        return order[lo:bisect_right(order, valuation, lo, key=key)]
 
     def var_index(self, name: str) -> int:
         try:

@@ -1,24 +1,44 @@
-"""Seeded random corpora: graphs, formulas and towns for the big sweeps,
-and a hypothesis strategy for guarded-command models."""
+"""Seeded random corpora: graphs, formulas, towns and town logs for the
+big sweeps, and a hypothesis strategy for guarded-command models."""
 
 from __future__ import annotations
 
 import random
+import warnings
 
 from hypothesis import strategies as st
 
+from conftest import SAMPLES
 from traceval import ctl
+from traceval.execlog import ExecutionLog
 from traceval.expr import BinOp, BoolLit, IntLit, Name, NotOp, expr_names
 from traceval.model import GuardedCommand, StateGraph, SystemModel, VarDecl
-from traceval.town import ACTIONS, DIR_VECS, Objective, ObjectiveStep, TownMap, TownNode, turn
+from traceval.town import (
+    ACTIONS,
+    DIR_VECS,
+    LOG_COLUMNS,
+    Objective,
+    ObjectiveStep,
+    TownMap,
+    TownNode,
+    load_objective,
+    load_town,
+    simulate,
+    town_model_text,
+    turn,
+)
 
 GRAPH_VARS = ("x", "y")
 _CMP = ("==", "!=", "<", "<=", ">", ">=")
 
 
-def random_graph(rng: random.Random, max_states: int = 64, max_degree: int = 4) -> StateGraph:
+def random_graph(
+    rng: random.Random, max_states: int = 64, max_degree: int = 4, values: int = 8
+) -> StateGraph:
+    """Random total graph over ``GRAPH_VARS``, each taking ``values`` values;
+    distinct states often share a valuation."""
     n = rng.randint(1, max_states)
-    states = tuple((rng.randint(0, 7), rng.randint(0, 7)) for _ in range(n))
+    states = tuple((rng.randint(0, values - 1), rng.randint(0, values - 1)) for _ in range(n))
     succ = tuple(
         frozenset(rng.randrange(n) for _ in range(rng.randint(1, max_degree)))
         for _ in range(n)
@@ -114,6 +134,63 @@ def random_town_and_objective(
 def _neighbor(x: int, y: int, d: int) -> tuple[int, int]:
     dx, dy = DIR_VECS[d]
     return (x + dx, y + dy)
+
+
+def random_town_logs(seed: int = 240817, count: int = 100):
+    """Criterion 4's corpus: ``(model text, log)`` for ``count`` random
+    towns, each log the honest run, or in about 3 of 10 towns the honest
+    run with one interior cell raised by one."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        town, objective = random_town_and_objective(rng)
+        model_text = town_model_text(town, objective)
+        log = simulate(town, objective)
+        if rng.random() < 0.3 and log.n > 3:
+            row = rng.randrange(2, log.n)
+            col = rng.randrange(4)
+            mutated = [list(r) for r in log.rows]
+            mutated[row - 1][col] += 1
+            log = ExecutionLog(log.variables, tuple(tuple(r) for r in mutated))
+        yield model_text, log
+
+
+def bundled_town():
+    """The sample 5x5 town and its four-stop objective."""
+    town = load_town((SAMPLES / "town5x5.json").read_text())
+    objective = load_objective((SAMPLES / "objective.json").read_text())
+    return town, objective
+
+
+def fault_logs(town, objective):
+    """The criterion 5/6 corpus: honest log, all in-domain single-cell
+    forges over rows 2..n-1, every wrong-turn position, every skip."""
+    honest = simulate(town, objective)
+    domains = {
+        "x": range(town.width),
+        "y": range(town.height),
+        "d": range(4),
+        "k": range(len(objective.steps) + 1),
+    }
+    forges = []
+    for row in range(2, honest.n):
+        for col, var in enumerate(LOG_COLUMNS):
+            for value in domains[var]:
+                if value == honest.rows[row - 1][col]:
+                    continue
+                forges.append((f"forge:{row},{var},{value}",
+                               simulate(town, objective, fault=f"forge:{row},{var},{value}")))
+    wrong_turns = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a wrong turn may point off the map
+        for j in range(1, len(objective.steps) + 1):
+            wrong_turns.append(
+                (f"wrong-turn:{j}", simulate(town, objective, fault=f"wrong-turn:{j}"))
+            )
+    skips = [
+        (f"skip:{i}", simulate(town, objective, fault=f"skip:{i}"))
+        for i in range(2, honest.n - 1)
+    ]
+    return honest, forges, wrong_turns, skips
 
 
 IDENTS = st.sampled_from(("x", "y", "zz", "v_one"))

@@ -13,13 +13,13 @@ import warnings
 from pathlib import Path
 
 from conftest import ROOT, SAMPLES, SRC
-from corpus import random_formula, random_graph, random_town_and_objective
+from corpus import bundled_town, fault_logs, random_formula, random_graph, random_town_logs
 from naive_ctl import NaiveChecker
 from traceval import ctl
 from traceval.checker import sat
 from traceval.ctl import print_formula
 from traceval.errors import LedgerError
-from traceval.execlog import ExecutionLog, format_log, parse_log, strong_property, weak_property
+from traceval.execlog import format_log, parse_log, strong_property, weak_property
 from traceval.lang import parse_model
 from traceval.lifecycle import (
     ContentStore,
@@ -32,7 +32,7 @@ from traceval.lifecycle import (
     validate,
 )
 from traceval.model import build_graph
-from traceval.town import LOG_COLUMNS, simulate, town_model_text
+from traceval.town import simulate, town_model_text
 
 GRAPH_COUNT = 500
 FORMULA_COUNT = 200
@@ -111,19 +111,9 @@ def test_criterion_3_property_unrolling_goldens():
 
 
 def test_criterion_4_strong_implies_weak_on_random_towns():
-    rng = random.Random(240817)
     violations = 0
     strong_confirmed = 0
-    for _ in range(100):
-        town, objective = random_town_and_objective(rng)
-        model_text = town_model_text(town, objective)
-        log = simulate(town, objective)
-        if rng.random() < 0.3 and log.n > 3:
-            row = rng.randrange(2, log.n)
-            col = rng.randrange(4)
-            mutated = [list(r) for r in log.rows]
-            mutated[row - 1][col] += 1
-            log = ExecutionLog(log.variables, tuple(tuple(r) for r in mutated))
+    for model_text, log in random_town_logs():
         strong_verdict, _ = adjudicate(model_text, format_log(log), "strong")
         if strong_verdict == STATUS_CONFIRMED:
             strong_confirmed += 1
@@ -138,50 +128,10 @@ def test_criterion_4_strong_implies_weak_on_random_towns():
     )
 
 
-def _town_fixture():
-    from traceval.town import load_objective, load_town
-
-    town = load_town((SAMPLES / "town5x5.json").read_text())
-    objective = load_objective((SAMPLES / "objective.json").read_text())
-    return town, objective
-
-
-def _fault_logs(town, objective):
-    """The criterion 5/6 corpus: honest log, all in-domain single-cell
-    forges over rows 2..n-1, every wrong-turn position, every skip."""
-    honest = simulate(town, objective)
-    domains = {
-        "x": range(town.width),
-        "y": range(town.height),
-        "d": range(4),
-        "k": range(len(objective.steps) + 1),
-    }
-    forges = []
-    for row in range(2, honest.n):
-        for col, var in enumerate(LOG_COLUMNS):
-            for value in domains[var]:
-                if value == honest.rows[row - 1][col]:
-                    continue
-                forges.append((f"forge:{row},{var},{value}",
-                               simulate(town, objective, fault=f"forge:{row},{var},{value}")))
-    wrong_turns = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a wrong turn may point off the map
-        for j in range(1, len(objective.steps) + 1):
-            wrong_turns.append(
-                (f"wrong-turn:{j}", simulate(town, objective, fault=f"wrong-turn:{j}"))
-            )
-    skips = [
-        (f"skip:{i}", simulate(town, objective, fault=f"skip:{i}"))
-        for i in range(2, honest.n - 1)
-    ]
-    return honest, forges, wrong_turns, skips
-
-
 def test_criterion_5_fault_detection_is_complete(tmp_path):
     t0 = time.monotonic()
-    town, objective = _town_fixture()
-    honest, forges, wrong_turns, _ = _fault_logs(town, objective)
+    town, objective = bundled_town()
+    honest, forges, wrong_turns, _ = fault_logs(town, objective)
     model_text = town_model_text(town, objective)
 
     ledger = Ledger(tmp_path / "ledger.jsonl")
@@ -206,7 +156,7 @@ def test_criterion_5_fault_detection_is_complete(tmp_path):
 
 
 def test_criterion_6_partial_logs_pass_weak_only():
-    town, objective = _town_fixture()
+    town, objective = bundled_town()
     honest = simulate(town, objective)
     model_text = town_model_text(town, objective)
     assert honest.n >= 4
@@ -221,8 +171,8 @@ def test_criterion_6_partial_logs_pass_weak_only():
 
 
 def test_criterion_7_reduction_preserves_verdicts_and_shrinks():
-    town, objective = _town_fixture()
-    honest, forges, wrong_turns, skips = _fault_logs(town, objective)
+    town, objective = bundled_town()
+    honest, forges, wrong_turns, skips = fault_logs(town, objective)
     reduced_text = town_model_text(town, objective, reduce=True)
     unreduced_text = town_model_text(town, objective, reduce=False)
     reduced_states = build_graph(parse_model(reduced_text)).state_count

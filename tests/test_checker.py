@@ -1,16 +1,28 @@
 import operator
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corpus import random_formula, random_graph
+from corpus import GRAPH_VARS, bundled_town, fault_logs, random_formula, random_graph, random_town_logs
 from traceval import checker, ctl
-from traceval.checker import StateSet, holds_initially, sat
-from traceval.errors import EvalError
-from traceval.execlog import ExecutionLog, strong_property, weak_property
+from traceval.checker import StateSet, follow, holds_initially, sat
+from traceval.errors import EvalError, LogError
+from traceval.execlog import (
+    BASES,
+    MODES,
+    ExecutionLog,
+    UnsatisfiableLogWarning,
+    log_property,
+    strong_property,
+    weak_property,
+)
 from traceval.expr import INT_MAX, INT_MIN
 from traceval.lang import parse_formula, parse_model
 from traceval.model import build_graph
+from traceval.town import town_model_text
 
 
 def _indices(graph, text):
@@ -302,3 +314,163 @@ def test_a_40000_state_grid_counter():
     assert holds_initially(g, strong_property(staircase)).holds
     assert not holds_initially(g, strong_property(diagonal)).holds
     assert holds_initially(g, weak_property(diagonal)).holds
+
+
+# ---------------------------------------------------------------------------
+# The forward walk that judges logs, against CTL labelling and brute force
+# ---------------------------------------------------------------------------
+
+SHAPES = [(mode, base) for mode in MODES for base in BASES]
+
+
+def _ctl_holds(graph, log, mode, base):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnsatisfiableLogWarning)
+        return holds_initially(graph, log_property(log, mode, base)).holds
+
+
+def _assert_walk_matches_ctl(graph, log):
+    for mode, base in SHAPES:
+        assert (follow(graph, log, mode, base) is None) == _ctl_holds(graph, log, mode, base), (
+            mode, base, log.rows,
+        )
+
+
+@st.composite
+def graphs_and_logs(draw, sizes=(3, 8, 24), max_steps=5):
+    """A ``random_graph`` of at most ``max(sizes)`` states, often with
+    self-loops and repeated valuations, and a log of 2 to ``max_steps + 2``
+    rows that mostly walks it: a row is a successor of the last state, a
+    repeat of the last row, any state's valuation, or a valuation outside
+    the graph.  The last row is often repeated, so faithful logs both end
+    in two equal rows and not."""
+    rng = draw(st.randoms(use_true_random=False))
+    graph = random_graph(
+        rng,
+        max_states=draw(st.sampled_from(sizes)),
+        values=draw(st.sampled_from((2, 3, 8))),
+    )
+    states = graph.states
+    s = draw(st.sampled_from(sorted(graph.initial) * 3 + list(range(len(states)))))
+    rows = [states[s]]
+    for _ in range(draw(st.integers(1, max_steps))):
+        kind = draw(st.sampled_from(("step", "step", "step", "repeat", "any", "outside")))
+        if kind == "step":
+            s = draw(st.sampled_from(list(graph.successors(s))))
+            rows.append(states[s])
+        elif kind == "repeat":
+            rows.append(rows[-1])
+        elif kind == "any":
+            s = draw(st.integers(0, len(states) - 1))
+            rows.append(states[s])
+        else:
+            rows.append((draw(st.sampled_from((-1, 8, 9))), draw(st.integers(-1, 9))))
+    if draw(st.booleans()):
+        rows.append(rows[-1])
+    return graph, ExecutionLog(GRAPH_VARS, tuple(rows))
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs_and_logs())
+def test_walk_decides_the_log_property_on_random_graphs(case):
+    _assert_walk_matches_ctl(*case)
+
+
+def test_walk_decides_the_log_property_on_the_criteria_4_to_6_logs():
+    for model_text, log in random_town_logs():
+        graph = build_graph(parse_model(model_text))
+        _assert_walk_matches_ctl(graph, log)
+    town, objective = bundled_town()
+    honest, forges, wrong_turns, skips = fault_logs(town, objective)
+    logs = [honest] + [log for _, log in forges + wrong_turns + skips]
+    for reduce in (True, False):
+        graph = build_graph(parse_model(town_model_text(town, objective, reduce=reduce)))
+        for log in logs:
+            _assert_walk_matches_ctl(graph, log)
+
+
+def _reachable(graph, s):
+    seen, todo = {s}, [s]
+    while todo:
+        for t in graph.successors(todo.pop()):
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
+def _brute_witness(graph, log, mode, base):
+    """``(row, check)`` where the log leaves the model, or None, from every
+    path of the graph that follows the rows, listed state by state."""
+    rows, n = log.rows, log.n
+    last = n - 1 if base == "faithful" else n
+    step = graph.successors if mode == "strong" else lambda s: _reachable(graph, s)
+    paths = [(s,) for s in sorted(graph.initial)]
+    for k in range(1, last + 1):
+        if k > 1:
+            paths = [p + (t,) for p in paths for t in step(p[-1])]
+        paths = [p for p in paths if graph.states[p[-1]] == rows[k - 1]]
+        if not paths:
+            if rows[k - 1] not in graph.states:
+                return k, "not-a-model-state"
+            if k == 1:
+                return k, "not-initial"
+            return k, "no-transition" if mode == "strong" else "unreachable"
+    if any(all(graph.states[t] == rows[-1] for t in _reachable(graph, p[-1])) for p in paths):
+        return None
+    return n, "not-a-model-state" if rows[-1] not in graph.states else "not-absorbing"
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_logs(sizes=(3, 8), max_steps=3))
+def test_witness_is_the_first_row_no_path_follows(case):
+    graph, log = case
+    for mode, base in SHAPES:
+        witness = follow(graph, log, mode, base)
+        got = None if witness is None else (witness.row, witness.check)
+        assert got == _brute_witness(graph, log, mode, base), (mode, base, log.rows)
+
+
+def test_witnesses_on_a_chain():
+    # x counts 0..3 and stays at 3
+    g = build_graph(parse_model("var x : 0..3 init 0;\n[] x<3 -> x'=x+1;\n"))
+
+    def witness(column, mode="strong", base="faithful"):
+        found = follow(g, ExecutionLog(("x",), tuple((v,) for v in column)), mode, base)
+        return found and (found.row, found.check)
+
+    assert witness([0, 1, 2, 3, 3]) is None
+    assert witness([1, 2, 3, 3]) == (1, "not-initial")
+    assert witness([0, 1, 7, 3]) == (3, "not-a-model-state")
+    assert witness([0, 2, 3, 3]) == (2, "no-transition")
+    assert witness([0, 2, 3, 3], "weak") is None
+    assert witness([0, 2, 1, 3], "weak") == (3, "unreachable")
+    assert witness([0, 1, 2, 2]) == (4, "not-absorbing")
+    assert witness([0, 1, 2, 3]) == (4, "not-absorbing")
+    assert witness([0, 1, 2, 3], base="corrected") is None
+    assert witness([0, 1, 2, 9]) == (4, "not-a-model-state")
+
+
+def test_walk_refuses_what_log_property_refuses(chain2_graph):
+    log = ExecutionLog(("x",), ((0,), (1,), (1,)))
+    for mode, base, message in (
+        ("sideways", "faithful", "unknown property mode 'sideways'"),
+        ("strong", "lenient", "unknown base mode 'lenient'"),
+        ("sideways", "lenient", "unknown property mode 'sideways'"),
+    ):
+        for decide in (follow, log_property):
+            args = (chain2_graph, log) if decide is follow else (log,)
+            with pytest.raises(LogError, match=message):
+                decide(*args, mode, base)
+    with pytest.raises(EvalError, match="not the graph's variables"):
+        follow(chain2_graph, ExecutionLog(("y",), ((0,), (0,))))
+
+
+def test_states_with_matches_a_linear_scan():
+    rng = random.Random(4242)
+    for _ in range(60):
+        g = random_graph(rng, max_states=40, values=rng.choice((2, 3, 8)))
+        for v in {*g.states, (0, -1), (8, 8), (9, 0)}:
+            want = [i for i, state in enumerate(g.states) if state == v]
+            assert list(g.states_with(v)) == want, v
+    assert any(len(g.states_with(v)) > 1 for v in g.states)

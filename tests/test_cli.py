@@ -1,3 +1,8 @@
+import os
+import shutil
+import stat
+from pathlib import Path
+
 import pytest
 
 import naive_lex
@@ -85,9 +90,31 @@ def test_gen_model_unencodable_output_is_code_2(tmp_path, capsys):
     # comment but has no UTF-8 encoding
     bindings, out = tmp_path / "surrogate.json", tmp_path / "out.gcm"
     bindings.write_text('{"go": "x==0 -> x\'=1; // \\ud800\\n[] false"}')
+    out.write_text("old")
     code = main(["gen-model", "--template", str(SAMPLES / "gate.gcmt"), "--bindings", str(bindings), "-o", str(out)])
     assert code == 2
     assert f"error: cannot write {out}: " in capsys.readouterr().err
+    # the failed write leaves the old file, and no temporary file, behind
+    assert out.read_text() == "old"
+    assert sorted(os.listdir(tmp_path)) == ["out.gcm", "surrogate.json"]
+
+
+def test_write_replaces_the_file_with_a_new_files_mode(tmp_path):
+    out = tmp_path / "gate.gcm"
+    out.write_text("old")
+    args = ["gen-model", "--template", str(SAMPLES / "gate.gcmt"),
+            "--bindings", str(SAMPLES / "gate_bindings.json"), "-o", str(out)]
+    assert main(args) == 0
+    assert "x==0 -> x'=1;" in out.read_text()
+    fresh = tmp_path / "fresh"
+    fresh.touch()
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(fresh.stat().st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["fresh", "gate.gcm"]
+
+
+def test_write_to_a_device_writes_in_place(capsys):
+    assert main(["gen-property", "--log", str(SAMPLES / "chain2.csv"), "-o", "/dev/null"]) == 0
+    assert Path("/dev/null").is_char_device()
 
 
 def test_gen_property_golden(tmp_path, capsys):
@@ -289,6 +316,25 @@ def test_demo_wrong_turn_rejects(capsys):
                  "--fault", "wrong-turn:2"])
     assert code == 1
     assert "Rejected" in capsys.readouterr().out
+
+
+def test_demo_wrong_turn_ledger_names_the_row(capsys):
+    main(["demo", "--town", str(SAMPLES / "town5x5.json"),
+          "--objective", str(SAMPLES / "objective.json"),
+          "--fault", "wrong-turn:2"])
+    out = capsys.readouterr().out
+    workspace = Path(out.splitlines()[0].removeprefix("workspace: "))
+    try:
+        verdict = Ledger(workspace / "ledger.jsonl").events[-1]
+    finally:
+        shutil.rmtree(workspace)
+    # the robot turns the wrong way at the second stop, row 3, and row 4
+    # is a position the model never reaches
+    assert verdict == {
+        "seq": 3, "kind": "Verdict", "id": 1, "verdict": "Rejected",
+        "reason": "property-failed", "row": 4, "check": "not-a-model-state",
+    }
+    assert "validate: liability 1 Rejected (property-failed)\n" in out
 
 
 def test_demo_skip_with_weak_confirms(capsys):

@@ -141,6 +141,50 @@ def test_validate_rejects_variable_mismatch(ledger, store):
     assert reason == "variable-mismatch"
 
 
+def test_validate_records_where_a_skip_log_leaves_the_model(ledger, store, town5x5, objective4):
+    from traceval.execlog import format_log
+    from traceval.town import simulate, town_model_text
+
+    model_text = town_model_text(town5x5, objective4)
+    log_text = format_log(simulate(town5x5, objective4, fault="skip:3"))
+    strong = _submitted(ledger, store, model_text, log_text)
+    weak = _submitted(ledger, store, model_text, log_text)
+    assert validate(ledger, store, strong, "strong") == STATUS_REJECTED
+    assert validate(ledger, store, weak, "weak") == STATUS_CONFIRMED
+    # row 3 now holds what row 4 held, one move past row 2
+    assert ledger.events[-2] == {
+        "seq": 5, "kind": "Verdict", "id": strong, "verdict": STATUS_REJECTED,
+        "reason": "property-failed", "row": 3, "check": "no-transition",
+    }
+    assert ledger.events[-1] == {"seq": 6, "kind": "Verdict", "id": weak, "verdict": STATUS_CONFIRMED}
+    assert Ledger(ledger.path).events == ledger.events
+    assert adjudicate(model_text, log_text, "strong") == (STATUS_REJECTED, "property-failed")
+
+
+def test_judge_builds_no_property_and_labels_nothing(monkeypatch):
+    from traceval import checker, execlog
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("judge labelled the graph")
+
+    for owner, name in ((checker, "sat"), (checker, "holds_initially"), (execlog, "log_property"),
+                        (lifecycle, "holds_initially"), (lifecycle, "log_property")):
+        monkeypatch.setattr(owner, name, forbidden)
+    for mode in ("strong", "weak"):
+        assert adjudicate(CHAIN2, "x\n0\n1\n1\n", mode) == (STATUS_CONFIRMED, None)
+        assert adjudicate(TOGGLE, "x\n0\n1\n1\n", mode) == (STATUS_REJECTED, "property-failed")
+
+
+def test_only_a_failed_property_records_a_witness(ledger, store):
+    mismatch = _submitted(ledger, store, log_text="y\n0\n1\n1\n")
+    forged = _submitted(ledger, store, log_text="x\n0\n0\n1\n")
+    validate(ledger, store, mismatch)
+    validate(ledger, store, forged)
+    first, second = (e for e in ledger.events if e["kind"] == "Verdict")
+    assert "row" not in first and "check" not in first
+    assert (second["row"], second["check"]) == (2, "no-transition")
+
+
 def test_validate_requires_submitted_status(ledger, store):
     model_hash, objective_hash, _ = _seed(store)
     lid = create_liability(ledger, store, "0xaa", "0xbb", model_hash, objective_hash)
