@@ -5,8 +5,11 @@ Expressions are plain frozen dataclasses.  Typing is static: arithmetic
 combine booleans, and a mismatch is found without evaluating anything.
 ``compile_expr`` type-checks a tree and turns it into a function of a
 valuation tuple in one pass, so a model's guards and updates are walked
-once, not at every state.  Arithmetic is checked against the signed 64-bit
-range so results stay machine-representable.
+once, not at every state.  ``compile_parts`` does the same but hands back
+what is data as data: the ``var==const`` pins of a top-level ``&`` chain,
+apart from the function of the rest, and the value of a literal.
+Arithmetic is checked against the signed 64-bit range so results stay
+machine-representable.
 """
 
 from __future__ import annotations
@@ -126,7 +129,87 @@ def compile_expr(
     raise it only on 64-bit overflow.
     """
     slots = {name: i for i, name in enumerate(names)}
-    consts = consts or {}
+    compiled = _compile(expr, slots, consts or {})
+    return compiled[0], _function(compiled)
+
+
+def compile_parts(
+    expr: Expr,
+    slots: Mapping[str, int],
+    consts: Mapping[str, int],
+) -> tuple[str, tuple[tuple[int, int], ...], Callable | None, bool, int | bool | None]:
+    """Like :func:`compile_expr`, but keep what is data as data.
+
+    ``slots`` maps each variable to its slot in the valuation tuple.
+    Returns ``(type, pins, rest, safe, value)``:
+
+    - ``pins``: the ``(slot, value)`` pairs of the ``var==const`` (or
+      ``const==var``) conjuncts of the top-level ``&`` chain.  A pin under
+      ``|`` or ``!`` is not a pin.
+    - ``rest``: the function of a valuation that the rest of the
+      expression computes; ``None`` when nothing is left, or when the
+      expression is a literal or a constant.
+    - ``safe``: ``rest`` cannot raise.
+    - ``value``: the value of a literal or a constant, else ``None``.
+
+    A boolean expression holds exactly where every pin holds and ``rest``
+    is true.  Errors are those of :func:`compile_expr`.
+    """
+    if type(expr) is BinOp and expr.op == "&":
+        split = _split_comparisons(expr, slots, consts)
+        if split is not None:
+            pins, tests = split
+            return "bool", tuple(pins), _all_hold(tests), True, None
+    kind, fn, slot, value, safe, pins = _compile(expr, slots, consts)
+    if slot is not None:
+        fn = itemgetter(slot)
+    return kind, tuple(pins), fn, safe, value
+
+
+def _split_comparisons(expr: BinOp, slots: Mapping[str, int], consts: Mapping[str, int]):
+    """The pins and the ``(comparator, slot, value)`` tests of a conjunction
+    whose every conjunct compares a variable with a literal or a constant,
+    the commonest guard; ``None`` for any other expression.  Such a
+    conjunction is well typed and cannot raise."""
+    pins, tests = [], []
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if type(e) is not BinOp:
+            return None
+        op, left, right = e.op, e.left, e.right
+        if op == "&":
+            stack += (right, left)
+            continue
+        if op not in CMP_OPS or type(left) is not Name or left.ident not in slots:
+            return None
+        if type(right) is IntLit:
+            value = right.value
+        elif type(right) is Name and right.ident not in slots and right.ident in consts:
+            value = consts[right.ident]
+        else:
+            return None
+        if op == "==":
+            pins.append((slots[left.ident], value))
+        else:
+            tests.append((CMP_OPS[op], slots[left.ident], value))
+    return pins, tests
+
+
+def _all_hold(tests):
+    """A function true where every ``(comparator, slot, value)`` test holds,
+    or ``None`` for no tests."""
+    if not tests:
+        return None
+    if len(tests) == 1:
+        ((f, slot, value),) = tests
+        return lambda v: f(v[slot], value)
+    return lambda v: all(f(v[slot], value) for f, slot, value in tests)
+
+
+def _compile(expr: Expr, slots: Mapping[str, int], consts: Mapping[str, int]):
+    if type(expr) in _LEAF_TYPES:  # the commonest update, without the walk
+        return _compile_leaf(expr, slots, consts)
     # Pre-order with the right operand taken first, reversed, is post-order
     # with the left operand first: the order the operands are evaluated in.
     order = []
@@ -147,15 +230,17 @@ def compile_expr(
             done[-1] = _compile_not(done[-1])
         else:
             done.append(_compile_leaf(e, slots, consts))
-    return done[0][0], _function(done[0])
+    return done[0]
 
 
 # A node compiles to (type, fn, slot, value, safe, pins).  A variable
 # leaves fn unset and gives its slot, a literal or a constant its value, so
-# that comparing a variable with a constant reads the slot directly.  A
-# conjunction of equalities between variables and constants leaves fn unset
-# and gives its (slot, value) pairs as pins, and compiles to one comparison
-# of tuples.  ``safe`` means fn cannot raise: the node holds no arithmetic.
+# that comparing a variable with a constant reads the slot directly.  An
+# equality between a variable and a constant gives its (slot, value) pair
+# as a pin, and a conjunction gathers its operands' pins: the node holds
+# where every pin holds and fn, the rest, is true (fn unset: no rest).
+# ``safe`` means fn cannot raise: the rest holds no arithmetic.  Pins never
+# raise, so evaluating them first changes no result and no error.
 
 
 def _compile_leaf(e, slots: Mapping[str, int], consts: Mapping[str, int]):
@@ -177,42 +262,79 @@ def _compile_not(operand):
 
 def _compile_binary(e: BinOp, left, right):
     kind = _binary_type(e.op, left[0], right[0])
-    op, slot, value = e.op, left[2], right[3]
+    op = e.op
     safe = left[4] and right[4]
+    if op == "==":
+        for var, const in ((left, right), (right, left)):
+            if var[2] is not None and const[3] is not None:
+                return kind, None, None, None, True, [(var[2], const[3])]
+    if op == "&":
+        return _compile_and(kind, left, right)
+    slot, value = left[2], right[3]
     if op in CMP_OPS and slot is not None and value is not None:
-        if op == "==":
-            return kind, None, None, None, True, ((slot, value),)
         f = CMP_OPS[op]
         return kind, lambda v: f(v[slot], value), None, None, True, ()
-    if op == "&" and left[5] and right[5]:
-        return kind, None, None, None, True, left[5] + right[5]
     a, b = _function(left), _function(right)
     if op in CMP_OPS:
         f = CMP_OPS[op]
         return kind, lambda v: f(a(v), b(v)), None, None, safe, ()
     if op in ARITH_OPS:
         return kind, _arith(op, a, b), None, None, False, ()
-    # Both operands of '&' and '|' are always evaluated, so that an overflow
-    # on the right raises whatever the left gives; when the right cannot
-    # raise, skipping it changes nothing.
-    if op == "&":
-        fn = (lambda v: a(v) and b(v)) if right[4] else (lambda v: a(v) & b(v))
-    else:
-        fn = (lambda v: a(v) or b(v)) if right[4] else (lambda v: a(v) | b(v))
+    # Both operands of '|' are always evaluated, so that an overflow on the
+    # right raises whatever the left gives; when the right cannot raise,
+    # skipping it changes nothing.
+    fn = (lambda v: a(v) or b(v)) if right[4] else (lambda v: a(v) | b(v))
     return kind, fn, None, None, safe, ()
+
+
+def _compile_and(kind, left, right):
+    # Gather the pins into the longer list, so that a long chain is linear.
+    pins, other = left[5], right[5]
+    if len(pins) < len(other):
+        pins, other = other, pins
+    if other:
+        pins.extend(other)
+    a, b = _rest(left), _rest(right)
+    if a is None or b is None:
+        fn = a or b
+    elif right[4]:
+        fn = lambda v: a(v) and b(v)
+    else:
+        # the right operand is evaluated even when the left one is false
+        fn = lambda v: a(v) & b(v)
+    return kind, fn, None, None, left[4] and right[4], pins
+
+
+def _rest(compiled):
+    """The function of what a node computes besides its pins, or ``None``."""
+    return compiled[1] if compiled[5] else _function(compiled)
+
+
+def conjunction(pins, rest, safe: bool) -> Callable[[tuple[int, ...]], bool] | None:
+    """The function of a valuation true where every ``(slot, value)`` pin
+    holds and ``rest``, unless it is ``None``, is true; ``None`` when there
+    are neither.  ``safe`` means ``rest`` cannot raise; when it can, it is
+    evaluated even where a pin fails, so that it raises there too."""
+    if not pins:
+        return rest
+    slots, values = zip(*pins)
+    get = itemgetter(*slots)
+    if len(pins) == 1:
+        values = values[0]  # one slot: itemgetter returns the value itself
+    if rest is None:
+        return lambda v: get(v) == values
+    if safe:
+        return lambda v: get(v) == values and rest(v)
+    return lambda v: (get(v) == values) & rest(v)
 
 
 def _function(compiled):
     """The function of a valuation that a compiled node computes."""
-    _, fn, slot, value, _, pins = compiled
+    _, fn, slot, value, safe, pins = compiled
+    if pins:
+        return conjunction(pins, fn, safe)
     if fn is not None:
         return fn
-    if pins:
-        slots, values = zip(*pins)
-        get = itemgetter(*slots)
-        if len(pins) == 1:
-            values = values[0]  # one slot: itemgetter returns the value itself
-        return lambda v: get(v) == values
     if slot is not None:
         return itemgetter(slot)
     return lambda v: value

@@ -14,11 +14,11 @@ store, build the state graph and walk the log's rows forward through it
 without labelling the graph.  It runs in two stages: ``PreparedModel``
 parses a model text and builds its graph on first demand, and
 ``PreparedModel.judge`` checks one log against it.  A ``property-failed``
-verdict event also records the row the log left the model at and the
-check that row failed.  ``run_validator`` prepares each distinct model
-text once per call, through a ``functools.lru_cache`` of the few most
-recently used; ``adjudicate`` and ``validate`` prepare a fresh one per
-call.  Malformed artifacts reject the liability with a reason code instead
+verdict event also records the row the log left the model at, the check
+that row failed and the graph's state and edge counts.  ``run_validator``
+prepares each distinct model text once per call, through a
+``functools.lru_cache`` of the few most recently used; ``adjudicate`` and
+``validate`` prepare a fresh one per call.  Malformed artifacts reject the liability with a reason code instead
 of raising, so a hostile provider cannot crash the validator.
 
 Single writer per ledger file; concurrent readers of ledger and store are
@@ -386,7 +386,8 @@ def _validate(
     """``validate`` with the model text prepared by ``prepare``.  Both blobs
     are read for every verdict, so missing and undecodable blobs are found
     whether or not the model is cached.  A failed property's event carries
-    the witness's ``row`` and ``check``."""
+    the witness's ``row`` and ``check`` and the graph's ``states`` and
+    ``edges`` counts."""
     liab = ledger.liability(lid)
     if liab.status != STATUS_RESULT_SUBMITTED:
         raise LedgerError(f"liability {lid}: nothing to validate in status {liab.status}")
@@ -405,12 +406,16 @@ def _validate(
         except UnicodeDecodeError:
             verdict, reason = STATUS_REJECTED, REASON_MALFORMED_LOG
     if verdict is None:
-        verdict, reason, witness = prepare(model_text).judge(log_text, mode, base)
+        prepared = prepare(model_text)
+        verdict, reason, witness = prepared.judge(log_text, mode, base)
     event = {"id": lid, "verdict": verdict}
     if reason is not None:
         event["reason"] = reason
     if witness is not None:
-        event.update(row=witness.row, check=witness.check)
+        graph = prepared.graph
+        event.update(
+            row=witness.row, check=witness.check, states=graph.state_count, edges=graph.edge_count
+        )
     ledger.append(KIND_VERDICT, **event)
     return verdict
 

@@ -7,11 +7,18 @@ variable in declaration order.  ``step`` fires every enabled command once
 valuation, which materializes as a self-loop in the built graph so the
 transition relation is total.
 
-``compile_step`` compiles every guard and update into a function of the
-valuation tuple once per model, and returns the successor function that
-``step`` and ``build_graph`` both call; no state builds a dict or walks an
-expression tree.  Static type errors in guards, runtime errors in updates
-and arithmetic overflow all raise :class:`ModelError` naming the command.
+``compile_step`` compiles every guard and update once per model, and
+returns the successor function that ``step`` and ``build_graph`` both call;
+no state builds a dict or walks an expression tree.  What is data stays
+data: a guard's pins, the ``var==const`` conjuncts of its top-level ``&``
+chain, and an update to a literal in range are kept as values, not
+closures.  Commands are dispatched on their pins: those pinning the same
+variables share a table keyed by the pinned values, so a state looks up
+the commands whose pins it meets, one lookup per table, and tries only
+those and the commands with no pins, in declaration order.  A command
+whose rest of guard can raise is tried at every state instead.  Static
+type errors in guards, runtime errors in updates and arithmetic overflow
+all raise :class:`ModelError` naming the first failing command.
 
 Names in expressions are checked where they are resolved.  ``lang``
 refuses model text that uses an undeclared name; for a model constructed
@@ -34,12 +41,13 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from operator import itemgetter
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import EvalError, ModelError, StateExplosionError
-from .expr import BoolLit, Expr, compile_expr
+from .expr import Expr, compile_expr, compile_parts, conjunction
 
 Valuation = tuple[int, ...]
 
@@ -118,33 +126,49 @@ def _fails(message: str):
     return fail
 
 
-def _compile_command(model: SystemModel, names: tuple[str, ...], i: int):
-    """``(where, guard, fire)`` for command ``i``: its description, whether
-    it is enabled at a valuation, and the valuation it leads to.  Like a
-    failing update, an update that cannot be typed raises only when its
-    command fires."""
+def _compile_command(model: SystemModel, slots: Mapping[str, int], i: int):
+    """``(where, pins, rest, safe, fire)`` for command ``i``, or ``None``
+    when its guard is the literal ``false``, so that it never fires.
+
+    The guard holds where every ``(slot, value)`` pin holds and ``rest``,
+    unless it is ``None``, is true; ``safe`` means ``rest`` cannot raise.
+    ``where`` describes the command and ``fire`` gives the valuation it
+    leads to.  Like a failing update, an update that cannot be typed
+    raises only when its command fires."""
     cmd = model.commands[i]
     where = cmd.describe(i)
     try:
-        kind, guard = compile_expr(cmd.guard, names, model.constants)
+        kind, pins, rest, safe, value = compile_parts(cmd.guard, slots, model.constants)
     except EvalError as exc:
         raise ModelError(f"{where}: {exc}") from None
     if kind != "bool":
         raise ModelError(f"{where}: guard is not boolean")
-    updates = []
+    if value is False:
+        return None
+    # A literal update inside its variable's range is data: it is written
+    # into the successor and never checked again.
+    literals, updates = [], []
     for name, rhs in cmd.updates:
-        slot = names.index(name)
+        slot = slots[name]
         decl = model.variables[slot]
         try:
-            kind, value = compile_expr(rhs, names, model.constants)
+            kind, _, fn, _, value = compile_parts(rhs, slots, model.constants)
         except EvalError as exc:
-            kind, value = "int", _fails(f"{where}: {exc}")
+            kind, fn, value = "int", _fails(f"{where}: {exc}"), None
         if kind != "int":
-            value = _fails(f"{where}: update of '{name}' is not integer")
-        updates.append((slot, value, decl.lo, decl.hi, name))
+            fn, value = _fails(f"{where}: update of '{name}' is not integer"), None
+        if value is not None and decl.lo <= value <= decl.hi:
+            literals.append((slot, value))
+            continue
+        if fn is None:
+            fn = _constant(value)
+        updates.append((slot, fn, decl.lo, decl.hi, name))
+
+    # plain list() for a command with no literal, so that it pays nothing
+    start = _writing(literals) if literals else list
 
     def fire(v: Valuation) -> Valuation:
-        nxt = list(v)
+        nxt = start(v)
         for slot, value, lo, hi, name in updates:
             val = value(v)
             if not lo <= val <= hi:
@@ -154,37 +178,94 @@ def _compile_command(model: SystemModel, names: tuple[str, ...], i: int):
             nxt[slot] = val
         return tuple(nxt)
 
-    return where, guard, fire
+    return where, pins, rest, safe, fire
+
+
+def _constant(value: int):
+    return lambda v: value
+
+
+def _writing(literals):
+    """A function giving a valuation as a list with the ``(slot, value)``
+    literals written into it."""
+
+    def start(v: Valuation) -> list[int]:
+        nxt = list(v)
+        for slot, value in literals:
+            nxt[slot] = value
+        return nxt
+
+    return start
 
 
 def compile_step(model: SystemModel) -> Callable[[Valuation], list[Valuation]]:
     """Compile every guard and update of ``model`` once, and return its
     successor function: see :func:`step`.
 
+    Commands are dispatched on the pins of their guards, the ``var==const``
+    conjuncts of a guard's top-level ``&`` chain.  Commands whose pins fix
+    the same variables share one table, keyed by the pinned values; at each
+    state one lookup per table returns the commands whose pins hold there,
+    and only those, plus the commands with no pins, are tried, in
+    declaration order, so that the first failing command is the one named.
+    A command is put in a table only when the rest of its guard cannot
+    raise, so that skipping it where its pins fail changes nothing; any
+    other command is tried at every state with its whole guard.  A command
+    with contradictory pins, such as ``x==1 & x==2``, and one guarded by
+    the literal ``false`` are dropped.  A model with no pins is scanned as
+    a plain list, with no lookup.
+
     Raises :class:`ModelError` for a guard that is not boolean or cannot be
     typed; the successor function raises it when an update is not integer
     or leaves its variable's range, or when arithmetic overflows.
     """
-    names = model.var_names
-    # A command guarded by the literal 'false' never fires, so its updates
-    # are never evaluated; reduced models consist mostly of such commands.
-    commands = [
-        _compile_command(model, names, i)
-        for i, cmd in enumerate(model.commands)
-        if cmd.guard != BoolLit(False)
-    ]
+    slots = {name: i for i, name in enumerate(model.var_names)}
+    scanned = []  # (index, where, guard, fire), tried at every state
+    tables: dict[tuple[int, ...], dict] = {}
+    for i in range(len(model.commands)):
+        compiled = _compile_command(model, slots, i)
+        if compiled is None:
+            continue
+        where, pins, rest, safe, fire = compiled
+        if not (pins and safe):
+            scanned.append((i, where, conjunction(pins, rest, safe) or _always, fire))
+            continue
+        fixed: dict[int, int] = {}
+        if any(fixed.setdefault(slot, value) != value for slot, value in pins):
+            continue  # contradictory pins: never enabled, and the rest cannot raise
+        pinned = tuple(sorted(fixed))
+        key = tuple(fixed[slot] for slot in pinned)
+        table = tables.setdefault(pinned, {})
+        # itemgetter of one slot returns the value itself, so one-slot
+        # tables are keyed by bare values
+        table.setdefault(key if len(key) > 1 else key[0], []).append((i, where, rest or _always, fire))
+    lookups = [(itemgetter(*pinned), table.get) for pinned, table in tables.items()]
 
-    def successors(v: Valuation) -> list[Valuation]:
+    # commands defaults to the scanned list, so that a model with no pins
+    # is served by this function alone
+    def successors(v: Valuation, commands=scanned) -> list[Valuation]:
         out: set[Valuation] = set()
         try:
-            for where, guard, fire in commands:
+            for _, where, guard, fire in commands:
                 if guard(v):
                     out.add(fire(v))
         except EvalError as exc:
             raise ModelError(f"{where}: {exc}") from None
         return sorted(out) if out else [v]
 
-    return successors
+    if not lookups:
+        return successors
+
+    def dispatch(v: Valuation) -> list[Valuation]:
+        commands = scanned + [c for get, lookup in lookups for c in lookup(get(v), ())]
+        commands.sort()  # declaration order; indices are unique
+        return successors(v, commands)
+
+    return dispatch
+
+
+def _always(v: Valuation) -> bool:
+    return True
 
 
 def step(model: SystemModel, v: Valuation) -> list[Valuation]:

@@ -1,9 +1,10 @@
 """Reference evaluator used against the compiled one in ``traceval``.
 
 ``eval_expr`` walks the expression tree at every call and checks operand
-types dynamically; ``step`` rebuilds its environment dicts per state and
-interprets every guard and update with it.  ``reachable_graph`` is a plain
-breadth-first search over ``step``.  None of the compiled code is reused.
+types dynamically; ``step`` rebuilds its environment dicts per state,
+interprets every guard and update with it and names the command in every
+error it raises.  ``reachable_graph`` is a plain breadth-first search over
+``step``.  None of the compiled code is reused.
 """
 
 from __future__ import annotations
@@ -93,23 +94,26 @@ def step(model: SystemModel, v: Valuation) -> list[Valuation]:
     index = {decl.name: i for i, decl in enumerate(model.variables)}
     out: set[Valuation] = set()
     for i, cmd in enumerate(model.commands):
-        enabled = eval_expr(cmd.guard, env, model.constants)
-        if not isinstance(enabled, bool):
-            raise ModelError(f"{cmd.describe(i)}: guard is not boolean")
-        if not enabled:
-            continue
-        nxt = list(v)
-        for name, rhs in cmd.updates:
-            val = eval_expr(rhs, env, model.constants)
-            if isinstance(val, bool):
-                raise ModelError(f"{cmd.describe(i)}: update of '{name}' is not integer")
-            lo, hi = bounds[name]
-            if not lo <= val <= hi:
-                raise ModelError(
-                    f"{cmd.describe(i)}: update drives '{name}' to {val}, "
-                    f"outside {lo}..{hi}"
-                )
-            nxt[index[name]] = val
+        try:
+            enabled = eval_expr(cmd.guard, env, model.constants)
+            if not isinstance(enabled, bool):
+                raise ModelError(f"{cmd.describe(i)}: guard is not boolean")
+            if not enabled:
+                continue
+            nxt = list(v)
+            for name, rhs in cmd.updates:
+                val = eval_expr(rhs, env, model.constants)
+                if isinstance(val, bool):
+                    raise ModelError(f"{cmd.describe(i)}: update of '{name}' is not integer")
+                lo, hi = bounds[name]
+                if not lo <= val <= hi:
+                    raise ModelError(
+                        f"{cmd.describe(i)}: update drives '{name}' to {val}, "
+                        f"outside {lo}..{hi}"
+                    )
+                nxt[index[name]] = val
+        except EvalError as exc:
+            raise ModelError(f"{cmd.describe(i)}: {exc}") from None
         out.add(tuple(nxt))
     if not out:
         return [v]

@@ -193,11 +193,14 @@ def test_criterion_7_reduction_preserves_verdicts_and_shrinks():
     )
 
 
-def _run_cli(args, cwd=None):
+def _run_cli(args, cwd=None, tmpdir=None):
+    """Run the CLI in a subprocess; ``tmpdir``, when given, is its TMPDIR."""
     import os
 
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    if tmpdir is not None:
+        env["TMPDIR"] = str(tmpdir)
     return subprocess.run(
         [sys.executable, "-m", "traceval", *args],
         capture_output=True,
@@ -212,13 +215,16 @@ def test_criterion_8_end_to_end_demo_and_replay(tmp_path):
     town = str(SAMPLES / "town5x5.json")
     objective = str(SAMPLES / "objective.json")
 
+    # demo's workspaces go under tmp_path, which pytest removes
+    demo_tmp = tmp_path / "demo"
+    demo_tmp.mkdir()
     t0 = time.monotonic()
-    honest = _run_cli(["demo", "--town", town, "--objective", objective])
+    honest = _run_cli(["demo", "--town", town, "--objective", objective], tmpdir=demo_tmp)
     demo_elapsed = time.monotonic() - t0
     honest_ok = honest.returncode == 0 and "Confirmed" in honest.stdout
 
     faulty = _run_cli(["demo", "--town", town, "--objective", objective,
-                       "--fault", "wrong-turn:2"])
+                       "--fault", "wrong-turn:2"], tmpdir=demo_tmp)
     faulty_ok = faulty.returncode == 1 and "Rejected" in faulty.stdout
 
     # replay: prepare one workspace via order+execute, copy it, then

@@ -1,6 +1,6 @@
 import os
-import shutil
 import stat
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -301,16 +301,25 @@ def test_validate_nothing_pending(tmp_path, capsys):
     assert "0 processed" in capsys.readouterr().out
 
 
-def test_demo_honest_confirms(capsys):
+@pytest.fixture
+def demo_tmp(tmp_path, monkeypatch):
+    """Make ``demo``'s workspace under the test's own directory, which pytest
+    removes, instead of the system temporary directory."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    return tmp_path
+
+
+def test_demo_honest_confirms(capsys, demo_tmp):
     code = main(["demo", "--town", str(SAMPLES / "town5x5.json"),
                  "--objective", str(SAMPLES / "objective.json")])
     out = capsys.readouterr().out
     assert code == 0
     assert "Confirmed" in out
-    assert "workspace:" in out
+    workspace = Path(out.splitlines()[0].removeprefix("workspace: "))
+    assert workspace.parent == demo_tmp and workspace.name.startswith("traceval-demo-")
 
 
-def test_demo_wrong_turn_rejects(capsys):
+def test_demo_wrong_turn_rejects(capsys, demo_tmp):
     code = main(["demo", "--town", str(SAMPLES / "town5x5.json"),
                  "--objective", str(SAMPLES / "objective.json"),
                  "--fault", "wrong-turn:2"])
@@ -318,26 +327,25 @@ def test_demo_wrong_turn_rejects(capsys):
     assert "Rejected" in capsys.readouterr().out
 
 
-def test_demo_wrong_turn_ledger_names_the_row(capsys):
+def test_demo_wrong_turn_ledger_names_the_row(capsys, demo_tmp):
     main(["demo", "--town", str(SAMPLES / "town5x5.json"),
           "--objective", str(SAMPLES / "objective.json"),
           "--fault", "wrong-turn:2"])
     out = capsys.readouterr().out
     workspace = Path(out.splitlines()[0].removeprefix("workspace: "))
-    try:
-        verdict = Ledger(workspace / "ledger.jsonl").events[-1]
-    finally:
-        shutil.rmtree(workspace)
+    verdict = Ledger(workspace / "ledger.jsonl").events[-1]
     # the robot turns the wrong way at the second stop, row 3, and row 4
-    # is a position the model never reaches
+    # is a position the model never reaches; the bundled town's reduced
+    # model has 8 states and 8 edges
     assert verdict == {
         "seq": 3, "kind": "Verdict", "id": 1, "verdict": "Rejected",
         "reason": "property-failed", "row": 4, "check": "not-a-model-state",
+        "states": 8, "edges": 8,
     }
     assert "validate: liability 1 Rejected (property-failed)\n" in out
 
 
-def test_demo_skip_with_weak_confirms(capsys):
+def test_demo_skip_with_weak_confirms(capsys, demo_tmp):
     code = main(["demo", "--town", str(SAMPLES / "town5x5.json"),
                  "--objective", str(SAMPLES / "objective.json"),
                  "--fault", "skip:3", "--type", "weak"])

@@ -151,10 +151,12 @@ def test_validate_records_where_a_skip_log_leaves_the_model(ledger, store, town5
     weak = _submitted(ledger, store, model_text, log_text)
     assert validate(ledger, store, strong, "strong") == STATUS_REJECTED
     assert validate(ledger, store, weak, "weak") == STATUS_CONFIRMED
-    # row 3 now holds what row 4 held, one move past row 2
+    # row 3 now holds what row 4 held, one move past row 2; the reduced
+    # model has 8 states and 8 edges
     assert ledger.events[-2] == {
         "seq": 5, "kind": "Verdict", "id": strong, "verdict": STATUS_REJECTED,
         "reason": "property-failed", "row": 3, "check": "no-transition",
+        "states": 8, "edges": 8,
     }
     assert ledger.events[-1] == {"seq": 6, "kind": "Verdict", "id": weak, "verdict": STATUS_CONFIRMED}
     assert Ledger(ledger.path).events == ledger.events
@@ -181,8 +183,9 @@ def test_only_a_failed_property_records_a_witness(ledger, store):
     validate(ledger, store, mismatch)
     validate(ledger, store, forged)
     first, second = (e for e in ledger.events if e["kind"] == "Verdict")
-    assert "row" not in first and "check" not in first
+    assert not {"row", "check", "states", "edges"} & set(first)
     assert (second["row"], second["check"]) == (2, "no-transition")
+    assert (second["states"], second["edges"]) == (2, 2)
 
 
 def test_validate_requires_submitted_status(ledger, store):

@@ -1,16 +1,21 @@
+import collections
 import itertools
 import random
+import re
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import naive_eval
 from conftest import CHAIN2, TOGGLE
 from corpus import full_grid_town, models
 from traceval.errors import EvalError, ModelError, StateExplosionError
-from traceval.expr import INT_MAX, BinOp, BoolLit, IntLit, Name
+from traceval import model as model_module
+from traceval.expr import INT_MAX, BinOp, BoolLit, IntLit, Name, NotOp
 from traceval.lang import parse_model
-from traceval.model import GuardedCommand, SystemModel, VarDecl, build_graph, step
+from traceval.model import GuardedCommand, SystemModel, VarDecl, build_graph, compile_step, step
 from traceval.town import Objective, ObjectiveStep, town_model_text
 
 
@@ -210,19 +215,25 @@ def test_compiled_step_and_graph_match_reference(model):
     _assert_graph_matches_reference(model)
 
 
-def test_build_graph_matches_reference_on_towns(town5x5, objective4):
+def _grid12_model():
+    """The unreduced model of a 12x12 full-grid town with six stops: about
+    600 commands, each pinned to one (x, y, d)."""
     tags = {(5, 0): 1, (5, 6): 2, (9, 6): 3, (9, 10): 4, (2, 10): 5, (2, 3): 6}
     grid12 = full_grid_town(12, 12, tags, (0, 0, 1))
     drive = Objective(tuple(
         ObjectiveStep(tag, action)
         for tag, action in ((1, "left"), (2, "right"), (3, "left"), (4, "left"), (5, "left"), (6, "forward"))
     ))
-    for town, objective, reduce in (
-        (town5x5, objective4, True),
-        (town5x5, objective4, False),
-        (grid12, drive, False),
+    return parse_model(town_model_text(grid12, drive, reduce=False))
+
+
+def test_build_graph_matches_reference_on_towns(town5x5, objective4):
+    for model in (
+        parse_model(town_model_text(town5x5, objective4, reduce=True)),
+        parse_model(town_model_text(town5x5, objective4, reduce=False)),
+        _grid12_model(),
     ):
-        _assert_graph_matches_reference(parse_model(town_model_text(town, objective, reduce=reduce)))
+        _assert_graph_matches_reference(model)
 
 
 _X_IS_1 = BinOp("==", Name("x"), IntLit(1))
@@ -266,3 +277,177 @@ def test_errors_raise_model_error_exactly_where_the_reference_raises(guard, upda
                 step(model, (x,))
         else:
             assert step(model, (x,)) == naive_eval.step(model, (x,))
+
+
+# --- dispatch on pinned conjuncts ---------------------------------------------
+
+_GUARD_VARS = ("x", "y", "zz")
+
+
+def _overflows_unless_zero(var):
+    """An integer that overflows unless ``var`` is 0."""
+    return BinOp("*", BinOp("*", Name(var), IntLit(INT_MAX)), IntLit(2))
+
+
+def _overflows_above(var, bound):
+    """A test true where ``var <= bound`` that overflows where it is not."""
+    return BinOp(">=", BinOp("+", IntLit(INT_MAX - bound), Name(var)), IntLit(0))
+
+
+@st.composite
+def _conjunct(draw, names):
+    var = Name(draw(st.sampled_from(names)))
+    const = draw(st.one_of(st.builds(IntLit, st.integers(-3, 4)), st.just(Name("K"))))
+    pin = draw(st.sampled_from((BinOp("==", var, const), BinOp("==", const, var))))
+    kind = draw(st.integers(0, 6))
+    if kind <= 2:  # a pin, on either side, on a literal or the constant
+        return pin
+    if kind == 3:
+        return BinOp(draw(st.sampled_from(("!=", "<", "<=", ">", ">="))), var, const)
+    if kind == 4:  # a pin under '!' or '|' is not a pin
+        other = draw(_conjunct(names))
+        return draw(st.sampled_from((NotOp(pin), BinOp("|", pin, other), BinOp("|", other, pin))))
+    if kind == 5:  # a rest that can overflow
+        return _overflows_above(var.ident, draw(st.integers(-2, 3)))
+    return BoolLit(draw(st.booleans()))
+
+
+@st.composite
+def _and_chain(draw, parts):
+    """``parts`` joined by '&' in a drawn shape: left-, right-nested or mixed."""
+    if len(parts) == 1:
+        return parts[0]
+    cut = draw(st.integers(1, len(parts) - 1))
+    return BinOp("&", draw(_and_chain(parts[:cut])), draw(_and_chain(parts[cut:])))
+
+
+@st.composite
+def pinned_models(draw):
+    """Models whose guards are '&' chains of pins (repeated and contradictory
+    ones too), comparisons, pins under '!' and '|', overflowing rests and
+    literals, and whose updates often leave their range or overflow, so
+    that several enabled commands can fail at one state."""
+    names = _GUARD_VARS[: draw(st.integers(1, 3))]
+    variables = []
+    for name in names:
+        lo = draw(st.integers(-2, 1))
+        hi = lo + draw(st.integers(0, 3))
+        variables.append(VarDecl(name, lo, hi, draw(st.integers(lo, hi))))
+    commands = []
+    for i in range(draw(st.integers(0, 6))):
+        parts = draw(st.lists(_conjunct(names), min_size=1, max_size=5))
+        if draw(st.booleans()):
+            parts.append(parts[0])  # a repeated pin, or a repeated test
+        updates = []
+        for target in draw(st.permutations(names))[: draw(st.integers(0, len(names)))]:
+            rhs = draw(st.one_of(
+                st.builds(IntLit, st.integers(-3, 4)),
+                st.just(BinOp("+", Name(target), IntLit(1))),
+                st.just(Name("K")),
+                st.just(_overflows_unless_zero(target)),
+            ))
+            updates.append((target, rhs))
+        label = draw(st.one_of(st.none(), st.just(f"c{i}")))
+        commands.append(GuardedCommand(label, draw(_and_chain(parts)), tuple(updates)))
+    return SystemModel({"K": draw(st.integers(-2, 3))}, tuple(variables), tuple(commands))
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the text of the ModelError it raises."""
+    try:
+        return fn(*args)
+    except ModelError as exc:
+        return f"ModelError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(pinned_models())
+def test_dispatch_matches_reference_with_the_same_errors(model):
+    domain = itertools.product(*(range(v.lo, v.hi + 1) for v in model.variables))
+    successors = compile_step(model)
+    for valuation in domain:
+        expected = _outcome(naive_eval.step, model, valuation)
+        assert _outcome(successors, valuation) == expected
+        assert _outcome(step, model, valuation) == expected
+    expected = _outcome(naive_eval.reachable_graph, model)
+    graph = _outcome(build_graph, model)
+    if isinstance(expected, str):
+        assert graph == expected
+    else:
+        states, initial, rows = expected
+        assert (graph.states, graph.initial, _successor_rows(graph)) == (
+            tuple(states), frozenset(initial), rows
+        )
+
+
+def test_the_first_failing_command_is_named_across_tables():
+    model = parse_model(
+        "var x : 0..2 init 0;\nvar y : 0..2 init 0;\n"
+        "[scan] x<2 -> x'=x+5;\n"        # no pins: tried at every state
+        "[both] x==1 & y==0 -> y'=9;\n"  # the table on (x, y)
+        "[ys] y==0 -> x'=7;\n"           # the table on y
+        "[never] x==1 & x==2 -> x'=9;\n"
+    )
+    assert step(model, (2, 1)) == [(2, 1)]
+    for valuation, named in (((0, 0), "[scan]"), ((2, 0), "[ys]"), ((1, 2), "[scan]")):
+        with pytest.raises(ModelError, match=re.escape(named)):
+            step(model, valuation)
+    without_scan = SystemModel({}, model.variables, model.commands[1:])
+    with pytest.raises(ModelError, match=r"command #1 \[both\]: update drives 'y' to 9"):
+        step(without_scan, (1, 0))
+
+
+def _pinned_position(guard):
+    """The (x, y, d) values a town guard's top-level '&' chain pins."""
+    found, stack = {}, [guard]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, BinOp) and e.op == "&":
+            stack += (e.left, e.right)
+        elif isinstance(e, BinOp) and e.op == "==" and isinstance(e.left, Name):
+            found[e.left.ident] = e.right.value
+    return tuple(found.get(name) for name in ("x", "y", "d"))
+
+
+def test_dispatch_tries_only_the_commands_pinned_to_a_state(monkeypatch):
+    """A state of the 12x12 town calls no more guard functions than there
+    are tables plus commands pinned to its (x, y, d); a scan of every
+    command would call hundreds."""
+    model = _grid12_model()
+    graph = build_graph(model)
+    pinned = collections.Counter(_pinned_position(cmd.guard) for cmd in model.commands)
+    calls = 0
+
+    def counting(fn):
+        if fn is None:
+            return None
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return fn(*args)
+        return counted
+
+    real_parts = model_module.compile_parts
+
+    def parts(*args):
+        kind, pins, rest, safe, value = real_parts(*args)
+        if kind == "bool":  # a guard's rest, not an update
+            rest = counting(rest)
+        return kind, pins, rest, safe, value
+
+    real_conjunction = model_module.conjunction
+    monkeypatch.setattr(model_module, "compile_parts", parts)
+    # the table lookups, and the whole guards of the commands tried at every state
+    monkeypatch.setattr(model_module, "itemgetter", lambda *slots: counting(itemgetter(*slots)))
+    monkeypatch.setattr(model_module, "conjunction", lambda *args: counting(real_conjunction(*args)))
+    successors = compile_step(model)
+    calls = 0
+    assert successors((99, 99, 0, 0)) == [(99, 99, 0, 0)]
+    tables = calls  # a valuation no command pins calls only the table lookups
+    assert 0 < tables <= 2
+    for i, valuation in enumerate(graph.states):
+        calls = 0
+        found = successors(valuation)
+        assert found == sorted(graph.states[t] for t in graph.successors(i))
+        assert calls <= tables + pinned[valuation[:3]], valuation
