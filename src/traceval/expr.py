@@ -155,61 +155,13 @@ def compile_parts(
     A boolean expression holds exactly where every pin holds and ``rest``
     is true.  Errors are those of :func:`compile_expr`.
     """
-    if type(expr) is BinOp and expr.op == "&":
-        split = _split_comparisons(expr, slots, consts)
-        if split is not None:
-            pins, tests = split
-            return "bool", tuple(pins), _all_hold(tests), True, None
     kind, fn, slot, value, safe, pins = _compile(expr, slots, consts)
     if slot is not None:
         fn = itemgetter(slot)
     return kind, tuple(pins), fn, safe, value
 
 
-def _split_comparisons(expr: BinOp, slots: Mapping[str, int], consts: Mapping[str, int]):
-    """The pins and the ``(comparator, slot, value)`` tests of a conjunction
-    whose every conjunct compares a variable with a literal or a constant,
-    the commonest guard; ``None`` for any other expression.  Such a
-    conjunction is well typed and cannot raise."""
-    pins, tests = [], []
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if type(e) is not BinOp:
-            return None
-        op, left, right = e.op, e.left, e.right
-        if op == "&":
-            stack += (right, left)
-            continue
-        if op not in CMP_OPS or type(left) is not Name or left.ident not in slots:
-            return None
-        if type(right) is IntLit:
-            value = right.value
-        elif type(right) is Name and right.ident not in slots and right.ident in consts:
-            value = consts[right.ident]
-        else:
-            return None
-        if op == "==":
-            pins.append((slots[left.ident], value))
-        else:
-            tests.append((CMP_OPS[op], slots[left.ident], value))
-    return pins, tests
-
-
-def _all_hold(tests):
-    """A function true where every ``(comparator, slot, value)`` test holds,
-    or ``None`` for no tests."""
-    if not tests:
-        return None
-    if len(tests) == 1:
-        ((f, slot, value),) = tests
-        return lambda v: f(v[slot], value)
-    return lambda v: all(f(v[slot], value) for f, slot, value in tests)
-
-
 def _compile(expr: Expr, slots: Mapping[str, int], consts: Mapping[str, int]):
-    if type(expr) in _LEAF_TYPES:  # the commonest update, without the walk
-        return _compile_leaf(expr, slots, consts)
     # Pre-order with the right operand taken first, reversed, is post-order
     # with the left operand first: the order the operands are evaluated in.
     order = []

@@ -18,8 +18,9 @@ verdict event also records the row the log left the model at, the check
 that row failed and the graph's state and edge counts.  ``run_validator``
 prepares each distinct model text once per call, through a
 ``functools.lru_cache`` of the few most recently used; ``adjudicate`` and
-``validate`` prepare a fresh one per call.  Malformed artifacts reject the liability with a reason code instead
-of raising, so a hostile provider cannot crash the validator.
+``validate`` prepare a fresh one per call.  Malformed artifacts reject the
+liability with a reason code instead of raising, so a hostile provider
+cannot crash the validator.
 
 Single writer per ledger file; concurrent readers of ledger and store are
 safe (append-only file, immutable blobs).
