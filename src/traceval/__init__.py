@@ -48,7 +48,7 @@ from .execlog import (
     strong_property,
     weak_property,
 )
-from .expr import eval_expr, print_expr
+from .expr import print_expr
 from .lang import parse_expression, parse_formula, parse_model, print_model
 from .lifecycle import (
     ContentStore,
@@ -68,7 +68,7 @@ from .model import (
     Valuation,
     VarDecl,
     build_graph,
-    step,
+    compile_step,
 )
 from .template import (
     Settings,

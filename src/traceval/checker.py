@@ -319,27 +319,16 @@ def holds_initially(graph: StateGraph, formula: ctl.CtlFormula) -> CheckReport:
     result = sat(graph, formula, cache)
     if any(i in result for i in graph.initial):
         return CheckReport(holds=True)
-    parts = ctl.conjuncts(formula)
+    # sat has labelled every subformula in cache, each conjunct included
+    parts = [
+        (part, StateSet(cache[id(part)][1], graph.state_count))
+        for part in ctl.conjuncts(formula)
+    ]
     failures = []
     for i in sorted(graph.initial):
-        blame = None
-        for part in parts:
-            entry = cache.get(id(part))
-            part_set = (
-                StateSet(entry[1], graph.state_count)
-                if entry is not None
-                else sat(graph, part, cache)
-            )
-            if i not in part_set:
-                blame = part
-                break
-        failures.append(
-            InitialFailure(
-                state=i,
-                valuation=graph.states[i],
-                conjunct=blame if blame is not None else formula,
-            )
-        )
+        # the formula fails at i, so some conjunct does
+        blame = next(part for part, states in parts if i not in states)
+        failures.append(InitialFailure(state=i, valuation=graph.states[i], conjunct=blame))
     return CheckReport(holds=False, failures=tuple(failures))
 
 

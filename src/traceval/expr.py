@@ -304,20 +304,6 @@ def _arith(op: str, a, b):
     return fn
 
 
-def eval_expr(
-    expr: Expr,
-    values: Mapping[str, int],
-    consts: Mapping[str, int] | None = None,
-) -> int | bool:
-    """Evaluate ``expr`` under a valuation and an optional constant map.
-
-    ``values`` is consulted before ``consts``; the two namespaces are
-    disjoint in well-formed models.  Raises :class:`EvalError` on unknown
-    identifiers, operand type mismatches or 64-bit overflow.
-    """
-    return compile_expr(expr, tuple(values), consts)[1](tuple(values.values()))
-
-
 def int_literal(text: str) -> int | None:
     """The value of the decimal literal ``text`` (``-?[0-9]+``), or ``None``
     when it lies outside ``INT_MIN..INT_MAX``.  Leading zeros are dropped
@@ -332,22 +318,6 @@ def int_literal(text: str) -> int | None:
     if text.startswith("-"):
         value = -value
     return value if INT_MIN <= value <= INT_MAX else None
-
-
-def expr_names(expr: Expr) -> frozenset[str]:
-    """All identifiers referenced by ``expr``."""
-    out: set[str] = set()
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Name):
-            out.add(e.ident)
-        elif isinstance(e, BinOp):
-            stack.append(e.left)
-            stack.append(e.right)
-        elif isinstance(e, NotOp):
-            stack.append(e.operand)
-    return frozenset(out)
 
 
 # Printing: precedence levels, loosest first.  Right operands of equal

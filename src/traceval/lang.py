@@ -47,7 +47,6 @@ from .expr import (
     IntLit,
     Name,
     NotOp,
-    expr_names,
     infer_type,
     int_literal,
     print_expr,
@@ -105,6 +104,7 @@ class _Stream:
         self.text = text
         self.tokens = _lex(text, allow_comments)
         self.pos = 0
+        self.names: set[str] = set()  # identifiers read as names; see _typed_expr
 
     @property
     def cur(self) -> Token:
@@ -184,6 +184,7 @@ def _parse_unary(s: _Stream) -> Expr:
             return BoolLit(True)
         if tok.text == "false":
             return BoolLit(False)
+        s.names.add(tok.text)
         return Name(tok.text)
     raise s.error("expected an expression")
 
@@ -192,8 +193,9 @@ def _typed_expr(
     s: _Stream, want: str, context: str, declared: frozenset[str], min_prec: int = 1
 ) -> Expr:
     start = s.cur
+    s.names.clear()
     expr = _parse_expr(s, min_prec)
-    unknown = expr_names(expr) - declared
+    unknown = s.names - declared
     if unknown:
         raise s.error_at(start, f"unknown identifier '{sorted(unknown)[0]}' in {context}")
     try:

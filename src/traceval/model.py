@@ -2,30 +2,30 @@
 
 A model is a list of integer variables with finite ranges, a constant map
 and a list of guarded commands.  A state (valuation) is one integer per
-variable in declaration order.  ``step`` fires every enabled command once
+variable in declaration order.  A step fires every enabled command once
 (updates read the pre-state); states with no enabled command keep their
 valuation, which materializes as a self-loop in the built graph so the
 transition relation is total.
 
 ``compile_step`` compiles every guard and update once per model, and
-returns the successor function that ``step`` and ``build_graph`` both call;
-no state builds a dict or walks an expression tree.  What is data stays
-data: a guard's pins, the ``var==const`` conjuncts of its top-level ``&``
-chain, and an update to a literal in range are kept as values, not
-closures.  Commands are dispatched on their pins: those pinning the same
-variables share a table keyed by the pinned values, so a state looks up
-the commands whose pins it meets, one lookup per table, and tries only
-those and the commands with no pins, in declaration order.  A command
-whose rest of guard can raise is tried at every state instead.  Static
-type errors in guards, runtime errors in updates and arithmetic overflow
-all raise :class:`ModelError` naming the first failing command.
+returns the successor function that ``build_graph`` calls; no state builds
+a dict or walks an expression tree.  What is data stays data: a guard's
+pins, the ``var==const`` conjuncts of its top-level ``&`` chain, and an
+update to a literal in range are kept as values, not closures.  Commands
+are dispatched on their pins: those pinning the same variables share a
+table keyed by the pinned values, so a state looks up the commands whose
+pins it meets, one lookup per table, and tries only those and the
+commands with no pins, in declaration order.  A command whose rest of
+guard can raise is tried at every state instead.  Static type errors in
+guards, runtime errors in updates and arithmetic overflow all raise
+:class:`ModelError` naming the first failing command.
 
 Names in expressions are checked where they are resolved.  ``lang``
 refuses model text that uses an undeclared name; for a model constructed
 directly, ``SystemModel`` checks only its declarations and update
 targets, and compiling resolves every other name.  An unknown name in a
-guard or the init constraint raises :class:`ModelError` from
-``build_graph`` and ``step``; one in an update raises when its command
+guard raises :class:`ModelError` from ``compile_step``, one in the init
+constraint from ``build_graph``; one in an update raises when its command
 fires, as an update that cannot be typed does.
 
 A built graph stores its transition relation once, as compressed sparse
@@ -200,7 +200,12 @@ def _writing(literals):
 
 def compile_step(model: SystemModel) -> Callable[[Valuation], list[Valuation]]:
     """Compile every guard and update of ``model`` once, and return its
-    successor function: see :func:`step`.
+    successor function.
+
+    The successors of a valuation ``v`` are one valuation per enabled
+    command, deduplicated and sorted, or ``[v]`` itself when no command is
+    enabled.  All update right-hand sides are evaluated against ``v``, so
+    updates within one command are simultaneous.
 
     Commands are dispatched on the pins of their guards, the ``var==const``
     conjuncts of a guard's top-level ``&`` chain.  Commands whose pins fix
@@ -266,16 +271,6 @@ def compile_step(model: SystemModel) -> Callable[[Valuation], list[Valuation]]:
 
 def _always(v: Valuation) -> bool:
     return True
-
-
-def step(model: SystemModel, v: Valuation) -> list[Valuation]:
-    """Successor valuations of ``v``: one per enabled command, deduplicated
-    and sorted; ``[v]`` itself when no command is enabled.
-
-    All update right-hand sides are evaluated against the pre-state, so
-    updates within one command are simultaneous.
-    """
-    return compile_step(model)(v)
 
 
 class StateGraph:
@@ -376,7 +371,9 @@ def _initial_valuations(model: SystemModel, budget: int) -> list[Valuation]:
     # alongside the declared init vector.  Enumeration is bounded by the
     # state budget to keep degenerate constraints from running away.
     try:
-        _, allows = compile_expr(model.init_constraint, model.var_names, model.constants)
+        kind, allows = compile_expr(model.init_constraint, model.var_names, model.constants)
+        if kind != "bool":
+            raise ModelError("init constraint is not boolean")
         inits = {base}
         ranges = [range(v.lo, v.hi + 1) for v in model.variables]
         for count, cand in enumerate(itertools.product(*ranges), start=1):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import SAMPLES
 from traceval import ctl
 from traceval.execlog import ExecutionLog
-from traceval.expr import BinOp, BoolLit, IntLit, Name, NotOp, expr_names
+from traceval.expr import BinOp, BoolLit, IntLit, Name, NotOp
 from traceval.model import GuardedCommand, StateGraph, SystemModel, VarDecl
 from traceval.town import (
     ACTIONS,
@@ -196,23 +196,29 @@ def fault_logs(town, objective):
 IDENTS = st.sampled_from(("x", "y", "zz", "v_one"))
 CMPS = st.sampled_from(_CMP)
 
-_arith = st.recursive(
-    st.one_of(st.builds(IntLit, st.integers(-9, 9)), st.builds(Name, IDENTS)),
-    lambda children: st.builds(BinOp, st.sampled_from(("+", "-", "*")), children, children),
-    max_leaves=6,
-)
+def _arith(names):
+    """Integer expressions over the identifiers ``names``."""
+    return st.recursive(
+        st.one_of(st.builds(IntLit, st.integers(-9, 9)), st.builds(Name, st.sampled_from(names))),
+        lambda children: st.builds(BinOp, st.sampled_from(("+", "-", "*")), children, children),
+        max_leaves=6,
+    )
 
-_bool_exprs = st.recursive(
-    st.one_of(
-        st.builds(BoolLit, st.booleans()),
-        st.builds(BinOp, CMPS, _arith, _arith),
-    ),
-    lambda children: st.one_of(
-        st.builds(NotOp, children),
-        st.builds(BinOp, st.sampled_from(("&", "|")), children, children),
-    ),
-    max_leaves=6,
-)
+
+def _bool_exprs(names):
+    """Boolean expressions over the identifiers ``names``."""
+    arith = _arith(names)
+    return st.recursive(
+        st.one_of(
+            st.builds(BoolLit, st.booleans()),
+            st.builds(BinOp, CMPS, arith, arith),
+        ),
+        lambda children: st.one_of(
+            st.builds(NotOp, children),
+            st.builds(BinOp, st.sampled_from(("&", "|")), children, children),
+        ),
+        max_leaves=6,
+    )
 
 
 @st.composite
@@ -229,22 +235,18 @@ def models(draw):
     consts = {}
     if draw(st.booleans()):
         consts["v_one"] = draw(st.integers(-9, 9))
-    declared = set(names) | set(consts)
+    declared = names + tuple(consts)
+    arith, bool_exprs = _arith(declared), _bool_exprs(declared)
     commands = []
     for _ in range(draw(st.integers(0, 3))):
-        guard = draw(_bool_exprs.filter(lambda e: _names_ok(e, declared)))
+        guard = draw(bool_exprs)
         updates = []
         perm = draw(st.permutations(names))
         for target in perm[: draw(st.integers(0, var_count))]:
-            rhs = draw(_arith.filter(lambda e: _names_ok(e, declared)))
-            updates.append((target, rhs))
+            updates.append((target, draw(arith)))
         label = draw(st.one_of(st.none(), st.just("act")))
         commands.append(GuardedCommand(label, guard, tuple(updates)))
     init_c = None
     if draw(st.booleans()):
-        init_c = draw(_bool_exprs.filter(lambda e: _names_ok(e, declared)))
+        init_c = draw(bool_exprs)
     return SystemModel(consts, tuple(variables), tuple(commands), init_c)
-
-
-def _names_ok(expr, declared):
-    return expr_names(expr) <= declared

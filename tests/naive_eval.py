@@ -127,7 +127,10 @@ def initial_valuations(model: SystemModel) -> list[Valuation]:
     if model.init_constraint is not None:
         ranges = [range(v.lo, v.hi + 1) for v in model.variables]
         for cand in itertools.product(*ranges):
-            if eval_expr(model.init_constraint, dict(zip(model.var_names, cand)), model.constants):
+            allowed = eval_expr(model.init_constraint, dict(zip(model.var_names, cand)), model.constants)
+            if not isinstance(allowed, bool):
+                raise ModelError("init constraint is not boolean")
+            if allowed:
                 inits.add(cand)
     return sorted(inits)
 

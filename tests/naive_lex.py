@@ -77,6 +77,7 @@ class Stream(lang._Stream):
         self.text = text
         self.tokens = _lex(text, allow_comments)
         self.pos = 0
+        self.names: set[str] = set()
 
     def error_at(self, tok: Token, message: str) -> ParseError:
         return ParseError(message, tok.line, tok.col)

@@ -15,7 +15,7 @@ from traceval.execlog import (
     weak_property,
 )
 from traceval.lang import parse_model
-from traceval.model import build_graph, step
+from traceval.model import build_graph, compile_step
 
 
 def test_parse_minimal_log():
@@ -173,12 +173,13 @@ def test_deep_log_property_round_trips_and_checks():
 
 def _unique_run(model, n):
     """Simulation oracle: the n-state run of a deterministic model."""
+    successors = compile_step(model)
     state = model.declared_init()
     rows = [state]
     for _ in range(n - 1):
-        successors = step(model, state)
-        assert len(successors) == 1, "model is not deterministic"
-        state = successors[0]
+        nxt = successors(state)
+        assert len(nxt) == 1, "model is not deterministic"
+        state = nxt[0]
         rows.append(state)
     return rows
 

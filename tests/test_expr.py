@@ -8,19 +8,18 @@ from traceval.expr import (
     IntLit,
     Name,
     NotOp,
-    eval_expr,
-    expr_names,
+    compile_expr,
     infer_type,
     print_expr,
 )
 
 
 def test_direct_comparison():
-    assert eval_expr(BinOp("==", Name("x"), IntLit(0)), {"x": 0}) is True
+    assert compile_expr(BinOp("==", Name("x"), IntLit(0)), ("x",))[1]((0,)) is True
 
 
 def test_arithmetic():
-    assert eval_expr(BinOp("+", Name("x"), IntLit(1)), {"x": 1}) == 2
+    assert compile_expr(BinOp("+", Name("x"), IntLit(1)), ("x",))[1]((1,)) == 2
 
 
 def test_connective_semantics():
@@ -29,33 +28,35 @@ def test_connective_semantics():
         BinOp("==", Name("x"), IntLit(0)),
         BinOp("!=", Name("y"), IntLit(2)),
     )
-    assert eval_expr(expr, {"x": 0, "y": 2}) is False
-    assert eval_expr(expr, {"x": 0, "y": 3}) is True
+    kind, fn = compile_expr(expr, ("x", "y"))
+    assert kind == "bool"
+    assert fn((0, 2)) is False
+    assert fn((0, 3)) is True
 
 
 def test_constants_fall_back_after_values():
     expr = BinOp("<", Name("s"), Name("K"))
-    assert eval_expr(expr, {"s": 2}, {"K": 3}) is True
+    assert compile_expr(expr, ("s",), {"K": 3})[1]((2,)) is True
 
 
 def test_unknown_identifier():
     with pytest.raises(EvalError, match="unknown identifier 'z'"):
-        eval_expr(Name("z"), {"x": 0})
+        compile_expr(Name("z"), ("x",))
 
 
 def test_overflow_detected():
-    expr = BinOp("*", IntLit(INT_MAX), IntLit(2))
+    _, fn = compile_expr(BinOp("*", IntLit(INT_MAX), IntLit(2)), ())
     with pytest.raises(EvalError, match="overflow"):
-        eval_expr(expr, {})
+        fn(())
 
 
 def test_type_errors():
     with pytest.raises(EvalError):
-        eval_expr(BinOp("&", IntLit(1), BoolLit(True)), {})
+        compile_expr(BinOp("&", IntLit(1), BoolLit(True)), ())
     with pytest.raises(EvalError):
-        eval_expr(NotOp(IntLit(1)), {})
+        compile_expr(NotOp(IntLit(1)), ())
     with pytest.raises(EvalError):
-        eval_expr(BinOp("+", BoolLit(True), IntLit(1)), {})
+        compile_expr(BinOp("+", BoolLit(True), IntLit(1)), ())
 
 
 def test_infer_type():
@@ -63,11 +64,6 @@ def test_infer_type():
     assert infer_type(BinOp("*", Name("x"), IntLit(2))) == "int"
     with pytest.raises(EvalError):
         infer_type(BinOp("|", IntLit(1), IntLit(2)))
-
-
-def test_expr_names():
-    expr = BinOp("&", BinOp("<", Name("a"), Name("b")), NotOp(BinOp("==", Name("a"), IntLit(0))))
-    assert expr_names(expr) == frozenset({"a", "b"})
 
 
 @pytest.mark.parametrize(

@@ -13,10 +13,9 @@ from traceval.cli import build_parser
 from traceval.ctl import print_formula
 from traceval.errors import ParseError, TemplateError, line_col
 from traceval.execlog import ExecutionLog, strong_property, weak_property
-from traceval.expr import INT_MIN, BinOp, IntLit, Name, eval_expr, expr_names
+from traceval.expr import INT_MIN, BinOp, IntLit, Name, compile_expr
 from traceval.lang import _lex, parse_expression, parse_formula, parse_model, print_model
 from traceval.model import build_graph
-from traceval.town import town_model_text
 
 
 # --- model parsing -----------------------------------------------------------
@@ -87,21 +86,31 @@ def test_parse_duplicate_declaration():
         parse_model("const x = 1; var x : 0..1 init 0;")
 
 
-def test_parse_checks_names_once_per_expression(monkeypatch, town5x5, objective4):
-    calls = []
-
-    def counting(expr):
-        calls.append(expr)
-        return expr_names(expr)
-
-    monkeypatch.setattr("traceval.lang.expr_names", counting)
-    # a module that imported expr_names by name calls its own binding
-    monkeypatch.setattr("traceval.model.expr_names", counting, raising=False)
-    model = parse_model(town_model_text(town5x5, objective4))
-    expressions = [] if model.init_constraint is None else [model.init_constraint]
-    for cmd in model.commands:
-        expressions += [cmd.guard] + [rhs for _, rhs in cmd.updates]
-    assert [id(e) for e in calls] == [id(e) for e in expressions]
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # of several unknown names, the sorted-first one is named
+        ("var x : 0..3 init 0;\n[] zz==0 & b==c & x==0 -> x'=1;", "2:4: unknown identifier 'b' in guard"),
+        ("var x : 0..3 init 0;\ninit q>0 | p>0;", "2:6: unknown identifier 'p' in init constraint"),
+        ("var x : 0..3 init 0;\n[] x==0 -> x'=w + v;", "2:15: unknown identifier 'v' in update expression"),
+        # an unknown name wins over a type error in the same expression
+        ("var x : 0..3 init 0;\n[] (x + true)==y -> x'=1;", "2:4: unknown identifier 'y' in guard"),
+        ("var x : 0..3 init 0;\n[] x==0 -> x'=(y==0);", "2:15: unknown identifier 'y' in update expression"),
+        ("var x : 0..3 init 0;\n[] y -> x'=1;", "2:4: unknown identifier 'y' in guard"),
+        # a syntax error later in the expression wins over an earlier unknown name
+        ("var x : 0..3 init 0;\n[] y==0 & x== -> x'=1;", "2:15: expected an expression, found '->'"),
+        ("var x : 0..3 init 0;\n[] y==0 & (x==1 -> x'=1;", "2:17: expected ')', found '->'"),
+        ("var x : 0..3 init 0;\n[] y < x < 2 -> x'=1;", "2:10: chained comparison is not allowed, found '<'"),
+        ("var x : 0..3 init 0;\n[] y==99999999999999999999 -> x'=1;", "2:7: integer literal outside -9223372036854775808..9223372036854775807"),
+        # names are checked per expression: the guard's, then the update's
+        ("var x : 0..3 init 0;\n[] a==0 -> x'=b;", "2:4: unknown identifier 'a' in guard"),
+        ("var x : 0..3 init 0;\n[] x==0 -> x'=b & x'=a;", "2:15: unknown identifier 'b' in update expression"),
+    ],
+)
+def test_unknown_names_come_after_syntax_and_before_types(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_model(text)
+    assert str(err.value) == message
 
 
 def test_parse_unknown_identifier_in_guard():
@@ -391,17 +400,17 @@ def test_offset_lexer_matches_the_line_col_lexer(gen_model, text):
     st.integers(-5, 5),
     st.integers(-5, 5),
 )
-def test_atom_comparators_agree_with_eval_expr(op, lhs, rhs):
+def test_atom_comparators_agree_with_guard_comparisons(op, lhs, rhs):
     """Formula atoms and guard comparisons share one comparator semantics."""
     from traceval.checker import sat
     from traceval.model import StateGraph
 
     graph = StateGraph(("x",), ((lhs,),), frozenset({0}), (frozenset({0}),))
     via_atom = 0 in sat(graph, ctl.Atom("x", op, rhs))
-    via_expr = eval_expr(BinOp(op, Name("x"), IntLit(rhs)), {"x": lhs})
+    via_expr = compile_expr(BinOp(op, Name("x"), IntLit(rhs)), ("x",))[1]((lhs,))
     assert via_atom == via_expr
 
 
 def test_parse_expression_fragment():
     expr = parse_expression("x==0 & (k==1 | k==3)")
-    assert eval_expr(expr, {"x": 0, "k": 3}) is True
+    assert compile_expr(expr, ("x", "k"))[1]((0, 3)) is True

@@ -15,7 +15,7 @@ from traceval.errors import EvalError, ModelError, StateExplosionError
 from traceval import model as model_module
 from traceval.expr import INT_MAX, BinOp, BoolLit, IntLit, Name, NotOp
 from traceval.lang import parse_model
-from traceval.model import GuardedCommand, SystemModel, VarDecl, build_graph, compile_step, step
+from traceval.model import GuardedCommand, SystemModel, VarDecl, build_graph, compile_step
 from traceval.town import Objective, ObjectiveStep, town_model_text
 
 
@@ -28,32 +28,30 @@ def _successor_rows(g):
 
 
 def test_step_single_enabled_command():
-    model = parse_model(CHAIN2)
-    assert step(model, (0,)) == [(1,)]
+    assert compile_step(parse_model(CHAIN2))((0,)) == [(1,)]
 
 
 def test_step_deadlock_self_loop():
-    model = parse_model(CHAIN2)
-    assert step(model, (1,)) == [(1,)]
+    assert compile_step(parse_model(CHAIN2))((1,)) == [(1,)]
 
 
 def test_step_toggle():
-    model = parse_model(TOGGLE)
-    assert step(model, (0,)) == [(1,)]
-    assert step(model, (1,)) == [(0,)]
+    successors = compile_step(parse_model(TOGGLE))
+    assert successors((0,)) == [(1,)]
+    assert successors((1,)) == [(0,)]
 
 
 def test_step_simultaneous_updates_read_pre_state():
     model = parse_model(
         "var a : 0..3 init 1;\nvar b : 0..3 init 2;\n[] true -> a'=b & b'=a;\n"
     )
-    assert step(model, (1, 2)) == [(2, 1)]
+    assert compile_step(model)((1, 2)) == [(2, 1)]
 
 
 def test_step_out_of_bounds_names_command_and_variable():
-    model = parse_model("var x : 0..1 init 1;\n[boom] x==1 -> x'=x+1;\n")
+    successors = compile_step(parse_model("var x : 0..1 init 1;\n[boom] x==1 -> x'=x+1;\n"))
     with pytest.raises(ModelError, match=r"\[boom\].*'x' to 2.*0\.\.1"):
-        step(model, (1,))
+        successors((1,))
 
 
 def test_build_graph_chain2(chain2_graph):
@@ -108,6 +106,14 @@ def test_model_validation_rejects_clashes():
     ghost_init = SystemModel({}, (VarDecl("x", 0, 1, 0),), (), BinOp("==", Name("ghost"), IntLit(0)))
     with pytest.raises(ModelError, match="init constraint: unknown identifier 'ghost'"):
         build_graph(ghost_init)
+
+
+def test_integer_init_constraint_is_refused():
+    # an integer is no truth value, as for a guard
+    model = SystemModel({}, (VarDecl("x", 0, 3, 0),), (), Name("x"))
+    with pytest.raises(ModelError, match="^init constraint is not boolean$"):
+        build_graph(model)
+    _assert_graph_matches_reference(model)
 
 
 def _random_model(rng: random.Random) -> SystemModel:
@@ -206,12 +212,13 @@ def _assert_graph_matches_reference(model):
 @given(models())
 def test_compiled_step_and_graph_match_reference(model):
     domain = itertools.product(*(range(v.lo, v.hi + 1) for v in model.variables))
+    successors = compile_step(model)
     for valuation in domain:
         if _reference_raises(naive_eval.step, model, valuation):
             with pytest.raises(ModelError):
-                step(model, valuation)
+                successors(valuation)
         else:
-            assert step(model, valuation) == naive_eval.step(model, valuation)
+            assert successors(valuation) == naive_eval.step(model, valuation)
     _assert_graph_matches_reference(model)
 
 
@@ -272,11 +279,19 @@ def test_errors_raise_model_error_exactly_where_the_reference_raises(guard, upda
     model = SystemModel({}, (VarDecl("x", 0, 2, 0),), (GuardedCommand("bad", guard, updates),))
     for x in range(3):
         assert _reference_raises(naive_eval.step, model, (x,)) == (x in raising)
+    try:
+        successors = compile_step(model)
+    except ModelError as exc:
+        # a guard that cannot be typed fails the compile, as it fails every state
+        assert raising == {0, 1, 2}
+        assert re.search(message, str(exc))
+        return
+    for x in range(3):
         if x in raising:
             with pytest.raises(ModelError, match=message):
-                step(model, (x,))
+                successors((x,))
         else:
-            assert step(model, (x,)) == naive_eval.step(model, (x,))
+            assert successors((x,)) == naive_eval.step(model, (x,))
 
 
 # --- dispatch on pinned conjuncts ---------------------------------------------
@@ -368,7 +383,6 @@ def test_dispatch_matches_reference_with_the_same_errors(model):
     for valuation in domain:
         expected = _outcome(naive_eval.step, model, valuation)
         assert _outcome(successors, valuation) == expected
-        assert _outcome(step, model, valuation) == expected
     expected = _outcome(naive_eval.reachable_graph, model)
     graph = _outcome(build_graph, model)
     if isinstance(expected, str):
@@ -388,13 +402,14 @@ def test_the_first_failing_command_is_named_across_tables():
         "[ys] y==0 -> x'=7;\n"           # the table on y
         "[never] x==1 & x==2 -> x'=9;\n"
     )
-    assert step(model, (2, 1)) == [(2, 1)]
+    successors = compile_step(model)
+    assert successors((2, 1)) == [(2, 1)]
     for valuation, named in (((0, 0), "[scan]"), ((2, 0), "[ys]"), ((1, 2), "[scan]")):
         with pytest.raises(ModelError, match=re.escape(named)):
-            step(model, valuation)
+            successors(valuation)
     without_scan = SystemModel({}, model.variables, model.commands[1:])
     with pytest.raises(ModelError, match=r"command #1 \[both\]: update drives 'y' to 9"):
-        step(without_scan, (1, 0))
+        compile_step(without_scan)((1, 0))
 
 
 def _pinned_position(guard):
