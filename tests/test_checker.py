@@ -1,6 +1,7 @@
 import operator
 import random
 import warnings
+from itertools import compress, count
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,22 @@ def test_stateset_from_indices_matches_bit_shifts():
         s = StateSet.from_indices(indices, universe)
         assert s == StateSet(mask, universe)
         assert s.indices() == tuple(sorted(set(indices)))
+
+
+def test_both_member_walks_match_the_walk_over_marks():
+    """``_members`` walks the set bits of sparse masks one by one and the
+    per-state marks of the others; both walks list the indices the marks
+    give, on empty, single-bit, sparse and dense masks."""
+    rng = random.Random(1103)
+    masks = [0, 1, 1 << 63, 1 << 10_000, 1 << 10_000 | 1]
+    for size in (8, 100, 5_000, 200_000):
+        masks.append(1 << rng.randrange(size))
+        masks.append(sum(1 << b for b in rng.sample(range(size), min(size, rng.randint(2, 60)))))
+        masks.append(rng.getrandbits(size))
+    for mask in masks:
+        want = list(compress(count(), checker._marks(mask, 0)))
+        assert list(checker._members(mask)) == want
+        assert list(checker._set_bits(mask)) == want
 
 
 def test_chain2_ex(chain2_graph):
@@ -294,6 +311,27 @@ GRID_TEMPLATE = (
     "[inc] x<@top@ -> x'=x+1;\n"
     "[up] y<@top@ -> y'=y+1;\n"
 )
+
+
+def test_only_the_backward_operators_build_the_predecessor_rows(transposes):
+    from traceval.template import Settings, render
+
+    model = parse_model(render(GRID_TEMPLATE, None, Settings({"top": 5})))
+    for text, builds in (
+        ("x==5 & !(y<3) | y>=2", False),
+        ("EX(x==1)", True),
+        ("EF(x==5 & y==5)", True),
+        ("EG(x<5)", True),
+        ("AX(x==1)", True),
+        ("AF(x==5)", True),
+        ("AG(x>=0)", True),
+    ):
+        graph = build_graph(model)
+        for _ in range(2):
+            holds_initially(graph, parse_formula(text))
+        # built once, then kept
+        assert transposes == ([graph.state_count] if builds else []), text
+        transposes.clear()
 
 
 def test_a_40000_state_grid_counter():

@@ -188,6 +188,48 @@ def test_only_a_failed_property_records_a_witness(ledger, store):
     assert (second["states"], second["edges"]) == (2, 2)
 
 
+GRID10 = (
+    "var x : 0..9 init 0;\nvar y : 0..9 init 0;\n"
+    "[inc] x<9 -> x'=x+1;\n[up] y<9 -> y'=y+1;\n"
+)
+
+
+def test_judging_a_log_never_builds_the_predecessor_rows(ledger, store, transposes, town5x5, objective4):
+    from traceval import ctl
+    from traceval.checker import follow, holds_initially
+    from traceval.execlog import BASES, MODES, ExecutionLog, format_log
+    from traceval.lang import parse_model
+    from traceval.model import build_graph
+    from traceval.town import simulate, town_model_text
+
+    town = town_model_text(town5x5, objective4, reduce=False)
+    stair = [(0, 0)]
+    for i in range(18):
+        x, y = stair[-1]
+        stair.append((x + 1, y) if i % 2 == 0 else (x, y + 1))
+    cases = [
+        (town, simulate(town5x5, objective4)),
+        (town, simulate(town5x5, objective4, fault="skip:3")),
+        (GRID10, ExecutionLog(("x", "y"), tuple(stair + stair[-1:]))),
+        (GRID10, ExecutionLog(("x", "y"), tuple(stair[:7]))),
+        (GRID10, ExecutionLog(("x", "y"), tuple((i, i) for i in range(10)))),
+    ]
+    verdicts = set()
+    for model_text, log in cases:
+        graph = build_graph(parse_model(model_text))
+        log_text = format_log(log)
+        for mode in MODES:
+            for base in BASES:
+                follow(graph, log, mode, base)
+                verdicts.add(adjudicate(model_text, log_text, mode, base))
+                validate(ledger, store, _submitted(ledger, store, model_text, log_text), mode, base)
+    assert transposes == []
+    assert {verdict for verdict, _ in verdicts} == {STATUS_CONFIRMED, STATUS_REJECTED}
+    # the count does see a transpose when one is built
+    holds_initially(graph, ctl.EF(ctl.Atom("x", "==", 9)))
+    assert transposes == [graph.state_count]
+
+
 def test_validate_requires_submitted_status(ledger, store):
     model_hash, objective_hash, _ = _seed(store)
     lid = create_liability(ledger, store, "0xaa", "0xbb", model_hash, objective_hash)

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 import naive_eval
 from conftest import CHAIN2, TOGGLE
-from corpus import full_grid_town, models
+from corpus import full_grid_town, models, random_town_logs
 from traceval.errors import EvalError, ModelError, StateExplosionError
 from traceval import model as model_module
 from traceval.expr import INT_MAX, BinOp, BoolLit, IntLit, Name, NotOp
 from traceval.lang import parse_model
-from traceval.model import GuardedCommand, SystemModel, VarDecl, build_graph, compile_step
+from traceval.model import GuardedCommand, StateGraph, SystemModel, VarDecl, build_graph, compile_step
 from traceval.town import Objective, ObjectiveStep, town_model_text
 
 
@@ -138,7 +138,7 @@ def _random_model(rng: random.Random) -> SystemModel:
     return SystemModel({}, tuple(variables), tuple(commands))
 
 
-def test_graph_invariants_on_random_models():
+def test_graph_invariants_on_random_models(transposes):
     rng = random.Random(4217)
     for _ in range(60):
         model = _random_model(rng)
@@ -173,10 +173,15 @@ def test_graph_invariants_on_random_models():
             # agreement: graph edges are exactly the reference successors
             # (the reference step already folds the deadlock self-loop in)
             assert targets == expected
-        # predecessors are exactly the transpose of successors
+        # predecessors are exactly the transpose of successors, built once,
+        # on first use
+        assert transposes == []
         edges = [(s, t) for s in range(g.state_count) for t in g.successors(s)]
         transposed = [(s, t) for t in range(g.state_count) for s in g.predecessors(t)]
         assert sorted(transposed) == sorted(edges)
+        assert g.predecessor_rows is g.predecessor_rows
+        assert transposes == [g.state_count]
+        transposes.clear()
         assert g.edge_count == sum(len(g.successors(s)) for s in range(g.state_count))
         # the row arrays are the same relation the per-state methods slice
         for rows, row in ((g.successor_rows, g.successors), (g.predecessor_rows, g.predecessors)):
@@ -241,6 +246,35 @@ def test_build_graph_matches_reference_on_towns(town5x5, objective4):
         _grid12_model(),
     ):
         _assert_graph_matches_reference(model)
+
+
+def test_built_graphs_equal_the_graphs_given_as_rows(town5x5, objective4):
+    """``build_graph`` writes the rows itself; the iterable constructor,
+    given the same states, initial states and rows, out of order and
+    repeated, makes the same graph."""
+    counter = "var x : 0..@@ init 0;\nvar y : 0..@@ init 0;\n[] x<@@ -> x'=x+1;\n[] y<@@ -> y'=y+1;\n"
+    texts = [
+        town_model_text(town5x5, objective4, reduce=True),
+        town_model_text(town5x5, objective4, reduce=False),
+        *(text for text, _ in itertools.islice(random_town_logs(), 4)),
+        *(counter.replace("@@", str(top)) for top in (0, 1, 7, 30)),
+        "var x : 0..8 init 0;\nvar y : 0..3 init 0;\n[] x<8 -> x'=x+2;\n[] y<3 & x>2 -> y'=y+1;\n",
+    ]
+    for text in texts:
+        model = parse_model(text)
+        built = build_graph(model)
+        rows = [list(built.successors(i)) for i in range(built.state_count)]
+        given = StateGraph(built.variables, built.states, built.initial, [row[::-1] + row for row in rows])
+        domain = itertools.product(*(range(v.lo - 1, v.hi + 2) for v in model.variables))
+        present = set(built.states)
+        absent = [v for v in itertools.islice(domain, 5000) if v not in present][:50]
+        absent += [(), built.states[0] + (0,)]
+        for g in (built, given):
+            assert not any(g.states_with(v) for v in absent)
+        for field in ("variables", "states", "initial", "successor_rows", "predecessor_rows"):
+            assert getattr(built, field) == getattr(given, field), (text, field)
+        assert [built.states_with(v) for v in built.states] == [(i,) for i in range(built.state_count)]
+        assert [given.states_with(v) for v in built.states] == [(i,) for i in range(built.state_count)]
 
 
 _X_IS_1 = BinOp("==", Name("x"), IntLit(1))
