@@ -16,23 +16,27 @@ and must lie in the signed 64-bit range.
 Expressions use ``+ - *``, the six comparators, ``& | !`` and parentheses;
 ``true`` and ``false`` are keywords.
 
-Property grammar: atoms ``IDENT op INT``; ``!`` and the temporal operators
-``EX EF EG AX AF AG`` bind tighter than ``&``, which binds tighter than
-``|``; parentheses group.
+Property grammar: atoms ``IDENT op INT``, whatever the identifier's name;
+``!`` and the temporal operators ``EX EF EG AX AF AG`` bind tighter than
+``&``, which binds tighter than ``|``; parentheses group.
 
 Both printers emit canonical text, so ``parse(print(x))`` is structurally
 ``x``.  All functions here are pure and safe to call concurrently.
 
-The lexer records each token's position as a character offset into the
-text; the line and column of a :class:`ParseError` are computed from that
-offset only when the error is raised.
+The lexer turns a text into a list of plain strings, one per token, ending
+in ``""`` for the end of input.  A token's kind follows from its text: a
+decimal digit starts an integer, an ASCII letter or ``_`` an identifier,
+and anything else is an operator.  Tokens carry no position; the offset
+of the token a :class:`ParseError` names, and from it the line and
+column, is found by lexing the text again only when the error is raised.
 """
 
 from __future__ import annotations
 
 import re
+import string
 import sys
-from typing import NamedTuple
+from itertools import islice
 
 from . import ctl
 from .errors import EvalError, ParseError, line_col
@@ -55,40 +59,49 @@ from .model import GuardedCommand, SystemModel, VarDecl
 
 MODEL_KEYWORDS = frozenset({"const", "var", "init", "skip", "true", "false"})
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>//[^\n]*)
-      | (?P<int>\d+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<op>->|\.\.|==|!=|<=|>=|[;:'=<>+\-*&|!()\[\]])
-      | (?P<bad>.)
-    """,
-    re.VERBOSE,
-)
+# Each match skips blanks (and, in model text, comments), then takes one
+# token: an integer, an identifier, a two-character operator, any other
+# non-blank character, or the empty end of input.  The skip stops only at
+# the end or before a non-blank character that starts no comment, where
+# the token group always matches, so the skip never gives back part of a
+# comment.  Every character is blank or in a token, so nothing is lost.
+_TOKEN = r"(\d+|[A-Za-z_][A-Za-z0-9_]*|->|\.\.|[=!<>]=|\S|\Z)"
+_TOKEN_RE = {
+    True: re.compile(r"\s*(?://[^\n]*\s*)*" + _TOKEN),
+    False: re.compile(r"\s*" + _TOKEN),
+}
+_OPERATORS = frozenset("-> .. == != <= >= ; : ' = < > + - * & | ! ( ) [ ]".split())
+_IDENT_START = frozenset(string.ascii_letters + "_")
 
 
-class Token(NamedTuple):
-    kind: str  # "int" | "ident" | "op" | "eof"
-    text: str
-    offset: int
+def _is_ident(tok: str) -> bool:
+    return tok[:1] in _IDENT_START
 
 
-def _error_at(text: str, offset: int, message: str) -> ParseError:
+def _error_at(text: str, allow_comments: bool, index: int, message: str) -> ParseError:
+    """The error ``message`` at token ``index`` of ``_lex(text, allow_comments)``."""
+    offset = next(islice(_TOKEN_RE[allow_comments].finditer(text), index, None)).start(1)
     return ParseError(message, *line_col(text, offset), offset=offset)
 
 
-def _lex(text: str, allow_comments: bool) -> list[Token]:
-    tokens: list[Token] = []
-    # "bad" takes any character the other groups refuse ("\n" is ws), so
-    # the matches tile the text and finditer skips nothing.
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws" or (kind == "comment" and allow_comments):
-            continue
-        if kind == "comment" or kind == "bad":
-            raise _error_at(text, m.start(), f"unexpected character {text[m.start()]!r}")
-        tokens.append(Token(kind, m.group(), m.start()))
-    tokens.append(Token("eof", "", len(text)))
+def _lex(text: str, allow_comments: bool) -> list[str]:
+    """The token texts of ``text``, the last one ``""``."""
+    tokens = _TOKEN_RE[allow_comments].findall(text)
+    # After trailing blanks, the end of input matches twice: once after
+    # them and once, empty, at the end.
+    if tokens[-2:] == ["", ""]:
+        tokens.pop()
+    # A single character that starts no integer, identifier or operator is
+    # a bad character; so is the "/" of a comment in a formula.  Checking
+    # each distinct text is enough to find them.
+    bad = [
+        tok
+        for tok in set(tokens)
+        if tok and tok not in _OPERATORS and not tok.isdecimal() and not _is_ident(tok)
+    ]
+    if bad:
+        index = min(map(tokens.index, bad))
+        raise _error_at(text, allow_comments, index, f"unexpected character {tokens[index]!r}")
     return tokens
 
 
@@ -100,45 +113,50 @@ def _ensure_recursion_headroom():
 
 
 class _Stream:
+    """The tokens of one text and the index ``pos`` of the current one.
+
+    The descent reads ``toks[pos]`` itself and steps ``pos`` past each
+    token it takes; it never steps past the final ``""``.
+    """
+
     def __init__(self, text: str, allow_comments: bool):
         self.text = text
-        self.tokens = _lex(text, allow_comments)
+        self.allow_comments = allow_comments
+        self.toks = _lex(text, allow_comments)
         self.pos = 0
         self.names: set[str] = set()  # identifiers read as names; see _typed_expr
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+    def accept(self, text: str) -> bool:
+        if self.toks[self.pos] == text:
             self.pos += 1
-        return tok
+            return True
+        return False
 
-    def accept(self, text: str) -> Token | None:
-        if self.cur.kind in ("op", "ident") and self.cur.text == text:
-            return self.advance()
-        return None
-
-    def expect(self, text: str, what: str | None = None) -> Token:
-        tok = self.accept(text)
-        if tok is None:
+    def expect(self, text: str, what: str | None = None) -> None:
+        if not self.accept(text):
             raise self.error(f"expected '{text}'" + (f" {what}" if what else ""))
-        return tok
 
-    def expect_kind(self, kind: str, what: str) -> Token:
-        if self.cur.kind != kind:
+    def expect_int(self, what: str) -> int:
+        """The index of the current token, an integer literal; steps past it."""
+        if not self.toks[self.pos].isdecimal():
             raise self.error(f"expected {what}")
-        return self.advance()
+        self.pos += 1
+        return self.pos - 1
+
+    def expect_ident(self, what: str) -> int:
+        """The index of the current token, an identifier; steps past it."""
+        if not _is_ident(self.toks[self.pos]):
+            raise self.error(f"expected {what}")
+        self.pos += 1
+        return self.pos - 1
 
     def error(self, message: str) -> ParseError:
-        tok = self.cur
-        found = repr(tok.text) if tok.kind != "eof" else "end of input"
-        return self.error_at(tok, f"{message}, found {found}")
+        tok = self.toks[self.pos]
+        found = repr(tok) if tok else "end of input"
+        return self.error_at(self.pos, f"{message}, found {found}")
 
-    def error_at(self, tok: Token, message: str) -> ParseError:
-        return _error_at(self.text, tok.offset, message)
+    def error_at(self, index: int, message: str) -> ParseError:
+        return _error_at(self.text, self.allow_comments, index, message)
 
 
 # ---------------------------------------------------------------------------
@@ -148,51 +166,48 @@ class _Stream:
 def _parse_expr(s: _Stream, min_prec: int = 1) -> Expr:
     left = _parse_unary(s)
     while True:
-        tok = s.cur
-        prec = BIN_PREC.get(tok.text) if tok.kind == "op" else None
+        op = s.toks[s.pos]
+        prec = BIN_PREC.get(op)
         if prec is None or prec < min_prec:
             return left
-        s.advance()
+        s.pos += 1
         right = _parse_expr(s, prec + 1)
-        left = BinOp(tok.text, left, right)
-        if tok.text in CMP_OPS:
-            nxt = s.cur
-            if nxt.kind == "op" and nxt.text in CMP_OPS:
-                raise s.error("chained comparison is not allowed")
+        left = BinOp(op, left, right)
+        if op in CMP_OPS and s.toks[s.pos] in CMP_OPS:
+            raise s.error("chained comparison is not allowed")
 
 
 def _parse_unary(s: _Stream) -> Expr:
-    tok = s.cur
-    if tok.kind == "op" and tok.text == "!":
-        s.advance()
+    tok = s.toks[s.pos]
+    if _is_ident(tok):
+        s.pos += 1
+        if tok == "true":
+            return BoolLit(True)
+        if tok == "false":
+            return BoolLit(False)
+        s.names.add(tok)
+        return Name(tok)
+    if tok.isdecimal():
+        s.pos += 1
+        return IntLit(_literal(s, s.pos - 1))
+    if tok == "!":
+        s.pos += 1
         return NotOp(_parse_expr(s, 4))
-    if tok.kind == "op" and tok.text == "-":
-        s.advance()
-        lit = s.expect_kind("int", "an integer after '-'")
-        return IntLit(_literal(s, lit, negative=True))
-    if tok.kind == "op" and tok.text == "(":
-        s.advance()
+    if tok == "-":
+        s.pos += 1
+        return IntLit(_literal(s, s.expect_int("an integer after '-'"), negative=True))
+    if tok == "(":
+        s.pos += 1
         inner = _parse_expr(s, 1)
         s.expect(")")
         return inner
-    if tok.kind == "int":
-        s.advance()
-        return IntLit(_literal(s, tok))
-    if tok.kind == "ident":
-        s.advance()
-        if tok.text == "true":
-            return BoolLit(True)
-        if tok.text == "false":
-            return BoolLit(False)
-        s.names.add(tok.text)
-        return Name(tok.text)
     raise s.error("expected an expression")
 
 
 def _typed_expr(
     s: _Stream, want: str, context: str, declared: frozenset[str], min_prec: int = 1
 ) -> Expr:
-    start = s.cur
+    start = s.pos
     s.names.clear()
     expr = _parse_expr(s, min_prec)
     unknown = s.names - declared
@@ -213,7 +228,7 @@ def parse_expression(text: str) -> Expr:
     """Parse a standalone expression fragment (no name or type checks)."""
     s = _Stream(text, allow_comments=True)
     expr = _parse_expr(s)
-    if s.cur.kind != "eof":
+    if s.toks[s.pos]:
         raise s.error("trailing input after expression")
     return expr
 
@@ -223,58 +238,63 @@ def parse_expression(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _literal(s: _Stream, tok: Token, negative: bool = False) -> int:
-    value = int_literal("-" + tok.text if negative else tok.text)
+def _literal(s: _Stream, index: int, negative: bool = False) -> int:
+    tok = s.toks[index]
+    value = int_literal("-" + tok if negative else tok)
     if value is None:
-        raise s.error_at(tok, f"integer literal outside {INT_MIN}..{INT_MAX}")
+        raise s.error_at(index, f"integer literal outside {INT_MIN}..{INT_MAX}")
     return value
 
 
 def _signed_int(s: _Stream, what: str) -> int:
-    negative = s.accept("-") is not None
-    return _literal(s, s.expect_kind("int", what), negative)
+    negative = s.accept("-")
+    return _literal(s, s.expect_int(what), negative)
 
 
-def _decl_name(s: _Stream, what: str, taken: set[str]) -> Token:
-    tok = s.expect_kind("ident", what)
-    if tok.text in MODEL_KEYWORDS:
-        raise s.error_at(tok, f"'{tok.text}' is a reserved word")
-    if tok.text in taken:
-        raise s.error_at(tok, f"duplicate declaration of '{tok.text}'")
-    return tok
+def _decl_name(s: _Stream, what: str, taken: set[str]) -> int:
+    """The index of a new declaration's name."""
+    index = s.expect_ident(what)
+    name = s.toks[index]
+    if name in MODEL_KEYWORDS:
+        raise s.error_at(index, f"'{name}' is a reserved word")
+    if name in taken:
+        raise s.error_at(index, f"duplicate declaration of '{name}'")
+    return index
 
 
 def parse_model(text: str) -> SystemModel:
     """Parse model text into a validated :class:`SystemModel`."""
     _ensure_recursion_headroom()
     s = _Stream(text, allow_comments=True)
+    toks = s.toks
     constants: dict[str, int] = {}
     variables: list[VarDecl] = []
     taken: set[str] = set()
 
     while s.accept("const"):
-        name = _decl_name(s, "a constant name", taken)
+        name = toks[_decl_name(s, "a constant name", taken)]
         s.expect("=")
         value = _signed_int(s, "an integer value")
         s.expect(";")
-        constants[name.text] = value
-        taken.add(name.text)
+        constants[name] = value
+        taken.add(name)
 
     while s.accept("var"):
-        name = _decl_name(s, "a variable name", taken)
+        at = _decl_name(s, "a variable name", taken)
+        name = toks[at]
         s.expect(":")
         lo = _signed_int(s, "a lower bound")
         s.expect("..")
         hi = _signed_int(s, "an upper bound")
         if hi < lo:
-            raise s.error_at(name, f"empty domain {lo}..{hi}")
+            raise s.error_at(at, f"empty domain {lo}..{hi}")
         s.expect("init")
         init = _signed_int(s, "an initial value")
         if not lo <= init <= hi:
-            raise s.error_at(name, f"init out of bounds ({init} not in {lo}..{hi})")
+            raise s.error_at(at, f"init out of bounds ({init} not in {lo}..{hi})")
         s.expect(";")
-        variables.append(VarDecl(name.text, lo, hi, init))
-        taken.add(name.text)
+        variables.append(VarDecl(name, lo, hi, init))
+        taken.add(name)
 
     if not variables:
         raise s.error("model declares no variables; expected 'var'")
@@ -288,33 +308,35 @@ def parse_model(text: str) -> SystemModel:
         s.expect(";")
 
     commands: list[GuardedCommand] = []
-    while s.cur.kind != "eof":
+    while toks[s.pos]:
         if not s.accept("["):
             raise s.error("expected a command ('[')")
         label = None
-        if s.cur.kind == "ident" and s.cur.text not in MODEL_KEYWORDS:
-            label = s.advance().text
+        if _is_ident(toks[s.pos]) and toks[s.pos] not in MODEL_KEYWORDS:
+            label = toks[s.pos]
+            s.pos += 1
         s.expect("]")
         guard = _typed_expr(s, "bool", "guard", declared)
         s.expect("->")
         updates: list[tuple[str, Expr]] = []
         if not s.accept("skip"):
             while True:
-                target = s.expect_kind("ident", "a variable to update")
-                if target.text not in var_names:
+                at = s.expect_ident("a variable to update")
+                target = toks[at]
+                if target not in var_names:
                     raise s.error_at(
-                        target,
-                        f"unknown identifier '{target.text}' in update"
-                        if target.text not in constants
-                        else f"'{target.text}' is a constant, not a variable",
+                        at,
+                        f"unknown identifier '{target}' in update"
+                        if target not in constants
+                        else f"'{target}' is a constant, not a variable",
                     )
-                if any(target.text == n for n, _ in updates):
-                    raise s.error_at(target, f"variable '{target.text}' updated twice")
+                if any(target == n for n, _ in updates):
+                    raise s.error_at(at, f"variable '{target}' updated twice")
                 s.expect("'")
                 s.expect("=")
                 # Arithmetic precedence only: '&' separates assignments.
                 rhs = _typed_expr(s, "int", "update expression", declared, min_prec=5)
-                updates.append((target.text, rhs))
+                updates.append((target, rhs))
                 if not s.accept("&"):
                     break
         s.expect(";")
@@ -358,7 +380,7 @@ def parse_formula(text: str) -> ctl.CtlFormula:
     _ensure_recursion_headroom()
     s = _Stream(text, allow_comments=False)
     f = _parse_or(s)
-    if s.cur.kind != "eof":
+    if s.toks[s.pos]:
         raise s.error("trailing input after formula")
     return f
 
@@ -378,16 +400,15 @@ def _parse_and(s: _Stream) -> ctl.CtlFormula:
 
 
 def _parse_funary(s: _Stream) -> ctl.CtlFormula:
-    # Collect the prefix chain iteratively, then wrap innermost-first.
+    # Collect the prefix chain iteratively, then wrap innermost-first.  A
+    # temporal name followed by a comparator is an atom's variable.
+    toks = s.toks
     prefixes: list[str] = []
     while True:
-        tok = s.cur
-        if tok.kind == "op" and tok.text == "!":
-            s.advance()
-            prefixes.append("!")
-        elif tok.kind == "ident" and tok.text in _TEMPORAL_BY_NAME:
-            s.advance()
-            prefixes.append(tok.text)
+        tok = toks[s.pos]
+        if tok == "!" or (tok in _TEMPORAL_BY_NAME and toks[s.pos + 1] not in CMP_OPS):
+            s.pos += 1
+            prefixes.append(tok)
         else:
             break
     f = _parse_fprimary(s)
@@ -397,24 +418,23 @@ def _parse_funary(s: _Stream) -> ctl.CtlFormula:
 
 
 def _parse_fprimary(s: _Stream) -> ctl.CtlFormula:
-    tok = s.cur
     if s.accept("("):
         f = _parse_or(s)
         s.expect(")")
         return f
-    if tok.kind == "ident":
-        s.advance()
-        if tok.text == "true":
-            return ctl.TrueF()
-        if tok.text == "false":
-            return ctl.FalseF()
-        op_tok = s.cur
-        if op_tok.kind == "op" and op_tok.text in CMP_OPS:
-            s.advance()
-        elif op_tok.kind == "op" and op_tok.text == "=":
-            raise s.error_at(op_tok, "unknown comparator '='")
-        else:
-            raise s.error(f"expected a comparator after '{tok.text}'")
+    name = s.toks[s.pos]
+    if _is_ident(name):
+        s.pos += 1
+        op = s.toks[s.pos]
+        if op not in CMP_OPS:
+            if name == "true":
+                return ctl.TrueF()
+            if name == "false":
+                return ctl.FalseF()
+            if op == "=":
+                raise s.error_at(s.pos, "unknown comparator '='")
+            raise s.error(f"expected a comparator after '{name}'")
+        s.pos += 1
         value = _signed_int(s, "an integer")
-        return ctl.Atom(tok.text, op_tok.text, value)
+        return ctl.Atom(name, op, value)
     raise s.error("expected a formula")

@@ -154,6 +154,26 @@ def random_town_logs(seed: int = 240817, count: int = 100):
         yield model_text, log
 
 
+def town_texts(seed: int, count: int, side: int = 12, tags: int = 20, stops: int = 6) -> list[str]:
+    """Unreduced model texts of ``count`` seeded ``side`` x ``side`` full-grid
+    towns with ``tags`` tagged cells and ``stops``-step objectives: at the
+    defaults, the size of the validator benchmark's towns-distinct models.
+    The objectives are drawn at random, not recorded from a drive, so an
+    honest run need not exist; use the texts for parsing only."""
+    rng = random.Random(seed)
+    cells = [(x, y) for x in range(side) for y in range(side)]
+    texts = []
+    for _ in range(count):
+        rng.shuffle(cells)
+        start = (*cells[0], rng.randrange(4))
+        town = full_grid_town(side, side, {cell: i + 1 for i, cell in enumerate(cells[:tags])}, start)
+        objective = Objective(tuple(
+            ObjectiveStep(rng.randint(1, tags), rng.choice(ACTIONS)) for _ in range(stops)
+        ))
+        texts.append(town_model_text(town, objective, reduce=False))
+    return texts
+
+
 def bundled_town():
     """The sample 5x5 town and its four-stop objective."""
     town = load_town((SAMPLES / "town5x5.json").read_text())

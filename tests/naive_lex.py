@@ -1,12 +1,12 @@
 """Reference lexer used against ``traceval.lang._lex``.
 
-The lexer as it was before tokens carried offsets: one regex ``match`` per
-token, with a running line and column kept for every token.  ``Stream`` is
-``lang``'s token stream over these tokens, raising each error at the line
-and column its token recorded, and ``parsing`` makes ``lang``'s parsers use
-it.  ``render_error`` is the parse check of a rendered model as it was
-then: it turns an error's line and column back into an offset to find the
-tag to blame.
+The lexer as it was before ``lang`` lexed in one pass: one regex ``match``
+per token, with a running line and column kept for every token.
+``Stream`` is ``lang``'s token stream over the texts of these tokens,
+raising each error at the line and column its token recorded, and
+``parsing`` makes ``lang``'s parsers use it.  ``render_error`` is the
+parse check of a rendered model as it was then: it turns an error's line
+and column back into an offset to find the tag to blame.
 """
 
 from __future__ import annotations
@@ -76,10 +76,12 @@ class Stream(lang._Stream):
     def __init__(self, text: str, allow_comments: bool):
         self.text = text
         self.tokens = _lex(text, allow_comments)
+        self.toks = [tok.text for tok in self.tokens]
         self.pos = 0
         self.names: set[str] = set()
 
-    def error_at(self, tok: Token, message: str) -> ParseError:
+    def error_at(self, index: int, message: str) -> ParseError:
+        tok = self.tokens[index]
         return ParseError(message, tok.line, tok.col)
 
 

@@ -154,6 +154,18 @@ def test_check_holds_and_fails(tmp_path, capsys, workspace):
     assert "violates" in captured.err
 
 
+@pytest.mark.parametrize("name", ["EX", "EF", "EG", "AX", "AF", "AG"])
+def test_property_of_a_temporal_named_variable_round_trips(tmp_path, capsys, name):
+    model, log, prop = tmp_path / "m.gcm", tmp_path / "log.csv", tmp_path / "p.ctl"
+    model.write_text(f"var {name} : 0..1 init 0; [] {name}==0 -> {name}'=1;\n")
+    log.write_text(f"{name}\n0\n1\n1\n")
+    assert main(["gen-property", "--log", str(log), "-o", str(prop)]) == 0
+    assert prop.read_text() == f"{name}==0 & EX({name}==1 & AG({name}==1))\n"
+    code = main(["check", "--model", str(model), "--property", str(prop)])
+    assert code == 0
+    assert "holds (2 states, 2 edges)" in capsys.readouterr().out
+
+
 def test_check_missing_file_is_code_2(tmp_path, capsys):
     code = main(["check", "--model", str(tmp_path / "nope.gcm"), "--property", str(tmp_path / "p.ctl")])
     assert code == 2
