@@ -2,8 +2,8 @@
 that judges logs.
 
 Satisfaction sets are integer bitmasks over state indices.  Each operator
-is computed from its children's sets: atoms read a per-variable index
-from value to states, boolean connectives are set algebra, EX marks the
+is computed from its children's sets: atoms scan one variable's column
+of values, boolean connectives are set algebra, EX marks the
 predecessors of the child's members, EF is a least fixpoint computed as a
 backward worklist over predecessors, and EG a greatest fixpoint that
 counts each member's successors inside the set and drops members whose
@@ -12,12 +12,11 @@ bitmask into per-state marks once, walks the graph's predecessor rows and
 turns the marks back into one bitmask.  AX, AF and AG go through their
 existential duals, so only three temporal algorithms exist.
 
-Atoms do not compare valuations state by state.  The first atom over a
-variable builds that variable's value index, the states sorted by value;
-an atom ``var op c`` then marks the states of every distinct value ``v``
-with ``v op c`` (for ``==`` only the states of ``c``).  The ``sat`` cache
-keeps each index and each distinct atom's mask, so equal atoms in
-different rows of a log are computed once.
+An atom ``var op c`` is one pass of the comparator over that variable's
+column, its value in each state, for all six comparators alike.  The
+``sat`` cache keeps each column and each distinct atom's mask, so each
+column is read once and equal atoms in different subformulas are scanned
+once.
 
 ``sat`` walks the formula iteratively (no recursion), which keeps deeply
 nested generated properties within interpreter limits.  It is a pure
@@ -50,11 +49,9 @@ the log leaves the model at and the check it fails.
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, compress, count
+from itertools import compress, count, repeat
+from operator import itemgetter
 
 from . import ctl
 from .errors import EvalError
@@ -170,37 +167,14 @@ class CheckReport:
     failures: tuple[InitialFailure, ...] = ()
 
 
-# A variable's value index ``(values, starts, order)``: its distinct values
-# ascending, and the states sorted by value, ``order[starts[k]:starts[k + 1]]``
-# being the states, ascending, whose value is ``values[k]``.  Its size is
-# linear in the states; a mask per value would be O(values x states).
-_ValueIndex = tuple[list, array, array]
+def _column(graph: StateGraph, j: int) -> list:
+    """Variable ``j``'s value in each state, in state order."""
+    return list(map(itemgetter(j), graph.states))
 
 
-def _value_index(graph: StateGraph, j: int) -> _ValueIndex:
-    column = [state[j] for state in graph.states]
-    # sorted() is stable, so each value's states stay ascending
-    order = array("i", sorted(range(len(column)), key=column.__getitem__))
-    counts = Counter(column)
-    values = sorted(counts)
-    starts = array("i", [0, *accumulate(map(counts.__getitem__, values))])
-    return values, starts, order
-
-
-def _atom_mask(graph: StateGraph, index: _ValueIndex, atom: ctl.Atom) -> int:
-    values, starts, order = index
-    c = atom.value
-    if atom.op == "==":
-        k = bisect_left(values, c)
-        ranks = [k] if k < len(values) and values[k] == c else []
-    else:
-        cmp = CMP_OPS[atom.op]
-        ranks = [k for k, v in enumerate(values) if cmp(v, c)]
-    marks = bytearray(graph.state_count)
-    for k in ranks:
-        for s in order[starts[k]:starts[k + 1]]:
-            marks[s] = 1
-    return _mask(marks)
+def _scan(column: list, op: str, c: int) -> int:
+    """The mask of the states whose value ``v`` in ``column`` has ``v op c``."""
+    return _mask(bytes(map(CMP_OPS[op], column, repeat(c))))
 
 
 def _cached_atom_mask(graph: StateGraph, atom: ctl.Atom, cache: dict) -> int:
@@ -210,10 +184,10 @@ def _cached_atom_mask(graph: StateGraph, atom: ctl.Atom, cache: dict) -> int:
         j = graph.var_index(atom.var)
         if atom.op not in CMP_OPS:
             raise EvalError(f"unknown comparator '{atom.op}'")
-        index = cache.get(atom.var)
-        if index is None:
-            index = cache[atom.var] = _value_index(graph, j)
-        mask = cache[key] = _atom_mask(graph, index, atom)
+        column = cache.get(atom.var)
+        if column is None:
+            column = cache[atom.var] = _column(graph, j)
+        mask = cache[key] = _scan(column, atom.op, atom.value)
     return mask
 
 
@@ -275,9 +249,10 @@ def sat(
 
     ``cache`` maps ``id(subformula)`` to ``(subformula, mask)`` for every
     node evaluated, atoms included.  It also maps each variable name an atom
-    has named to that variable's value index, and each distinct atom's
-    ``(var, op, value)`` to its mask, so equal atoms are computed once.  It
-    may be shared across calls on the same graph to reuse all of these.
+    has named to that variable's column, its value in each state, and each
+    distinct atom's ``(var, op, value)`` to its mask, so each column is read
+    and each distinct atom scanned once.  It may be shared across calls on
+    the same graph to reuse all of these.
     """
     masks = cache if cache is not None else {}
     full = (1 << graph.state_count) - 1

@@ -152,29 +152,19 @@ def cmd_validate(args) -> int:
     if args.liability is not None:
         verdicts = [(args.liability, validate(ledger, store, args.liability, args.type, args.base, args.max_states))]
     else:
-        try:
-            verdicts = run_validator(
-                ledger,
-                store,
-                mode=args.type,
-                base=args.base,
-                max_states=args.max_states,
-                watch=args.watch,
-            )
-        except KeyboardInterrupt:
-            verdicts = []
+        verdicts = run_validator(
+            ledger,
+            store,
+            mode=args.type,
+            base=args.base,
+            max_states=args.max_states,
+            watch=args.watch,
+        )
     for lid, verdict in verdicts:
-        reason = _verdict_reason(ledger, lid)
+        reason = ledger.liability(lid).reason
         print(f"liability {lid}: {verdict}" + (f" ({reason})" if reason else ""))
     print(f"{len(verdicts)} processed")
     return 0 if all(v == STATUS_CONFIRMED for _, v in verdicts) else 1
-
-
-def _verdict_reason(ledger: Ledger, lid: int) -> str | None:
-    for event in reversed(ledger.events):
-        if event.get("kind") == "Verdict" and event.get("id") == lid:
-            return event.get("reason")
-    return None
 
 
 def cmd_demo(args) -> int:
@@ -206,7 +196,7 @@ def cmd_demo(args) -> int:
     print(f"execute: {log.n} rows logged, result {result_hash[:12]}.. submitted")
 
     verdict = validate(ledger, store, lid, args.type, args.base, args.max_states)
-    reason = _verdict_reason(ledger, lid)
+    reason = ledger.liability(lid).reason
     print(f"validate: liability {lid} {verdict}" + (f" ({reason})" if reason else ""))
     return 0 if verdict == STATUS_CONFIRMED else 1
 

@@ -63,10 +63,6 @@ class ExecutionLog:
     def n(self) -> int:
         return len(self.rows)
 
-    @property
-    def m(self) -> int:
-        return len(self.variables)
-
 
 def parse_log(text: str) -> ExecutionLog:
     """Parse CSV log text (LF or CRLF, no quoting)."""

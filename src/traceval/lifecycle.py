@@ -148,6 +148,7 @@ class Liability:
     result_hash: str | None = None
     status: str = STATUS_CREATED
     result_seq: int | None = None
+    reason: str | None = None  # the verdict's reason code, if it gave one
 
 
 class Ledger:
@@ -179,7 +180,7 @@ class Ledger:
                 continue
             try:
                 event = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # a JSONDecodeError, or an integer too long for int()
                 raise LedgerError(f"{self.path}:{line_no}: not valid JSON: {exc}") from exc
             if not isinstance(event, dict):
                 raise LedgerError(f"{self.path}:{line_no}: not a JSON object")
@@ -230,6 +231,7 @@ class Ledger:
             if verdict not in (STATUS_CONFIRMED, STATUS_REJECTED):
                 raise LedgerError(f"unknown verdict {verdict!r}")
             liab.status = verdict
+            liab.reason = event.get("reason")
         else:
             raise LedgerError(f"unknown event kind {kind!r}")
 
@@ -434,9 +436,11 @@ def run_validator(
     """Validate every pending liability in submission order.
 
     With ``watch`` the ledger file is re-read every ``interval`` seconds
-    until interrupted (or ``max_polls`` re-reads, when given).  A failing
-    liability becomes a Rejected verdict; the loop itself never aborts.
-    Each distinct model text is parsed and built once per call.
+    until interrupted (or ``max_polls`` re-reads, when given).  An interrupt
+    (``KeyboardInterrupt``) ends the run and returns the verdicts recorded
+    so far.  A failing liability becomes a Rejected verdict; the loop
+    itself never aborts.  Each distinct model text is parsed and built once
+    per call.
     """
     # Keyed by the model text, not its hash, because ContentStore.get does
     # not re-hash: a replaced blob file would make a hash key stale.  The
@@ -444,26 +448,32 @@ def run_validator(
     prepare = lru_cache(maxsize=_CACHED_MODELS)(partial(PreparedModel, max_states=max_states))
     results: list[tuple[int, str]] = []
     polls = 0
-    while True:
-        for liab in ledger.pending():
-            try:
-                verdict = _validate(ledger, store, liab.id, mode, base, prepare)
-            except LedgerError:
-                raise
-            except Exception:
+    try:
+        while True:
+            for liab in ledger.pending():
                 try:
-                    ledger.append(
-                        KIND_VERDICT, id=liab.id, verdict=STATUS_REJECTED, reason="validator-error"
-                    )
-                    verdict = STATUS_REJECTED
+                    verdict = _validate(ledger, store, liab.id, mode, base, prepare)
                 except LedgerError:
-                    continue
-            results.append((liab.id, verdict))
-        if not watch:
-            break
-        polls += 1
-        if max_polls is not None and polls >= max_polls:
-            break
-        time.sleep(interval)
-        ledger.reload()
+                    raise
+                except Exception:
+                    try:
+                        ledger.append(
+                            KIND_VERDICT,
+                            id=liab.id,
+                            verdict=STATUS_REJECTED,
+                            reason="validator-error",
+                        )
+                        verdict = STATUS_REJECTED
+                    except LedgerError:
+                        continue
+                results.append((liab.id, verdict))
+            if not watch:
+                break
+            polls += 1
+            if max_polls is not None and polls >= max_polls:
+                break
+            time.sleep(interval)
+            ledger.reload()
+    except KeyboardInterrupt:
+        pass  # a --watch run ends here; the verdicts recorded so far stand
     return results

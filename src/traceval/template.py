@@ -197,7 +197,11 @@ def parse_settings(text: str) -> Settings:
         target = getattr(settings, section)
         if key in target:
             raise ParseError(f"duplicate key '{key}'", line_no, indent + 1)
-        value = _scalar(rest)
+        try:
+            value = _scalar(rest)
+        except ValueError:  # int() refuses a literal over its digit limit
+            col = indent + len(body) - len(rest.lstrip()) + 1
+            raise ParseError("integer has too many digits", line_no, col) from None
         if value is None:
             pending_key = (line_no, indent)
             continue
@@ -231,7 +235,7 @@ def parse_bindings(text: str) -> dict[str, str]:
     """Parse a bindings file: one flat JSON object with string values."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long for int()
         raise TemplateError(f"bindings are not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise TemplateError("bindings must be a JSON object")

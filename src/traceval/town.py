@@ -190,7 +190,7 @@ def _as_mapping(source, what: str) -> Mapping:
         return source
     try:
         data = json.loads(source)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long for int()
         raise TownError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(data, Mapping):
         raise TownError(f"{what} JSON must be an object")

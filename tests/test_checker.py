@@ -184,39 +184,41 @@ def _nodes(formula):
     return nodes
 
 
-def test_each_distinct_atom_and_index_is_computed_once(monkeypatch, town5x5, objective4):
+def test_each_distinct_atom_and_column_is_computed_once(monkeypatch, town5x5, objective4):
     from traceval.town import simulate, town_model_text
 
     graph = build_graph(parse_model(town_model_text(town5x5, objective4, reduce=False)))
     log = simulate(town5x5, objective4)
     prop = strong_property(log)
-    masks, builds = [], []
-    atom_mask, value_index = checker._atom_mask, checker._value_index
+    scans, reads = [], []
+    column, scan = checker._column, checker._scan
 
-    def counting_atom_mask(g, index, atom):
-        masks.append((atom.var, atom.op, atom.value))
-        return atom_mask(g, index, atom)
+    def counting_column(g, j):
+        reads.append(j)
+        return column(g, j)
 
-    def counting_value_index(g, j):
-        builds.append(j)
-        return value_index(g, j)
+    def counting_scan(values, op, c):
+        scans.append((op, c, id(values)))
+        return scan(values, op, c)
 
-    monkeypatch.setattr(checker, "_atom_mask", counting_atom_mask)
-    monkeypatch.setattr(checker, "_value_index", counting_value_index)
+    monkeypatch.setattr(checker, "_column", counting_column)
+    monkeypatch.setattr(checker, "_scan", counting_scan)
     cache = {}
     result = sat(graph, prop, cache)
     assert any(i in result for i in graph.initial)
     atoms = [(n.var, n.op, n.value) for n in _nodes(prop) if isinstance(n, ctl.Atom)]
     distinct = set(atoms)
     assert len(distinct) < len(atoms)
-    assert sorted(masks) == sorted(distinct)
-    assert len(builds) == len(set(builds)) <= len(graph.variables)
+    # each scan reads the cached column of its atom's variable
+    columns = {id(cache[var]): var for var, _, _ in distinct}
+    assert sorted((columns[k], op, c) for op, c, k in scans) == sorted(distinct)
+    assert len(reads) == len(set(reads)) == len(columns) <= len(graph.variables)
     # an equal property made afresh has new atom nodes but no new atoms
-    masks.clear()
-    builds.clear()
+    scans.clear()
+    reads.clear()
     again = strong_property(log)
     assert sat(graph, again, cache) == result
-    assert masks == [] and builds == []
+    assert scans == [] and reads == []
     assert all(cache[id(node)][0] is node for node in _nodes(again))
 
 

@@ -199,6 +199,26 @@ def test_validate_ledger_not_utf8_is_code_2(tmp_path, capsys):
     assert f"{ledger}: not UTF-8: " in capsys.readouterr().err
 
 
+HUGE = "9" * 5000  # past the 4300 digits int() converts
+
+
+@pytest.mark.parametrize(
+    "name, text, flag, expected",
+    [
+        ("settings.yaml", f"parameters:\n  n: {HUGE}\n", "--settings", "2:6: integer has too many digits"),
+        ("bindings.json", f'{{"go": {HUGE}}}', "--bindings", "bindings are not valid JSON"),
+    ],
+    ids=["settings", "bindings"],
+)
+def test_gen_model_integer_past_the_digit_limit_is_code_2(tmp_path, capsys, name, text, flag, expected):
+    (tmp_path / name).write_text(text)
+    code = main(["gen-model", "--template", str(SAMPLES / "gate.gcmt"),
+                 flag, str(tmp_path / name), "-o", str(tmp_path / "out.gcm")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and expected in err
+
+
 def test_order_prints_monotone_ids(tmp_path, capsys):
     assert _order(tmp_path, capsys) == 1
     assert _order(tmp_path, capsys) == 2
@@ -283,6 +303,24 @@ def test_execute_forged_then_validate_rejects(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert f"liability {lid}: Rejected" in out
+
+
+def test_interrupted_watch_reports_and_exits_by_the_verdicts_it_wrote(tmp_path, capsys, monkeypatch):
+    from traceval import lifecycle
+
+    lid = _town_order(tmp_path, capsys)
+    assert _execute(tmp_path, lid, fault="wrong-turn:2") == 0
+    capsys.readouterr()
+
+    def interrupt(seconds):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(lifecycle.time, "sleep", interrupt)
+    code = main(["validate", "--ledger", str(tmp_path / "ledger.jsonl"),
+                 "--store", str(tmp_path / "store"), "--watch"])
+    assert capsys.readouterr().out == f"liability {lid}: Rejected (property-failed)\n1 processed\n"
+    assert code == 1
+    assert Ledger(tmp_path / "ledger.jsonl").events[-1]["verdict"] == "Rejected"
 
 
 def test_validate_single_liability_by_id(tmp_path, capsys):

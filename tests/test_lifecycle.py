@@ -340,6 +340,27 @@ def test_run_validator_watch_polls_and_stops(ledger, store):
     assert len(results) == 1
 
 
+def test_run_validator_returns_its_verdicts_when_interrupted(monkeypatch, ledger, store):
+    honest = _submitted(ledger, store)
+    forged = _submitted(ledger, store, log_text="x\n0\n0\n1\n")
+
+    def interrupt(seconds):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(lifecycle.time, "sleep", interrupt)
+    results = run_validator(ledger, store, watch=True)
+    assert results == [(honest, STATUS_CONFIRMED), (forged, STATUS_REJECTED)]
+
+
+def test_a_verdicts_reason_is_kept_on_its_liability(ledger, store):
+    honest = _submitted(ledger, store)
+    forged = _submitted(ledger, store, log_text="x\n0\n0\n1\n")
+    run_validator(ledger, store)
+    for loaded in (ledger, Ledger(ledger.path)):
+        assert loaded.liability(honest).reason is None
+        assert loaded.liability(forged).reason == "property-failed"
+
+
 # --- models prepared once per run_validator call -----------------------------
 
 EXPLODING = "var n : 0..999999 init 0;\n[] n<999999 -> n'=n+1;\n"
@@ -486,6 +507,10 @@ def test_ledger_rejects_corrupt_histories(tmp_path):
         path.write_text(line + "\n")
         with pytest.raises(LedgerError, match=":1: not a JSON object"):
             Ledger(path)
+    # json.loads raises a bare ValueError on an integer past int()'s limit
+    path.write_text(f'{{"seq": {HUGE}}}\n')
+    with pytest.raises(LedgerError, match=":1: not valid JSON"):
+        Ledger(path)
 
 
 def test_ledger_rejects_bad_seq_and_kind(ledger):

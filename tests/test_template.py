@@ -120,6 +120,13 @@ def test_parse_settings_missing_value():
         parse_settings("defaults:\n  a:\n")
 
 
+def test_parse_settings_integer_past_the_digit_limit():
+    # int() refuses more than 4300 digits; the value starts at column 8
+    with pytest.raises(ParseError, match="integer has too many digits") as err:
+        parse_settings("parameters:\n  n:   " + "9" * 5000 + "  # huge\n")
+    assert (err.value.line, err.value.col) == (2, 8)
+
+
 def test_settings_round_trip():
     settings = Settings(
         parameters={"width": 5, "label": "east"}, defaults={"turn_left": "false"}
@@ -136,6 +143,9 @@ def test_bindings_round_trip_and_validation():
         parse_bindings('{"go": 3}')
     with pytest.raises(TemplateError, match="tag identifier"):
         parse_bindings('{"go2": "x"}')
+    # json.loads raises a bare ValueError on an integer past int()'s limit
+    with pytest.raises(TemplateError, match="not valid JSON"):
+        parse_bindings('{"go": ' + "9" * 5000 + "}")
 
 
 def test_sample_template_pipeline(samples_dir):

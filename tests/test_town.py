@@ -52,6 +52,9 @@ def test_load_objective_errors():
         load_objective({"sequence": []})
     with pytest.raises(TownError, match="unknown action"):
         load_objective({"sequence": [{"tag": 1, "action": "reverse"}]})
+    # json.loads raises a bare ValueError on an integer past int()'s limit
+    with pytest.raises(TownError, match="objective is not valid JSON"):
+        load_objective('{"sequence": [{"tag": ' + "9" * 5000 + "}]}")
 
 
 def test_load_town_errors():
@@ -68,6 +71,9 @@ def test_load_town_errors():
     bad = dict(TWO_NODE, start={"x": 1, "y": 1, "d": 0})
     with pytest.raises(TownError, match="start node not declared"):
         load_town(bad)
+    # json.loads raises a bare ValueError on an integer past int()'s limit
+    with pytest.raises(TownError, match="town is not valid JSON"):
+        load_town('{"width": ' + "9" * 5000 + "}")
 
 
 def test_two_node_model_has_unique_run():
