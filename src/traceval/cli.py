@@ -17,7 +17,7 @@ from pathlib import Path
 from .checker import holds_initially
 from .ctl import print_formula
 from .errors import ParseError, TracevalError
-from .execlog import format_log, log_property, parse_log
+from .execlog import BASES, MODES, format_log, log_property, parse_log
 from .lang import parse_formula, parse_model
 from .lifecycle import (
     ContentStore,
@@ -67,9 +67,14 @@ def _write(path: str, text: str):
             os.unlink(tmp)
 
 
-def _relay_warnings(caught):
+def _relaying_warnings(call, *args, **kwargs):
+    """``call(*args, **kwargs)``, each warning it emits printed to stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call(*args, **kwargs)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
+    return result
 
 
 def cmd_gen_model(args) -> int:
@@ -87,10 +92,7 @@ def cmd_gen_model(args) -> int:
 
 def cmd_gen_property(args) -> int:
     log = parse_log(_read(args.log))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        formula = log_property(log, args.type, args.base)
-    _relay_warnings(caught)
+    formula = _relaying_warnings(log_property, log, args.type, args.base)
     _write(args.output, print_formula(formula) + "\n")
     return 0
 
@@ -136,10 +138,7 @@ def cmd_execute(args) -> int:
     town = load_town(_read(args.town))
     objective = load_objective(store.get_text(liab.objective_hash))
     fault = parse_fault(args.fault) if args.fault else None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        log = simulate(town, objective, fault=fault)
-    _relay_warnings(caught)
+    log = _relaying_warnings(simulate, town, objective, fault=fault)
     result_hash = store.put_text(format_log(log))
     submit_result(ledger, store, liab.id, result_hash)
     print(result_hash)
@@ -187,10 +186,7 @@ def cmd_demo(args) -> int:
     print(f"order: liability {lid} created")
 
     fault = parse_fault(args.fault) if args.fault else None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        log = simulate(town, objective, fault=fault)
-    _relay_warnings(caught)
+    log = _relaying_warnings(simulate, town, objective, fault=fault)
     result_hash = store.put_text(format_log(log))
     submit_result(ledger, store, lid, result_hash)
     print(f"execute: {log.n} rows logged, result {result_hash[:12]}.. submitted")
@@ -262,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_property_flags(p):
-    p.add_argument("--type", choices=("strong", "weak"), default="strong")
-    p.add_argument("--base", choices=("faithful", "corrected"), default="faithful")
+    p.add_argument("--type", choices=MODES, default="strong")
+    p.add_argument("--base", choices=BASES, default="faithful")
 
 
 def _add_budget_flag(p):
@@ -280,10 +276,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TracevalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TracevalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

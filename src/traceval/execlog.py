@@ -76,8 +76,6 @@ def parse_log(text: str) -> ExecutionLog:
     for cell in header:
         if not _IDENT_RE.match(cell):
             raise LogError(f"invalid variable name {cell!r} in header")
-    if len(set(header)) != len(header):
-        raise LogError("duplicate header name")
     m = len(header)
     rows: list[tuple[int, ...]] = []
     for line_no, line in enumerate(lines[1:], start=2):

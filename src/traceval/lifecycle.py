@@ -2,11 +2,13 @@
 
 The store is a directory of blobs named by the lowercase-hex SHA-256 of
 their bytes.  The ledger is an append-only JSON-lines file; replaying it
-rebuilds every liability's status, and the ledger refuses any event that
-would take a liability through an illegal transition
-(Created -> ResultSubmitted -> Confirmed | Rejected).  A ledger file that
-is not UTF-8, has a line that is not a JSON object, or records an illegal
-history raises :class:`LedgerError` when it is loaded.
+rebuilds every liability's status.  One method, ``Ledger._apply``, rules
+on every transition (Created -> ResultSubmitted -> Confirmed | Rejected),
+for appends and replays alike, and refuses an illegal one.  A ledger file
+that is not UTF-8, has a line that is not a JSON object, or records an
+illegal history raises :class:`LedgerError` when it is loaded.  An append
+whose write fails reloads the ledger from its file and re-raises, so the
+ledger in memory never holds an event its file lacks.
 
 Validation is deterministic: fetch the model and the result log from the
 store, build the state graph and walk the log's rows forward through it
@@ -163,9 +165,10 @@ class Ledger:
         self.path = Path(path)
         self.events: list[dict] = []
         self.liabilities: dict[int, Liability] = {}
-        self._load()
+        self.reload()
 
-    def _load(self):
+    def reload(self):
+        """Replay the ledger file into memory."""
         self.events = []
         self.liabilities = {}
         if not self.path.exists():
@@ -186,9 +189,6 @@ class Ledger:
                 raise LedgerError(f"{self.path}:{line_no}: not a JSON object")
             self._apply(event)
             self.events.append(event)
-
-    def reload(self):
-        self._load()
 
     def _require(self, event: dict, field: str):
         value = event.get(field)
@@ -213,7 +213,7 @@ class Ledger:
                 objective_hash=self._require(event, "objective_hash"),
             )
         elif kind == KIND_RESULT:
-            liab = self._liability(self._require(event, "id"))
+            liab = self.liability(self._require(event, "id"))
             if liab.status != STATUS_CREATED:
                 raise LedgerError(
                     f"liability {liab.id}: cannot submit result in status {liab.status}"
@@ -222,7 +222,7 @@ class Ledger:
             liab.status = STATUS_RESULT_SUBMITTED
             liab.result_seq = seq
         elif kind == KIND_VERDICT:
-            liab = self._liability(self._require(event, "id"))
+            liab = self.liability(self._require(event, "id"))
             if liab.status != STATUS_RESULT_SUBMITTED:
                 raise LedgerError(
                     f"liability {liab.id}: cannot record a verdict in status {liab.status}"
@@ -235,23 +235,26 @@ class Ledger:
         else:
             raise LedgerError(f"unknown event kind {kind!r}")
 
-    def _liability(self, lid: int) -> Liability:
+    def liability(self, lid: int) -> Liability:
         liab = self.liabilities.get(lid)
         if liab is None:
             raise LedgerError(f"unknown liability id {lid}")
         return liab
 
     def append(self, kind: str, **payload) -> dict:
-        """Validate and persist one event; returns it with its seq."""
+        """Validate and persist one event; returns it with its seq.  A failed
+        write reloads the ledger from its file and re-raises."""
         event = {"seq": len(self.events) + 1, "kind": kind, **payload}
+        line = json.dumps(event, separators=(",", ":")) + "\n"
         self._apply(event)
         self.events.append(event)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(event, separators=(",", ":")) + "\n")
+        try:
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write(line)
+        except BaseException:
+            self.reload()
+            raise
         return event
-
-    def liability(self, lid: int) -> Liability:
-        return self._liability(lid)
 
     def pending(self) -> list[Liability]:
         """Liabilities awaiting a verdict, in submission order."""
@@ -289,9 +292,6 @@ def create_liability(
 
 def submit_result(ledger: Ledger, store: ContentStore, lid: int, result_hash: str):
     """Attach an execution result to a Created liability."""
-    liab = ledger.liability(lid)
-    if liab.status != STATUS_CREATED:
-        raise LedgerError(f"liability {lid}: cannot submit result in status {liab.status}")
     if result_hash not in store:
         raise StoreError(f"result hash does not resolve in the store: {result_hash}")
     ledger.append(KIND_RESULT, id=lid, result_hash=result_hash)
@@ -394,23 +394,20 @@ def _validate(
     liab = ledger.liability(lid)
     if liab.status != STATUS_RESULT_SUBMITTED:
         raise LedgerError(f"liability {lid}: nothing to validate in status {liab.status}")
-    verdict = reason = witness = None
-    try:
-        model_text = store.get_text(liab.model_hash)
-    except StoreError:
-        verdict, reason = STATUS_REJECTED, REASON_MISSING_BLOB
-    except UnicodeDecodeError:
-        verdict, reason = STATUS_REJECTED, REASON_MALFORMED_MODEL
-    if verdict is None:
+    verdict, witness, texts = STATUS_REJECTED, None, []
+    blobs = (liab.model_hash, REASON_MALFORMED_MODEL), (liab.result_hash, REASON_MALFORMED_LOG)
+    for digest, undecodable in blobs:
         try:
-            log_text = store.get_text(liab.result_hash)
+            texts.append(store.get_text(digest))
         except StoreError:
-            verdict, reason = STATUS_REJECTED, REASON_MISSING_BLOB
+            reason = REASON_MISSING_BLOB
+            break
         except UnicodeDecodeError:
-            verdict, reason = STATUS_REJECTED, REASON_MALFORMED_LOG
-    if verdict is None:
-        prepared = prepare(model_text)
-        verdict, reason, witness = prepared.judge(log_text, mode, base)
+            reason = undecodable
+            break
+    else:
+        prepared = prepare(texts[0])
+        verdict, reason, witness = prepared.judge(texts[1], mode, base)
     event = {"id": lid, "verdict": verdict}
     if reason is not None:
         event["reason"] = reason
@@ -438,9 +435,10 @@ def run_validator(
     With ``watch`` the ledger file is re-read every ``interval`` seconds
     until interrupted (or ``max_polls`` re-reads, when given).  An interrupt
     (``KeyboardInterrupt``) ends the run and returns the verdicts recorded
-    so far.  A failing liability becomes a Rejected verdict; the loop
-    itself never aborts.  Each distinct model text is parsed and built once
-    per call.
+    so far.  A failing liability becomes a Rejected verdict; the loop stops
+    only when the ledger itself cannot be written or loaded, and raises
+    that error.  Each distinct model text is parsed and built once per
+    call.
     """
     # Keyed by the model text, not its hash, because ContentStore.get does
     # not re-hash: a replaced blob file would make a hash key stale.  The
@@ -456,16 +454,10 @@ def run_validator(
                 except LedgerError:
                     raise
                 except Exception:
-                    try:
-                        ledger.append(
-                            KIND_VERDICT,
-                            id=liab.id,
-                            verdict=STATUS_REJECTED,
-                            reason="validator-error",
-                        )
-                        verdict = STATUS_REJECTED
-                    except LedgerError:
-                        continue
+                    ledger.append(
+                        KIND_VERDICT, id=liab.id, verdict=STATUS_REJECTED, reason="validator-error"
+                    )
+                    verdict = STATUS_REJECTED
                 results.append((liab.id, verdict))
             if not watch:
                 break

@@ -40,6 +40,7 @@ across threads for concurrent reads.
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
 from operator import itemgetter
 from dataclasses import dataclass
@@ -404,21 +405,19 @@ def _initial_valuations(model: SystemModel, budget: int) -> list[Valuation]:
     if model.init_constraint is None:
         return [base]
     # Widening constraint: every domain valuation satisfying it is initial,
-    # alongside the declared init vector.  Enumeration is bounded by the
-    # state budget to keep degenerate constraints from running away.
+    # alongside the declared init vector.  The domain's size is checked
+    # against the state budget before enumerating, since itertools.product
+    # turns every range into a tuple before it yields anything.
     try:
         kind, allows = compile_expr(model.init_constraint, model.var_names, model.constants)
         if kind != "bool":
             raise ModelError("init constraint is not boolean")
-        inits = {base}
+        if math.prod(v.hi - v.lo + 1 for v in model.variables) > budget:
+            raise StateExplosionError(
+                f"state explosion: init constraint enumeration exceeded {budget} candidates"
+            )
         ranges = [range(v.lo, v.hi + 1) for v in model.variables]
-        for count, cand in enumerate(itertools.product(*ranges), start=1):
-            if count > budget:
-                raise StateExplosionError(
-                    f"state explosion: init constraint enumeration exceeded {budget} candidates"
-                )
-            if allows(cand):
-                inits.add(cand)
+        inits = {base, *filter(allows, itertools.product(*ranges))}
     except EvalError as exc:
         raise ModelError(f"init constraint: {exc}") from None
     return sorted(inits)

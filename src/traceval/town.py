@@ -8,6 +8,10 @@ forward) and advancing one edge.  When the objective is exhausted, or the
 expected tag does not match, or the required edge is missing, the robot
 halts and holds its final state.
 
+``TownMap`` and ``Objective`` check their own rules when they are built,
+whether by ``load_town``/``load_objective``, which only read JSON fields
+into them, or directly; an invalid one raises :class:`TownError`.
+
 ``build_bindings`` turns a town plus an objective into the three template
 artifacts (template text, bindings, settings): the template declares one
 guarded command per possible stop action and per transit move, with the
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import TownError
@@ -38,6 +42,9 @@ HEADING_LETTERS = "nesw"
 LOG_COLUMNS = ("x", "y", "d", "k")
 
 _WRONG_ACTION = {"left": "right", "right": "forward", "forward": "left"}
+
+# What reading a malformed JSON field raises; OverflowError is int() of 1e999.
+_MALFORMED = (KeyError, TypeError, ValueError, IndexError, OverflowError)
 
 
 class SimulationWarning(UserWarning):
@@ -69,29 +76,45 @@ class TownMap:
     nodes: tuple[TownNode, ...]
     edges: frozenset[tuple[tuple[int, int], tuple[int, int]]]
     start: tuple[int, int, int]  # x, y, heading
+    _by_pos: dict = field(init=False, repr=False, compare=False)
+    _by_tag: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.width < 1 or self.height < 1:
+            raise TownError("town dimensions must be positive")
+        by_pos, by_tag = {}, {}
+        for node in self.nodes:
+            if not (0 <= node.x < self.width and 0 <= node.y < self.height):
+                raise TownError(f"node ({node.x},{node.y}) out of bounds")
+            if (node.x, node.y) in by_pos:
+                raise TownError(f"duplicate node at ({node.x},{node.y})")
+            if node.tag < 0:
+                raise TownError(f"node ({node.x},{node.y}): negative tag")
+            if node.tag > 0:
+                if node.tag in by_tag:
+                    raise TownError(f"duplicate tag {node.tag}")
+                by_tag[node.tag] = node
+            by_pos[node.x, node.y] = node
+        for src, dst in sorted(self.edges):  # so an error names the same edge on every run
+            if src not in by_pos or dst not in by_pos:
+                raise TownError(f"edge {src}->{dst} references an undeclared node")
+            if abs(src[0] - dst[0]) + abs(src[1] - dst[1]) != 1:
+                raise TownError(f"edge {src}->{dst} does not join adjacent nodes")
+        if (self.start[0], self.start[1]) not in by_pos:
+            raise TownError("start node not declared")
+        if not 0 <= self.start[2] <= 3:
+            raise TownError("start heading must be 0..3")
+        object.__setattr__(self, "_by_pos", by_pos)
+        object.__setattr__(self, "_by_tag", by_tag)
 
     def node_at(self, x: int, y: int) -> TownNode | None:
-        return self._by_pos().get((x, y))
+        return self._by_pos.get((x, y))
 
     def node_with_tag(self, tag: int) -> TownNode | None:
-        return self._by_tag().get(tag)
+        return self._by_tag.get(tag)
 
     def has_edge(self, src: tuple[int, int], dst: tuple[int, int]) -> bool:
         return (src, dst) in self.edges
-
-    def _by_pos(self) -> dict:
-        cache = self.__dict__.get("_pos_cache")
-        if cache is None:
-            cache = {(n.x, n.y): n for n in self.nodes}
-            object.__setattr__(self, "_pos_cache", cache)
-        return cache
-
-    def _by_tag(self) -> dict:
-        cache = self.__dict__.get("_tag_cache")
-        if cache is None:
-            cache = {n.tag: n for n in self.nodes if n.tag > 0}
-            object.__setattr__(self, "_tag_cache", cache)
-        return cache
 
 
 @dataclass(frozen=True)
@@ -104,85 +127,62 @@ class ObjectiveStep:
 class Objective:
     steps: tuple[ObjectiveStep, ...]
 
+    def __post_init__(self):
+        if not self.steps:
+            raise TownError("non-empty sequence required")
+        for step in self.steps:
+            if step.tag < 1:
+                raise TownError(f"objective tag must be positive, got {step.tag}")
+            if step.action not in ACTIONS:
+                raise TownError(f"unknown action '{step.action}'")
+
 
 def load_town(source: str | Mapping) -> TownMap:
-    """Build a validated town from JSON text or an equivalent mapping."""
+    """Read a town from JSON text or an equivalent mapping; ``TownMap``
+    checks it."""
     data = _as_mapping(source, "town")
     try:
         width = int(data["width"])
         height = int(data["height"])
-        raw_nodes = data["nodes"]
-        raw_edges = data["edges"]
-        raw_start = data["start"]
-    except (KeyError, TypeError, ValueError) as exc:
+        raw_nodes, raw_edges, raw_start = data["nodes"], data["edges"], data["start"]
+        nodes = tuple(_read("node entry", _node, item) for item in raw_nodes)
+        edges = frozenset(_read("edge entry", _edge, item) for item in raw_edges)
+    except _MALFORMED as exc:
         raise TownError(f"town JSON missing or malformed field: {exc}") from exc
-    if width < 1 or height < 1:
-        raise TownError("town dimensions must be positive")
-
-    nodes = []
-    seen_pos: set[tuple[int, int]] = set()
-    seen_tags: set[int] = set()
-    for item in raw_nodes:
-        try:
-            node = TownNode(int(item["x"]), int(item["y"]), int(item.get("tag", 0)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TownError(f"bad node entry {item!r}: {exc}") from exc
-        if not (0 <= node.x < width and 0 <= node.y < height):
-            raise TownError(f"node ({node.x},{node.y}) out of bounds")
-        if (node.x, node.y) in seen_pos:
-            raise TownError(f"duplicate node at ({node.x},{node.y})")
-        if node.tag < 0:
-            raise TownError(f"node ({node.x},{node.y}): negative tag")
-        if node.tag > 0:
-            if node.tag in seen_tags:
-                raise TownError(f"duplicate tag {node.tag}")
-            seen_tags.add(node.tag)
-        seen_pos.add((node.x, node.y))
-        nodes.append(node)
-
-    edges = set()
-    for item in raw_edges:
-        try:
-            src = (int(item["from"][0]), int(item["from"][1]))
-            dst = (int(item["to"][0]), int(item["to"][1]))
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise TownError(f"bad edge entry {item!r}: {exc}") from exc
-        if src not in seen_pos or dst not in seen_pos:
-            raise TownError(f"edge {src}->{dst} references an undeclared node")
-        if abs(src[0] - dst[0]) + abs(src[1] - dst[1]) != 1:
-            raise TownError(f"edge {src}->{dst} does not join adjacent nodes")
-        edges.add((src, dst))
-
     try:
         start = (int(raw_start["x"]), int(raw_start["y"]), int(raw_start["d"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise TownError(f"bad start entry: {exc}") from exc
-    if (start[0], start[1]) not in seen_pos:
-        raise TownError("start node not declared")
-    if not 0 <= start[2] <= 3:
-        raise TownError("start heading must be 0..3")
-
-    return TownMap(width, height, tuple(nodes), frozenset(edges), start)
+    return TownMap(width, height, nodes, edges, start)
 
 
 def load_objective(source: str | Mapping) -> Objective:
-    data = _as_mapping(source, "objective")
-    raw = data.get("sequence")
-    if not isinstance(raw, list) or not raw:
+    """Read an objective from JSON text or an equivalent mapping;
+    ``Objective`` checks it."""
+    raw = _as_mapping(source, "objective").get("sequence")
+    if not isinstance(raw, list):
         raise TownError("non-empty sequence required")
-    steps = []
-    for item in raw:
-        try:
-            tag = int(item["tag"])
-            action = item["action"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TownError(f"bad objective step {item!r}: {exc}") from exc
-        if tag < 1:
-            raise TownError(f"objective tag must be positive, got {tag}")
-        if action not in ACTIONS:
-            raise TownError(f"unknown action '{action}'")
-        steps.append(ObjectiveStep(tag, action))
-    return Objective(tuple(steps))
+    return Objective(tuple(_read("objective step", _step, item) for item in raw))
+
+
+def _node(item) -> TownNode:
+    return TownNode(int(item["x"]), int(item["y"]), int(item.get("tag", 0)))
+
+
+def _edge(item) -> tuple[tuple[int, int], tuple[int, int]]:
+    return (int(item["from"][0]), int(item["from"][1])), (int(item["to"][0]), int(item["to"][1]))
+
+
+def _step(item) -> ObjectiveStep:
+    return ObjectiveStep(int(item["tag"]), item["action"])
+
+
+def _read(what: str, read, item):
+    """``read(item)``; a TownError naming the JSON entry if it is malformed."""
+    try:
+        return read(item)
+    except _MALFORMED as exc:
+        raise TownError(f"bad {what} {item!r}: {exc}") from exc
 
 
 def _as_mapping(source, what: str) -> Mapping:
@@ -220,8 +220,6 @@ class TownModelParts:
 
 
 def _check_objective_against(town: TownMap, objective: Objective):
-    if not objective.steps:
-        raise TownError("non-empty sequence required")
     for step in objective.steps:
         if town.node_with_tag(step.tag) is None:
             raise TownError(f"objective references tag {step.tag} absent from the map")
@@ -237,8 +235,6 @@ def build_bindings(town: TownMap, objective: Objective, *, reduce: bool = True) 
     to a guard enabled for the whole mission).
     """
     _check_objective_against(town, objective)
-    if (town.start[0], town.start[1]) not in {(n.x, n.y) for n in town.nodes}:
-        raise TownError("start node not declared")
 
     seq_len = len(objective.steps)
     lines = [

@@ -62,3 +62,20 @@ def transposes(monkeypatch):
 
     monkeypatch.setattr(model, "_transpose", counted)
     return built
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """A function that makes every later ledger append fail as on a full
+    disk, by shadowing ``open`` in ``traceval.lifecycle``."""
+    import builtins
+    import errno
+
+    from traceval import lifecycle
+
+    def full_open(path, mode="r", *args, **kwargs):
+        if "a" in mode:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return builtins.open(path, mode, *args, **kwargs)
+
+    return lambda: monkeypatch.setattr(lifecycle, "open", full_open, raising=False)

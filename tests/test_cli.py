@@ -407,3 +407,58 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["gen-model"])  # missing required flags
     assert err.value.code == 2
+
+
+def test_demo_town_with_null_nodes_is_code_2(tmp_path, capsys, demo_tmp):
+    import json
+
+    town = json.loads((SAMPLES / "town5x5.json").read_text())
+    town["nodes"] = None
+    (tmp_path / "town.json").write_text(json.dumps(town))
+    code = main(["demo", "--town", str(tmp_path / "town.json"),
+                 "--objective", str(SAMPLES / "objective.json")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: town JSON missing or malformed field: 'NoneType' object is not iterable\n"
+    )
+
+
+def test_check_init_constraint_over_a_wide_domain_is_code_2(tmp_path, capsys):
+    model, prop = tmp_path / "wide.gcm", tmp_path / "p.ctl"
+    model.write_text("var x : 0..1 init 0;\nvar y : 0..9223372036854775807 init 0;\n"
+                     "init x==0;\n[] x==0 -> skip;\n")
+    prop.write_text("AG(x==0)\n")
+    assert main(["check", "--model", str(model), "--property", str(prop)]) == 2
+    assert capsys.readouterr().err == (
+        "error: state explosion: init constraint enumeration exceeded 1000000 candidates\n"
+    )
+
+
+def test_validate_with_a_failed_ledger_write_is_code_2(tmp_path, capsys, full_disk):
+    lid = _town_order(tmp_path, capsys)
+    assert _execute(tmp_path, lid) == 0
+    capsys.readouterr()
+    full_disk()
+    code = main(["validate", "--ledger", str(tmp_path / "ledger.jsonl"),
+                 "--store", str(tmp_path / "store")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 28] No space left on device\n"
+    assert Ledger(tmp_path / "ledger.jsonl").liability(lid).status == "ResultSubmitted"
+
+
+def test_warnings_are_relayed_to_stderr(tmp_path, capsys, demo_tmp):
+    log = tmp_path / "log.csv"
+    log.write_text("x\n0\n1\n")
+    assert main(["gen-property", "--log", str(log), "-o", str(tmp_path / "p.ctl")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: faithful base pins rows 1 and 2 at one state but they differ; "
+        "the property is unsatisfiable on any graph\n"
+    )
+    code = main(["demo", "--town", str(SAMPLES / "town5x5.json"),
+                 "--objective", str(SAMPLES / "objective.json"), "--fault", "wrong-turn:4"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "warning: wrong turn at stop 4 leads off the map; log truncated\n"
+    )

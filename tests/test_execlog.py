@@ -58,6 +58,23 @@ def test_parse_duplicate_header():
         parse_log("x,x\n0,0\n1,1\n")
 
 
+@pytest.mark.parametrize("variables,rows,message", [
+    ((), ((), ()), "log has no columns"),
+    (("x", "y", "x"), ((0, 0, 0), (0, 0, 0)), "duplicate header name"),
+    (("x",), ((0,),), "fewer than 2 rows"),
+    (("x", "y"), ((0, 0), (1,), (1, 1)), "row 2 has 1 cells, expected 2"),
+])
+def test_a_directly_built_log_checks_itself(variables, rows, message):
+    with pytest.raises(LogError) as caught:
+        ExecutionLog(variables, rows)
+    assert str(caught.value) == message
+
+
+def test_a_ragged_row_is_reported_before_a_repeated_header():
+    with pytest.raises(LogError, match="ragged row at line 3"):
+        parse_log("x,x\n0,0\n1\n")
+
+
 def test_format_round_trip():
     log = parse_log("x,y\n0,1\n2,3\n")
     assert parse_log(format_log(log)) == log

@@ -275,6 +275,12 @@ def test_validate_never_double_verdicts(ledger, store):
             id="huge-literal-in-bound",
         ),
         pytest.param(CHAIN2, f"x\n0\n{HUGE}\n", "malformed-log", id="huge-literal-in-log"),
+        # an init constraint over a 2**63-value domain
+        pytest.param(
+            "var x : 0..1 init 0;\nvar y : 0..9223372036854775807 init 0;\n"
+            "init x==0;\n[] x==0 -> skip;\n",
+            "x,y\n0,0\n0,0\n", "state-explosion", id="init-over-a-wide-domain",
+        ),
     ],
 )
 def test_adjudicate_reason_codes(model_text, log_text, reason):
@@ -315,10 +321,30 @@ def test_validate_never_crashes_on_corrupt_artifacts(ledger, store):
     os.unlink(store.root / doomed)
     cases.append((lid, "missing-blob"))
 
+    vanished = store.put_text("var x : 0..2 init 0;\n")
+    lid = create_liability(ledger, store, "0xaa", "0xbb", vanished, objective_hash)
+    submit_result(ledger, store, lid, log_hash)
+    os.unlink(store.root / vanished)
+    cases.append((lid, "missing-blob"))
+
     for lid, expected_reason in cases:
         assert validate(ledger, store, lid) == STATUS_REJECTED
         event = [e for e in ledger.events if e["kind"] == "Verdict" and e["id"] == lid][0]
         assert event["reason"] == expected_reason
+
+
+@pytest.mark.parametrize(
+    "run", [run_validator, lambda ledger, store: validate(ledger, store, 1)], ids=["run_validator", "validate"]
+)
+def test_a_failed_ledger_write_raises_and_leaves_memory_as_the_file(ledger, store, full_disk, run):
+    lid = _submitted(ledger, store)
+    full_disk()
+    with pytest.raises(OSError, match="No space left"):
+        run(ledger, store)
+    on_file = Ledger(ledger.path)
+    assert ledger.events == on_file.events
+    assert ledger.liabilities == on_file.liabilities
+    assert ledger.liability(lid).status == STATUS_RESULT_SUBMITTED
 
 
 def test_run_validator_processes_in_submission_order(ledger, store):

@@ -92,6 +92,30 @@ def test_init_constraint_widens_initial_set():
     assert sorted(g.states[i] for i in g.initial) == [(0,), (2,), (3,)]
 
 
+def test_init_constraint_domain_over_the_budget_raises():
+    # 11 candidate valuations against a budget of 10
+    with pytest.raises(StateExplosionError, match="init constraint enumeration exceeded 10 candidates"):
+        build_graph(parse_model("var x : 0..10 init 0;\ninit x>5;\n"), max_states=10)
+    # exactly 10 candidates (2 x 5) enumerate
+    g = build_graph(parse_model("var x : 0..1 init 0;\nvar y : 0..4 init 0;\ninit y>2;\n"), max_states=10)
+    assert sorted(g.states[i] for i in g.initial) == [(0, 0), (0, 3), (0, 4), (1, 3), (1, 4)]
+
+
+def test_init_constraint_over_a_wide_domain_is_refused_before_enumerating():
+    import tracemalloc
+
+    text = "var x : 0..1 init 0;\nvar y : 0..9223372036854775807 init 0;\ninit x==0;\n"
+    model = parse_model(text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateExplosionError, match="exceeded 1000000 candidates"):
+            build_graph(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_model_validation_rejects_clashes():
     with pytest.raises(ModelError):
         SystemModel({"x": 1}, (VarDecl("x", 0, 1, 0),), ())
