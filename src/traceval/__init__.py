@@ -45,8 +45,6 @@ from .execlog import (
     log_property,
     parse_log,
     row_conjunction,
-    strong_property,
-    weak_property,
 )
 from .expr import print_expr
 from .lang import parse_expression, parse_formula, parse_model, print_model

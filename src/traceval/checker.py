@@ -23,7 +23,8 @@ nested generated properties within interpreter limits.  It is a pure
 function of immutable inputs and safe to call concurrently on a shared
 graph.
 
-Labelling serves ``check`` and ``gen-property``.  Logs are judged by
+Labelling serves ``check``; ``gen-property`` only builds and prints a
+property and decides nothing.  Logs are judged by
 ``follow`` instead, which decides the property ``execlog.log_property``
 builds without labelling the graph.  A log names every variable, so each
 row is one valuation, and ``StateGraph.states_with`` finds its states.

@@ -167,16 +167,20 @@ def cmd_validate(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    # Every input is read, checked and run before the workspace is made, so
+    # that a refused town, objective or fault leaves nothing behind.
+    town = load_town(_read(args.town))
+    objective_text = _read(args.objective)
+    objective = load_objective(objective_text)
+    fault = parse_fault(args.fault) if args.fault else None
+    parts = build_bindings(town, objective)
+    model_text = render(parts.template, parts.bindings, parts.settings)
+    log = _relaying_warnings(simulate, town, objective, fault=fault)
+
     workspace = Path(tempfile.mkdtemp(prefix="traceval-demo-"))
     print(f"workspace: {workspace}")
     ledger = Ledger(workspace / "ledger.jsonl")
     store = ContentStore(workspace / "store")
-
-    town = load_town(_read(args.town))
-    objective_text = _read(args.objective)
-    objective = load_objective(objective_text)
-    parts = build_bindings(town, objective)
-    model_text = render(parts.template, parts.bindings, parts.settings)
     model_hash = store.put_text(model_text)
     objective_hash = store.put_text(objective_text)
     print(f"order: model {model_hash[:12]}.., objective {objective_hash[:12]}..")
@@ -185,8 +189,6 @@ def cmd_demo(args) -> int:
     )
     print(f"order: liability {lid} created")
 
-    fault = parse_fault(args.fault) if args.fault else None
-    log = _relaying_warnings(simulate, town, objective, fault=fault)
     result_hash = store.put_text(format_log(log))
     submit_result(ledger, store, lid, result_hash)
     print(f"execute: {log.n} rows logged, result {result_hash[:12]}.. submitted")

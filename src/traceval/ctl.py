@@ -4,13 +4,19 @@ The fragment is: ``true``/``false``, integer atoms ``var op value``,
 ``!``/``&``/``|`` and the temporal operators EX, EF, EG, AX, AF, AG.
 Temporal operators always print with parentheses (``EX(...)``); ``&``
 binds tighter than ``|`` and both bind looser than ``!`` and temporals.
-The printer takes time and memory linear in the text it prints.
+``print_formula`` is ``expr.print_tree`` with this language's layout, the
+one printer expressions use too: it reads the precedence of ``&`` and
+``|`` from ``expr.BIN_PREC``, never recurses, and takes time and memory
+linear in the text it prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Union
+
+from .errors import EvalError
+from .expr import ATOM_PREC, BIN_PREC, NOT_PREC, print_tree
 
 
 @dataclass(frozen=True)
@@ -102,53 +108,27 @@ def conjuncts(f: CtlFormula) -> list[CtlFormula]:
     return out
 
 
-def _prec(f: CtlFormula) -> int:
-    # Or=1 < And=2 < Not=3 < atoms/temporals (temporals carry their own parens).
-    if isinstance(f, Or):
-        return 1
-    if isinstance(f, And):
-        return 2
-    if isinstance(f, Not):
-        return 3
-    return 9
+_AND, _OR = BIN_PREC["&"], BIN_PREC["|"]
+_OPENING = {kind: name + "(" for kind, name in TEMPORAL_NAMES.items()}
+
+
+def _layout(f: CtlFormula):
+    kind = type(f)
+    if kind is And:
+        return _AND, ((f.left, _AND), " & ", (f.right, _AND + 1))
+    if kind is Atom:
+        return ATOM_PREC, (f"{f.var}{f.op}{f.value}",)
+    if kind in _OPENING:
+        return ATOM_PREC, (_OPENING[kind], (f.child, 0), ")")
+    if kind is Or:
+        return _OR, ((f.left, _OR), " | ", (f.right, _OR + 1))
+    if kind is Not:
+        return NOT_PREC, ("!", (f.child, NOT_PREC))
+    if kind is TrueF or kind is FalseF:
+        return ATOM_PREC, ("true" if kind is TrueF else "false",)
+    raise EvalError(f"not a CTL formula: {f!r}")
 
 
 def print_formula(f: CtlFormula) -> str:
-    """Canonical text; ``parse_formula(print_formula(f))`` equals ``f``.
-
-    One explicit stack of nodes and literal pieces, appended to one list and
-    joined once: time and memory are linear in the text, and arbitrarily
-    deep generated properties print without hitting the recursion limit.
-    """
-    out: list[str] = []
-    stack: list[CtlFormula | str] = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            out.append(node)
-        elif isinstance(node, TrueF):
-            out.append("true")
-        elif isinstance(node, FalseF):
-            out.append("false")
-        elif isinstance(node, Atom):
-            out.append(f"{node.var}{node.op}{node.value}")
-        elif isinstance(node, Not):
-            if _prec(node.child) < 3:
-                stack += (")", node.child, "!(")
-            else:
-                stack += (node.child, "!")
-        elif isinstance(node, (And, Or)):
-            p = _prec(node)
-            # pushed in reverse: left, operator, right
-            if _prec(node.right) <= p:
-                stack += (")", node.right, "(")
-            else:
-                stack.append(node.right)
-            stack.append(" & " if isinstance(node, And) else " | ")
-            if _prec(node.left) < p:
-                stack += (")", node.left, "(")
-            else:
-                stack.append(node.left)
-        else:
-            stack += (")", node.child, TEMPORAL_NAMES[type(node)] + "(")
-    return "".join(out)
+    """Canonical text; ``parse_formula(print_formula(f))`` equals ``f``."""
+    return print_tree(f, _layout)

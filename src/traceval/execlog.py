@@ -114,41 +114,6 @@ def row_conjunction(log: ExecutionLog, i: int) -> ctl.CtlFormula:
     return formula
 
 
-def _temporal_chain(log: ExecutionLog, op, base: str) -> ctl.CtlFormula:
-    if base not in BASES:
-        raise LogError(f"unknown base mode '{base}'")
-    n = log.n
-    if base == "faithful":
-        if log.rows[n - 2] != log.rows[n - 1]:
-            warnings.warn(
-                UnsatisfiableLogWarning(
-                    "faithful base pins rows "
-                    f"{n - 1} and {n} at one state but they differ; "
-                    "the property is unsatisfiable on any graph"
-                ),
-                stacklevel=3,
-            )
-        formula = ctl.And(row_conjunction(log, n - 1), ctl.AG(row_conjunction(log, n)))
-        start = 3
-    else:
-        formula = ctl.And(row_conjunction(log, n), ctl.AG(row_conjunction(log, n)))
-        start = 2
-    for i in range(start, n + 1):
-        formula = ctl.And(row_conjunction(log, n - i + 1), op(formula))
-    return formula
-
-
-def strong_property(log: ExecutionLog, base: str = "faithful") -> ctl.CtlFormula:
-    """Compile the log into the single-transition (EX) property."""
-    return _temporal_chain(log, ctl.EX, base)
-
-
-def weak_property(log: ExecutionLog, base: str = "faithful") -> ctl.CtlFormula:
-    """Compile the log into the reachability (EF) property; identical to the
-    strong property except every EX node becomes EF."""
-    return _temporal_chain(log, ctl.EF, base)
-
-
 def check_shape(mode: str, base: str) -> None:
     """Raise :class:`LogError` for an unknown property mode or base."""
     if mode not in MODES:
@@ -158,5 +123,26 @@ def check_shape(mode: str, base: str) -> None:
 
 
 def log_property(log: ExecutionLog, mode: str = "strong", base: str = "faithful") -> ctl.CtlFormula:
+    """Compile the log into its property: each row is one transition
+    (``EX``, strong) or some steps (``EF``, weak) after the one before."""
     check_shape(mode, base)
-    return strong_property(log, base) if mode == "strong" else weak_property(log, base)
+    op = ctl.EX if mode == "strong" else ctl.EF
+    n = log.n
+    if base == "faithful":
+        if log.rows[n - 2] != log.rows[n - 1]:
+            warnings.warn(
+                UnsatisfiableLogWarning(
+                    "faithful base pins rows "
+                    f"{n - 1} and {n} at one state but they differ; "
+                    "the property is unsatisfiable on any graph"
+                ),
+                stacklevel=2,
+            )
+        formula = ctl.And(row_conjunction(log, n - 1), ctl.AG(row_conjunction(log, n)))
+        start = 3
+    else:
+        formula = ctl.And(row_conjunction(log, n), ctl.AG(row_conjunction(log, n)))
+        start = 2
+    for i in range(start, n + 1):
+        formula = ctl.And(row_conjunction(log, n - i + 1), op(formula))
+    return formula

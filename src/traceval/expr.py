@@ -10,6 +10,11 @@ what is data as data: the ``var==const`` pins of a top-level ``&`` chain,
 apart from the function of the rest, and the value of a literal.
 Arithmetic is checked against the signed 64-bit range so results stay
 machine-representable.
+
+``print_tree`` is the one printer, for expressions here and for CTL
+formulas in ``ctl``: an explicit stack, with each language's layout
+naming the precedence of a node and the bounds its operands must meet.
+``print_expr`` is it with this module's layout.
 """
 
 from __future__ import annotations
@@ -320,43 +325,55 @@ def int_literal(text: str) -> int | None:
     return value if INT_MIN <= value <= INT_MAX else None
 
 
-# Printing: precedence levels, loosest first.  Right operands of equal
-# precedence are parenthesized so printed text re-parses to the same tree.
-_PREC_LEAF = 9
+# Printing: precedence levels, loosest first.  '!' binds at NOT_PREC, and
+# a leaf, or anything that carries its own parentheses, at ATOM_PREC.
 BIN_PREC = {"|": 1, "&": 2, "+": 5, "-": 5, "*": 6}
 BIN_PREC.update({op: 4 for op in CMP_OPS})
+NOT_PREC = 3
+ATOM_PREC = 9
 
 
-def _prec(expr: Expr) -> int:
-    if isinstance(expr, BinOp):
-        return BIN_PREC[expr.op]
-    if isinstance(expr, NotOp):
-        return 3
-    return _PREC_LEAF
+def print_tree(root, layout: Callable) -> str:
+    """Print a tree with one explicit stack, so no depth is too deep.
+
+    ``layout(node)`` returns ``(precedence, pieces)``; a piece is literal
+    text or a ``(child, bound)`` pair, and a child whose precedence is below
+    its bound prints in parentheses.  A binary operator of precedence ``p``
+    bounds its left operand at ``p`` and its right at ``p + 1``, so printed
+    text re-parses to the same tree.
+    """
+    out: list[str] = []
+    stack: list = [(root, 0)]
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            out.append(piece)
+            continue
+        node, bound = piece
+        prec, pieces = layout(node)
+        if prec < bound:
+            pieces = ("(", *pieces, ")")
+        stack.extend(reversed(pieces))
+    return "".join(out)
+
+
+def _layout(e: Expr):
+    kind = type(e)
+    if kind is BinOp:
+        p = BIN_PREC[e.op]
+        op = f" {e.op} " if e.op in BOOL_OPS else e.op
+        return p, ((e.left, p), op, (e.right, p + 1))
+    if kind is NotOp:
+        return NOT_PREC, ("!", (e.operand, NOT_PREC))
+    if kind is IntLit:
+        return ATOM_PREC, (str(e.value),)
+    if kind is BoolLit:
+        return ATOM_PREC, ("true" if e.value else "false",)
+    if kind is Name:
+        return ATOM_PREC, (e.ident,)
+    raise EvalError(f"not an expression: {e!r}")
 
 
 def print_expr(expr: Expr) -> str:
     """Render an expression as canonical text (re-parses to the same tree)."""
-    if isinstance(expr, IntLit):
-        return str(expr.value)
-    if isinstance(expr, BoolLit):
-        return "true" if expr.value else "false"
-    if isinstance(expr, Name):
-        return expr.ident
-    if isinstance(expr, NotOp):
-        s = print_expr(expr.operand)
-        if _prec(expr.operand) < 3:
-            s = f"({s})"
-        return f"!{s}"
-    if isinstance(expr, BinOp):
-        p = BIN_PREC[expr.op]
-        ls = print_expr(expr.left)
-        if _prec(expr.left) < p:
-            ls = f"({ls})"
-        rs = print_expr(expr.right)
-        if _prec(expr.right) <= p:
-            rs = f"({rs})"
-        if expr.op in ("&", "|"):
-            return f"{ls} {expr.op} {rs}"
-        return f"{ls}{expr.op}{rs}"
-    raise EvalError(f"not an expression: {expr!r}")
+    return print_tree(expr, _layout)

@@ -20,8 +20,10 @@ Property grammar: atoms ``IDENT op INT``, whatever the identifier's name;
 ``!`` and the temporal operators ``EX EF EG AX AF AG`` bind tighter than
 ``&``, which binds tighter than ``|``; parentheses group.
 
-Both printers emit canonical text, so ``parse(print(x))`` is structurally
-``x``.  All functions here are pure and safe to call concurrently.
+``print_model`` and ``ctl.print_formula`` emit canonical text, so
+``parse(print(x))`` is structurally ``x``; both print through the one
+explicit-stack printer, ``expr.print_tree``.  All functions here are pure
+and safe to call concurrently.
 
 The lexer turns a text into a list of plain strings, one per token, ending
 in ``""`` for the end of input.  A token's kind follows from its text: a

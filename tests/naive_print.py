@@ -1,10 +1,13 @@
-"""Reference printer used against ``traceval.ctl.print_formula``.
+"""Reference printers used against ``traceval.ctl.print_formula`` and
+``traceval.expr.print_expr``.
 
-The printer as it was before it wrote into one buffer: it memoises the text
-of every subformula by node identity and builds each node's text from its
-children's, so it holds O(depth²) characters on a nested property.  The
-precedence rules are its own copy; only the node classes, ``children`` and
-``TEMPORAL_NAMES`` come from ``traceval.ctl``.
+``print_formula`` is the formula printer as it was before it wrote into one
+buffer: it memoises the text of every subformula by node identity and
+builds each node's text from its children's, so it holds O(depth²)
+characters on a nested property.  ``print_expr`` is the expression printer
+as it was before both printers shared one explicit stack: it recurses once
+per nesting level.  The precedence rules are their own copies; only the
+node classes, ``children`` and ``TEMPORAL_NAMES`` come from ``traceval``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from traceval.ctl import (
     TrueF,
     children,
 )
+from traceval.errors import EvalError
+from traceval.expr import BinOp, BoolLit, Expr, IntLit, Name, NotOp
 
 
 def _prec(f: CtlFormula) -> int:
@@ -79,3 +84,46 @@ def _fmt(node: CtlFormula, done: dict[int, str]) -> str:
             rs = f"({rs})"
         return f"{ls} {sym} {rs}"
     return f"{TEMPORAL_NAMES[type(node)]}({done[id(node.child)]})"
+
+
+# Expression printing: precedence levels, loosest first.  Right operands of
+# equal precedence are parenthesized so printed text re-parses to the same
+# tree.
+_PREC_LEAF = 9
+BIN_PREC = {"|": 1, "&": 2, "+": 5, "-": 5, "*": 6}
+BIN_PREC.update({op: 4 for op in ("==", "!=", "<", "<=", ">", ">=")})
+
+
+def _expr_prec(expr: Expr) -> int:
+    if isinstance(expr, BinOp):
+        return BIN_PREC[expr.op]
+    if isinstance(expr, NotOp):
+        return 3
+    return _PREC_LEAF
+
+
+def print_expr(expr: Expr) -> str:
+    """Render an expression as canonical text (re-parses to the same tree)."""
+    if isinstance(expr, IntLit):
+        return str(expr.value)
+    if isinstance(expr, BoolLit):
+        return "true" if expr.value else "false"
+    if isinstance(expr, Name):
+        return expr.ident
+    if isinstance(expr, NotOp):
+        s = print_expr(expr.operand)
+        if _expr_prec(expr.operand) < 3:
+            s = f"({s})"
+        return f"!{s}"
+    if isinstance(expr, BinOp):
+        p = BIN_PREC[expr.op]
+        ls = print_expr(expr.left)
+        if _expr_prec(expr.left) < p:
+            ls = f"({ls})"
+        rs = print_expr(expr.right)
+        if _expr_prec(expr.right) <= p:
+            rs = f"({rs})"
+        if expr.op in ("&", "|"):
+            return f"{ls} {expr.op} {rs}"
+        return f"{ls}{expr.op}{rs}"
+    raise EvalError(f"not an expression: {expr!r}")

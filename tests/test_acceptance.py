@@ -19,7 +19,7 @@ from traceval import ctl
 from traceval.checker import sat
 from traceval.ctl import print_formula
 from traceval.errors import LedgerError
-from traceval.execlog import format_log, parse_log, strong_property, weak_property
+from traceval.execlog import format_log, log_property, parse_log
 from traceval.lang import parse_model
 from traceval.lifecycle import (
     ContentStore,
@@ -99,12 +99,12 @@ def test_criterion_3_property_unrolling_goldens():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # log2's tail rows differ by design
         cases = [
-            (strong_property(log3, "faithful"), "x==0 & EX(x==1 & AG(x==1))"),
-            (strong_property(log2, "faithful"), "x==0 & AG(x==1)"),
-            (strong_property(log3, "corrected"), "x==0 & EX(x==1 & EX(x==1 & AG(x==1)))"),
-            (weak_property(log3, "faithful"), "x==0 & EF(x==1 & AG(x==1))"),
-            (weak_property(log2, "faithful"), "x==0 & AG(x==1)"),
-            (weak_property(log3, "corrected"), "x==0 & EF(x==1 & EF(x==1 & AG(x==1)))"),
+            (log_property(log3, "strong", "faithful"), "x==0 & EX(x==1 & AG(x==1))"),
+            (log_property(log2, "strong", "faithful"), "x==0 & AG(x==1)"),
+            (log_property(log3, "strong", "corrected"), "x==0 & EX(x==1 & EX(x==1 & AG(x==1)))"),
+            (log_property(log3, "weak", "faithful"), "x==0 & EF(x==1 & AG(x==1))"),
+            (log_property(log2, "weak", "faithful"), "x==0 & AG(x==1)"),
+            (log_property(log3, "weak", "corrected"), "x==0 & EF(x==1 & EF(x==1 & AG(x==1)))"),
         ]
     bad = [expected for formula, expected in cases if print_formula(formula) != expected]
     _report(3, "strong/weak unrolling goldens reproduce exactly in both base modes", not bad)

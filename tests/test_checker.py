@@ -17,8 +17,6 @@ from traceval.execlog import (
     ExecutionLog,
     UnsatisfiableLogWarning,
     log_property,
-    strong_property,
-    weak_property,
 )
 from traceval.expr import INT_MAX, INT_MIN
 from traceval.lang import parse_formula, parse_model
@@ -189,7 +187,7 @@ def test_each_distinct_atom_and_column_is_computed_once(monkeypatch, town5x5, ob
 
     graph = build_graph(parse_model(town_model_text(town5x5, objective4, reduce=False)))
     log = simulate(town5x5, objective4)
-    prop = strong_property(log)
+    prop = log_property(log, "strong")
     scans, reads = [], []
     column, scan = checker._column, checker._scan
 
@@ -216,7 +214,7 @@ def test_each_distinct_atom_and_column_is_computed_once(monkeypatch, town5x5, ob
     # an equal property made afresh has new atom nodes but no new atoms
     scans.clear()
     reads.clear()
-    again = strong_property(log)
+    again = log_property(log, "strong")
     assert sat(graph, again, cache) == result
     assert scans == [] and reads == []
     assert all(cache[id(node)][0] is node for node in _nodes(again))
@@ -351,9 +349,9 @@ def test_a_40000_state_grid_counter():
         stair.append((x + 1, y) if i % 2 == 0 else (x, y + 1))
     staircase = ExecutionLog(("x", "y"), tuple(stair + stair[-1:]))
     diagonal = ExecutionLog(("x", "y"), tuple([(i, i) for i in range(n)] + [(top, top)]))
-    assert holds_initially(g, strong_property(staircase)).holds
-    assert not holds_initially(g, strong_property(diagonal)).holds
-    assert holds_initially(g, weak_property(diagonal)).holds
+    assert holds_initially(g, log_property(staircase, "strong")).holds
+    assert not holds_initially(g, log_property(diagonal, "strong")).holds
+    assert holds_initially(g, log_property(diagonal, "weak")).holds
 
 
 # ---------------------------------------------------------------------------

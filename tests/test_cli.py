@@ -423,6 +423,35 @@ def test_demo_town_with_null_nodes_is_code_2(tmp_path, capsys, demo_tmp):
     )
 
 
+@pytest.mark.parametrize("town_nodes, objective, fault", [
+    (None, None, None),
+    ([], None, None),
+    (False, '{"sequence": []}', None),
+    (False, '{"sequence": [{"tag": 99, "action": "left"}]}', None),
+    (False, None, "sideways:2"),
+    (False, None, "wrong-turn:99"),
+], ids=["null-nodes", "no-nodes", "no-steps", "absent-tag", "unknown-fault", "fault-out-of-range"])
+def test_demo_refused_input_leaves_no_workspace(tmp_path, monkeypatch, capsys,
+                                                town_nodes, objective, fault):
+    import json
+
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # read TMPDIR again
+    town = json.loads((SAMPLES / "town5x5.json").read_text())
+    if town_nodes is not False:
+        town["nodes"] = town_nodes
+    (tmp_path / "town.json").write_text(json.dumps(town))
+    (tmp_path / "objective.json").write_text(objective or (SAMPLES / "objective.json").read_text())
+    args = ["demo", "--town", str(tmp_path / "town.json"),
+            "--objective", str(tmp_path / "objective.json")]
+    if fault:
+        args += ["--fault", fault]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not list(tmp_path.glob("traceval-demo-*"))
+
+
 def test_check_init_constraint_over_a_wide_domain_is_code_2(tmp_path, capsys):
     model, prop = tmp_path / "wide.gcm", tmp_path / "p.ctl"
     model.write_text("var x : 0..1 init 0;\nvar y : 0..9223372036854775807 init 0;\n"

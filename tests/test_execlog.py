@@ -9,10 +9,9 @@ from traceval.execlog import (
     ExecutionLog,
     UnsatisfiableLogWarning,
     format_log,
+    log_property,
     parse_log,
     row_conjunction,
-    strong_property,
-    weak_property,
 )
 from traceval.lang import parse_model
 from traceval.model import build_graph, compile_step
@@ -112,8 +111,7 @@ GOLDEN = [
 @pytest.mark.parametrize("mode,base,text,expected", GOLDEN)
 def test_property_goldens(mode, base, text, expected):
     log = parse_log(text)
-    builder = strong_property if mode == "strong" else weak_property
-    assert print_formula(builder(log, base)) == expected
+    assert print_formula(log_property(log, mode, base)) == expected
 
 
 def test_weak_is_strong_with_ef():
@@ -128,44 +126,42 @@ def test_weak_is_strong_with_ef():
             return ctl.AG(swap(f.child))
         return f
 
-    assert swap(strong_property(log)) == weak_property(log)
+    assert swap(log_property(log, "strong")) == log_property(log, "weak")
 
 
 def test_property_counts_row_conjunctions():
     # faithful: rows 1..n-1 plus AG over row n -> n conjunction groups
     log = parse_log("x\n0\n1\n2\n2\n")
-    strong = print_formula(strong_property(log))
+    strong = print_formula(log_property(log, "strong"))
     assert strong == "x==0 & EX(x==1 & EX(x==2 & AG(x==2)))"
 
 
 def test_faithful_warns_when_last_rows_differ():
     log = parse_log("x\n0\n1\n2\n")
     with pytest.warns(UnsatisfiableLogWarning):
-        strong_property(log)
+        log_property(log, "strong")
     with pytest.warns(UnsatisfiableLogWarning):
-        weak_property(log)
+        log_property(log, "weak")
 
 
 def test_corrected_never_warns_on_differing_tail(recwarn):
     log = parse_log("x\n0\n1\n2\n")
-    strong_property(log, "corrected")
+    log_property(log, "strong", "corrected")
     assert not [w for w in recwarn.list if issubclass(w.category, UnsatisfiableLogWarning)]
 
 
 def test_unknown_mode_or_base():
     log = parse_log("x\n0\n1\n")
-    with pytest.raises(LogError):
-        strong_property(log, "sideways")
-    from traceval.execlog import log_property
-
-    with pytest.raises(LogError):
+    with pytest.raises(LogError, match="unknown base mode 'sideways'"):
+        log_property(log, "strong", "sideways")
+    with pytest.raises(LogError, match="unknown property mode 'medium'"):
         log_property(log, "medium")
 
 
 def test_semantic_containment_strong_implies_weak(chain2_graph):
     log = parse_log("x\n0\n1\n1\n")
-    strong_set = sat(chain2_graph, strong_property(log))
-    weak_set = sat(chain2_graph, weak_property(log))
+    strong_set = sat(chain2_graph, log_property(log, "strong"))
+    weak_set = sat(chain2_graph, log_property(log, "weak"))
     assert strong_set.issubset(weak_set)
 
 
@@ -179,13 +175,13 @@ def test_deep_log_property_round_trips_and_checks():
     graph = build_graph(model)
     rows = [(i,) for i in range(n)] + [(n - 1,)]
     log = ExecutionLog(("c",), tuple(rows))
-    reparsed = parse_formula(print_formula(strong_property(log)))
+    reparsed = parse_formula(print_formula(log_property(log, "strong")))
     assert holds_initially(graph, reparsed).holds
 
     forged = list(rows)
     forged[600] = (599,)
     bad = ExecutionLog(("c",), tuple(forged))
-    assert not holds_initially(graph, strong_property(bad)).holds
+    assert not holds_initially(graph, log_property(bad, "strong")).holds
 
 
 def _unique_run(model, n):
@@ -209,7 +205,7 @@ def test_exact_trace_theorem_corrected_mode():
     graph = build_graph(model)
     run = _unique_run(model, 4)  # (0,) (1,) (2,) (2,)
     honest = ExecutionLog(("x",), tuple(run))
-    assert holds_initially(graph, strong_property(honest, "corrected")).holds
+    assert holds_initially(graph, log_property(honest, "strong", "corrected")).holds
 
     # any single-cell deviation from the unique run must fail
     for i in range(len(run)):
@@ -219,12 +215,12 @@ def test_exact_trace_theorem_corrected_mode():
             rows = list(run)
             rows[i] = (value,)
             mutated = ExecutionLog(("x",), tuple(rows))
-            report = holds_initially(graph, strong_property(mutated, "corrected"))
+            report = holds_initially(graph, log_property(mutated, "strong", "corrected"))
             assert not report.holds, (i, value)
 
     # a shorter unique run still counts when its last row is a fixed point...
     still_fixed = ExecutionLog(("x",), tuple(run[:3]))  # ends at the absorbing state
-    assert holds_initially(graph, strong_property(still_fixed, "corrected")).holds
+    assert holds_initially(graph, log_property(still_fixed, "strong", "corrected")).holds
     # ...but not when the final row can still move
     not_fixed = ExecutionLog(("x",), tuple(run[:2]))
-    assert not holds_initially(graph, strong_property(not_fixed, "corrected")).holds
+    assert not holds_initially(graph, log_property(not_fixed, "strong", "corrected")).holds

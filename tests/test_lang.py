@@ -10,11 +10,11 @@ from conftest import CHAIN2, SAMPLES
 import naive_lex
 import naive_print
 from corpus import CMPS, IDENTS, bundled_town, models, town_texts
-from traceval import ctl
+from traceval import ctl, lang
 from traceval.cli import build_parser
 from traceval.ctl import print_formula
-from traceval.errors import ParseError, TemplateError, line_col
-from traceval.execlog import ExecutionLog, strong_property, weak_property
+from traceval.errors import EvalError, ParseError, TemplateError, line_col
+from traceval.execlog import MODES, ExecutionLog, log_property
 from traceval.expr import INT_MIN, BinOp, IntLit, Name, compile_expr
 from traceval.lang import _error_at, _lex, parse_expression, parse_formula, parse_model, print_model
 from traceval.model import build_graph
@@ -253,6 +253,11 @@ def test_print_formula_parenthesizes_or_under_and():
     assert print_formula(f) == "(a==1 | b==2) & c==3"
 
 
+def test_print_formula_refuses_a_node_that_is_not_a_formula():
+    with pytest.raises(EvalError, match=r"not a CTL formula: 'x'"):
+        print_formula(ctl.And(ctl.TrueF(), "x"))
+
+
 def test_print_formula_temporals():
     f = ctl.AG(ctl.Not(ctl.And(ctl.Atom("x", "==", 0), ctl.TrueF())))
     assert print_formula(f) == "AG(!(x==0 & true))"
@@ -310,16 +315,16 @@ def _two_column_log(rows: int) -> ExecutionLog:
 
 
 @pytest.mark.parametrize("rows", [10, 4000])
-@pytest.mark.parametrize("prop", [strong_property, weak_property])
-def test_print_formula_matches_reference_on_log_properties(prop, rows):
-    f = prop(_two_column_log(rows))
+@pytest.mark.parametrize("mode", MODES)
+def test_print_formula_matches_reference_on_log_properties(mode, rows):
+    f = log_property(_two_column_log(rows), mode)
     assert print_formula(f) == naive_print.print_formula(f)
 
 
 def test_print_formula_memory_is_linear():
     """A 4000-row strong property nests 4000 deep; the printer must not keep
     a copy of every subformula's text (the reference peaks near 200 MB)."""
-    f = strong_property(_two_column_log(4000))
+    f = log_property(_two_column_log(4000), "strong")
     tracemalloc.start()
     try:
         text = print_formula(f)
@@ -334,6 +339,25 @@ def test_print_formula_memory_is_linear():
 @given(models())
 def test_model_round_trip(model):
     assert parse_model(print_model(model)) == model
+
+
+def _naive_print_model(model) -> str:
+    """``print_model`` with the reference expression printer."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lang, "print_expr", naive_print.print_expr)
+        return print_model(model)
+
+
+@settings(max_examples=60)
+@given(models())
+def test_print_model_matches_reference(model):
+    assert print_model(model) == _naive_print_model(model)
+
+
+@pytest.mark.parametrize("name", ["reduced", "unreduced", "town-0"])
+def test_print_model_matches_reference_on_towns(big_texts, name):
+    model = parse_model(big_texts[name])
+    assert print_model(model) == _naive_print_model(model)
 
 
 @settings(max_examples=300, deadline=None)
