@@ -4,9 +4,9 @@ The pipeline: describe a service as a guarded-command model (optionally
 rendered from a template), build its explicit state graph, compile an
 execution log into a CTL property and check whether the model admits the
 logged run; the validator decides that property by walking the log's rows
-forward through the graph.  A simulated liability lifecycle (content
-store + append-only ledger + validator) and a grid-town scenario generator
-wrap the core.
+forward with the model's successor function.  A simulated liability
+lifecycle (content store + append-only ledger + validator) and a
+grid-town scenario generator wrap the core.
 """
 
 from .checker import CheckReport, InitialFailure, StateSet, Witness, follow, holds_initially, sat

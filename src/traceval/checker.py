@@ -24,28 +24,20 @@ function of immutable inputs and safe to call concurrently on a shared
 graph.
 
 Labelling serves ``check``; ``gen-property`` only builds and prints a
-property and decides nothing.  Logs are judged by
-``follow`` instead, which decides the property ``execlog.log_property``
-builds without labelling the graph.  A log names every variable, so each
-row is one valuation, and ``StateGraph.states_with`` finds its states.
-The walk keeps the frontier of states some path of the graph can reach
-while following the rows so far:
+property and decides nothing.  Logs are judged by ``follow`` instead,
+which decides the property ``execlog.log_property`` builds without any
+graph.  Each row names every variable, so it is one valuation, and at
+most one state of a graph from ``build_graph``.  The walk steps the row it
+stands on with the model's successor function:
 
-* F1 is the initial states of row 1;
-* strong: F(k+1) is the successors of Fk in row k+1;
-* weak: F(k+1) is the states of row k+1 reachable from Fk in zero or more
-  steps, by a forward search that stops once it has found them all;
+* row 1 must be an initial valuation;
+* strong: row k+1 must be among the successors of row k;
+* weak: a forward search from row k, which stops there, finds row k+1;
 * the chain ends at row n-1 (``faithful``) or row n (``corrected``), and
-  the log is admitted when some frontier state satisfies AG(row n).  One
-  backward pass over row n's states decides that per state: a union of
-  the frontier's closures would be wrong when several states share row
-  n's valuation.
+  AG(row n) holds there when it is row n and its only successor is itself.
 
-Each step costs the frontier's out-edges, or the weak search's explored
-part of the graph, not O(|S|).  The walk reads only successor rows, so it
-never makes the graph build its predecessor rows; only EX, EF and EG, and
-their duals, do.  The first empty frontier is the ``Witness``: the row
-the log leaves the model at and the check it fails.
+So an admitted log costs its rows and weak searches, not the graph.  The
+first refused row is the ``Witness``.
 """
 
 from __future__ import annotations
@@ -53,12 +45,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, count, repeat
 from operator import itemgetter
+from typing import Callable, Collection, Sequence
 
 from . import ctl
-from .errors import EvalError
+from .errors import EvalError, StateExplosionError
 from .execlog import ExecutionLog, check_shape
 from .expr import CMP_OPS
-from .model import StateGraph, Valuation
+from .model import DEFAULT_STATE_BUDGET, StateGraph, Valuation
 
 # Per-state marks are bytes, 1 for a member and 0 otherwise; a bitmask's
 # binary digits, least significant first, are the same marks in ASCII.
@@ -326,101 +319,57 @@ def holds_initially(graph: StateGraph, formula: ctl.CtlFormula) -> CheckReport:
 
 @dataclass(frozen=True)
 class Witness:
-    """Where a log leaves the model: the first row (1-based) that no path
-    of the graph follows, and the check that row fails: ``not-a-model-state``,
-    ``not-initial``, ``no-transition`` (strong), ``unreachable`` (weak) or
-    ``not-absorbing`` (the final AG)."""
+    """Where a log leaves the model: the first row (1-based) no path follows
+    and the check it fails: ``not-initial``, ``no-transition`` (strong),
+    ``unreachable`` (weak), ``not-absorbing`` (the final AG), or
+    ``not-a-model-state`` when no reachable state has the row."""
 
     row: int
     check: str
 
 
-def _reach_among(graph: StateGraph, sources, wanted) -> set[int]:
-    """The states of ``wanted`` reachable from ``sources`` in zero or more
-    steps: a breadth-first search that stops once it has found them all."""
-    start, targets = graph.successor_rows
-    wanted = set(wanted)
-    seen = set(sources)
-    found = wanted & seen
-    queue = list(seen)
-    for s in queue:
-        if len(found) == len(wanted):
-            break
-        for t in targets[start[s]:start[s + 1]]:
+def _reaches(successors, source: Valuation, target: Valuation, max_states: int) -> bool:
+    """Whether ``target`` is ``source`` or reachable from it, by a
+    breadth-first search that stops once it finds ``target``."""
+    seen, queue = {source}, [source]
+    for v in queue:
+        if target in seen:
+            return True
+        if len(seen) > max_states:
+            raise StateExplosionError(f"state explosion: more than {max_states} reachable states")
+        for t in successors(v):
             if t not in seen:
                 seen.add(t)
                 queue.append(t)
-                if t in wanted:
-                    found.add(t)
-    return found
-
-
-def _absorbing(graph: StateGraph, candidates, final) -> bool:
-    """Whether some candidate satisfies AG(final): it is one of ``final``
-    and no path from it leaves them.  The states of ``final`` that do reach
-    outside are found backwards from the ones with a successor outside,
-    over the edges within ``final``, whose transpose is built here from the
-    successor rows: ``final``'s states share one valuation, so they are
-    few, and one state in a graph from ``build_graph``."""
-    start, targets = graph.successor_rows
-    inside: dict[int, list[int]] = {s: [] for s in final}  # s -> its predecessors in final
-    work = []
-    for s in inside:
-        leaves = False
-        for t in targets[start[s]:start[s + 1]]:
-            if t in inside:
-                inside[t].append(s)
-            else:
-                leaves = True
-        if leaves:
-            work.append(s)
-    leaks = set(work)
-    while work:
-        for p in inside[work.pop()]:
-            if p not in leaks:
-                leaks.add(p)
-                work.append(p)
-    return any(s in inside and s not in leaks for s in candidates)
+    return target in seen
 
 
 def follow(
-    graph: StateGraph, log: ExecutionLog, mode: str = "strong", base: str = "faithful"
+    successors: Callable[[Valuation], Sequence[Valuation]], initial: Collection[Valuation],
+    log: ExecutionLog, mode: str = "strong", base: str = "faithful",
+    max_states: int = DEFAULT_STATE_BUDGET,
 ) -> Witness | None:
-    """``None`` when the graph admits the log, exactly when
-    ``holds_initially(graph, log_property(log, mode, base)).holds``;
-    otherwise where the log leaves the model.
-
-    The log's columns must be the graph's variables, in order.  Raises
-    :class:`LogError` for an unknown mode or base, as ``log_property`` does.
-    """
+    """``None`` when the model whose successor function (``compile_step``'s)
+    and initial valuations are given admits the log, exactly when
+    ``holds_initially(build_graph(model), log_property(log, mode, base))``
+    holds; otherwise the first row the walk refuses.  The log's columns are
+    the model's variables, in order.  Raises :class:`LogError` for an
+    unknown mode or base, as ``log_property`` does, and
+    :class:`StateExplosionError` when a weak search finds more than
+    ``max_states`` valuations."""
     check_shape(mode, base)
-    if log.variables != graph.variables:
-        raise EvalError(
-            f"log columns {', '.join(log.variables)} are not the graph's variables "
-            f"{', '.join(graph.variables)}"
-        )
     rows = log.rows
-    start, targets = graph.successor_rows
-    frontier: set[int] = set()
-    for k in range(1, len(rows) if base == "faithful" else len(rows) + 1):
-        pinned = graph.states_with(rows[k - 1])
-        if not pinned:
-            return Witness(k, "not-a-model-state")
-        if k == 1:
-            frontier = graph.initial.intersection(pinned)
-            check = "not-initial"
-        elif mode == "strong":
-            after = {t for s in frontier for t in targets[start[s]:start[s + 1]]}
-            frontier = after.intersection(pinned)
-            check = "no-transition"
-        else:
-            frontier = _reach_among(graph, frontier, pinned)
-            check = "unreachable"
-        if not frontier:
-            return Witness(k, check)
-    final = graph.states_with(rows[-1])
-    if not final:
-        return Witness(len(rows), "not-a-model-state")
-    if _absorbing(graph, frontier, final):
+    here = rows[0]
+    if here not in initial:
+        return Witness(1, "not-initial")
+    for k in range(2, len(rows) if base == "faithful" else len(rows) + 1):
+        row = rows[k - 1]
+        if mode == "strong":
+            if row not in successors(here):
+                return Witness(k, "no-transition")
+        elif not _reaches(successors, here, row, max_states):
+            return Witness(k, "unreachable")
+        here = row
+    if here == rows[-1] and list(successors(here)) == [here]:
         return None
     return Witness(len(rows), "not-absorbing")

@@ -15,8 +15,9 @@ base anchors ``AG`` on the last row alone and chains every earlier row
 through the temporal operator.  ``faithful`` is the default.
 
 The validator decides these properties with ``checker.follow``, a walk
-through the rows, without building them; the formulas serve
-``gen-property``, ``check`` and the walk's tests.
+that steps the rows with the model's successor function, without
+building them or the state graph; the formulas serve ``gen-property``,
+``check`` and the walk's tests.
 """
 
 from __future__ import annotations

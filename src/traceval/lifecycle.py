@@ -6,23 +6,33 @@ rebuilds every liability's status.  One method, ``Ledger._apply``, rules
 on every transition (Created -> ResultSubmitted -> Confirmed | Rejected),
 for appends and replays alike, and refuses an illegal one.  A ledger file
 that is not UTF-8, has a line that is not a JSON object, or records an
-illegal history raises :class:`LedgerError` when it is loaded.  An append
-whose write fails reloads the ledger from its file and re-raises, so the
-ledger in memory never holds an event its file lacks.
+illegal history raises :class:`LedgerError` when it is loaded; but a
+torn last line, not valid JSON and with no newline after it, as a write
+that fails partway leaves, is cut from the file with a warning.  An
+append whose write fails reloads the ledger from its file and re-raises,
+so the ledger in memory never holds an event its file lacks.
 
 Validation is deterministic: fetch the model and the result log from the
-store, build the state graph and walk the log's rows forward through it
-(``checker.follow``), which decides the property the log compiles into
-without labelling the graph.  It runs in two stages: ``PreparedModel``
-parses a model text and builds its graph on first demand, and
-``PreparedModel.judge`` checks one log against it.  A ``property-failed``
-verdict event also records the row the log left the model at, the check
-that row failed and the graph's state and edge counts.  ``run_validator``
-prepares each distinct model text once per call, through a
-``functools.lru_cache`` of the few most recently used; ``adjudicate`` and
-``validate`` prepare a fresh one per call.  Malformed artifacts reject the
-liability with a reason code instead of raising, so a hostile provider
-cannot crash the validator.
+store and walk the log's rows forward with the model's compiled successor
+function (``checker.follow``), which decides the log's property without
+building it or the state graph.  ``PreparedModel`` parses a model text and
+compiles it on first demand, and ``PreparedModel.judge`` checks one log.
+Only a log the walk refuses builds the graph, once per prepared model,
+and its ``property-failed`` verdict event records the row the log left
+the model at, the check that row failed and the graph's state and edge
+counts.
+``run_validator`` prepares each distinct model text once per call, through
+a ``functools.lru_cache`` of the few most recently used; ``adjudicate``
+and ``validate`` prepare a fresh one per call.  Malformed artifacts
+reject the liability with a reason code instead of raising, so a hostile
+provider cannot crash the validator.
+
+As only a refused log builds the graph, an admitted log is confirmed when
+the model has more reachable states than ``max_states`` but the walk stays
+within them, or when an update fails only at states the log never steps
+from.  A log that steps from such a state is rejected ``malformed-model``,
+and an ``init`` constraint over a domain wider than the budget rejects
+every log for ``state-explosion``.
 
 Single writer per ledger file; concurrent readers of ledger and store are
 safe (append-only file, immutable blobs).
@@ -35,6 +45,7 @@ import json
 import os
 import tempfile
 import time
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from pathlib import Path
@@ -55,7 +66,7 @@ from .execlog import parse_log
 from .checker import holds_initially
 from .execlog import log_property
 from .lang import parse_model
-from .model import DEFAULT_STATE_BUDGET, build_graph
+from .model import DEFAULT_STATE_BUDGET, _initial_valuations, build_graph, compile_step
 
 STATUS_CREATED = "Created"
 STATUS_RESULT_SUBMITTED = "ResultSubmitted"
@@ -173,17 +184,23 @@ class Ledger:
         self.liabilities = {}
         if not self.path.exists():
             return
+        data = self.path.read_bytes()
         try:
-            text = self.path.read_text(encoding="utf-8")
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise LedgerError(f"{self.path}: not UTF-8: {exc}") from exc
-        for line_no, line in enumerate(text.split("\n"), start=1):
+        lines = text.split("\n")
+        for line_no, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 event = json.loads(line)
             except ValueError as exc:  # a JSONDecodeError, or an integer too long for int()
+                if line_no == len(lines):  # no newline after it: a torn write
+                    warnings.warn(f"{self.path}:{line_no}: dropped a torn last line: {exc}")
+                    os.truncate(self.path, data.rfind(b"\n") + 1)
+                    break
                 raise LedgerError(f"{self.path}:{line_no}: not valid JSON: {exc}") from exc
             if not isinstance(event, dict):
                 raise LedgerError(f"{self.path}:{line_no}: not a JSON object")
@@ -298,19 +315,22 @@ def submit_result(ledger: Ledger, store: ContentStore, lid: int, result_hash: st
 
 
 class PreparedModel:
-    """One model text, parsed on creation, its graph built on first demand.
+    """One model text, parsed on creation, compiled on first demand, its
+    graph built for the first log the walk refuses.
 
-    Holds the model's variable names and its graph, or the reason either was
-    refused; the parsed model is dropped once its graph is built or refused.
-    A parse or build that raises anything other than ``ParseError``,
-    ``ModelError`` or ``StateExplosionError`` propagates and records nothing.
-    Graphs are immutable and the checker is pure, so one prepared model can
-    judge any number of logs.
+    Holds the model's variable names, initial valuations, successor
+    function and a memo of the successors stepped (at most ``max_states``,
+    emptied when full), and the graph; or why the model was refused.  A
+    parse, compile or build that raises anything other than ``ParseError``,
+    ``ModelError`` or ``StateExplosionError`` propagates and records
+    nothing.  One prepared model can judge any number of logs.
     """
 
     def __init__(self, model_text: str, max_states: int = DEFAULT_STATE_BUDGET):
         self.max_states = max_states
         self.var_names = self.graph = self.reason = self._model = None
+        self._compiled = self._unbuilt = None  # (initial valuations, successor function)
+        self._memo: dict = {}
         try:
             self._model = parse_model(model_text)
         except (ParseError, ModelError):
@@ -318,25 +338,23 @@ class PreparedModel:
         else:
             self.var_names = self._model.var_names
 
-    def _build(self) -> str | None:
-        """Build the graph unless it is built or refused; the refusal reason."""
-        if self._model is not None:
-            try:
-                self.graph = build_graph(self._model, max_states=self.max_states)
-            except StateExplosionError:
-                self.reason = REASON_STATE_EXPLOSION
-            except ModelError:
-                self.reason = REASON_MALFORMED_MODEL
-            self._model = None
-        return self.reason
+    def _step(self, v):
+        found = self._memo.get(v)
+        if found is None:
+            if len(self._memo) >= self.max_states:
+                self._memo.clear()
+            found = self._memo[v] = self._compiled[1](v)
+        return found
+
+    def _stepped(self, v):
+        """``_step`` for the build: no state is stepped twice, nor memoised."""
+        return self._memo.get(v) or self._compiled[1](v)
 
     def judge(
         self, log_text: str, mode: str = "strong", base: str = "faithful"
     ) -> tuple[str, str | None, Witness | None]:
         """(verdict, reason, witness) for a log text, the witness saying
-        where the log left the model when its property failed.  The graph
-        is built only for a log that parses and names the model's
-        variables."""
+        where the log left the model when its property failed."""
         if self.var_names is None:
             return STATUS_REJECTED, self.reason, None
         try:
@@ -345,13 +363,40 @@ class PreparedModel:
             return STATUS_REJECTED, REASON_MALFORMED_LOG, None
         if log.variables != self.var_names:
             return STATUS_REJECTED, REASON_VARIABLE_MISMATCH, None
-        reason = self._build()
+        if self._compiled is None and self.reason is None:
+            self._compiled, self.reason = _attempt(lambda: (
+                frozenset(_initial_valuations(self._model, self.max_states)),
+                compile_step(self._model),
+            ))
+        if self.reason is not None:
+            return STATUS_REJECTED, self.reason, None
+        walk = partial(follow, self._step, self._compiled[0], log, mode, base, self.max_states)
+        witness, reason = _attempt(walk)
         if reason is not None:
             return STATUS_REJECTED, reason, None
-        witness = follow(self.graph, log, mode, base)
         if witness is None:
             return STATUS_CONFIRMED, None, None
+        if self._model is not None:
+            compiled = self._compiled[0], self._stepped
+            build = partial(build_graph, self._model, self.max_states, compiled)
+            self.graph, self._unbuilt = _attempt(build)
+            self._model = None
+        if self._unbuilt is not None:
+            return STATUS_REJECTED, self._unbuilt, None
+        # The rows before the witness's lie on a path from an initial state.
+        if not self.graph.states_with(log.rows[witness.row - 1]):
+            witness = Witness(witness.row, "not-a-model-state")
         return STATUS_REJECTED, REASON_PROPERTY_FAILED, witness
+
+
+def _attempt(make: Callable):
+    """``(make(), None)``, or ``(None, reason)`` when ``make`` refuses the model."""
+    try:
+        return make(), None
+    except StateExplosionError:
+        return None, REASON_STATE_EXPLOSION
+    except ModelError:
+        return None, REASON_MALFORMED_MODEL
 
 
 def adjudicate(
@@ -437,8 +482,8 @@ def run_validator(
     (``KeyboardInterrupt``) ends the run and returns the verdicts recorded
     so far.  A failing liability becomes a Rejected verdict; the loop stops
     only when the ledger itself cannot be written or loaded, and raises
-    that error.  Each distinct model text is parsed and built once per
-    call.
+    that error.  Each distinct model text is parsed and compiled once per
+    call, and its graph built at most once, for the first log it refuses.
     """
     # Keyed by the model text, not its hash, because ContentStore.get does
     # not re-hash: a replaced blob file would make a hash key stale.  The

@@ -8,17 +8,17 @@ valuation, which materializes as a self-loop in the built graph so the
 transition relation is total.
 
 ``compile_step`` compiles every guard and update once per model, and
-returns the successor function that ``build_graph`` calls; no state builds
-a dict or walks an expression tree.  What is data stays data: a guard's
-pins, the ``var==const`` conjuncts of its top-level ``&`` chain, and an
-update to a literal in range are kept as values, not closures.  Commands
-are dispatched on their pins: those pinning the same variables share a
-table keyed by the pinned values, so a state looks up the commands whose
-pins it meets, one lookup per table, and tries only those and the
-commands with no pins, in declaration order.  A command whose rest of
-guard can raise is tried at every state instead.  Static type errors in
-guards, runtime errors in updates and arithmetic overflow all raise
-:class:`ModelError` naming the first failing command.
+returns the successor function that ``build_graph`` and the validator's
+walk call; no state builds a dict or walks an expression tree.  What is
+data stays data: a guard's pins, the ``var==const`` conjuncts of its
+top-level ``&`` chain, and an update to a literal in range are kept as
+values, not closures.  Commands are dispatched on their pins: those
+pinning the same variables share a table keyed by the pinned values, so a
+state looks up the commands whose pins it meets, one lookup per table, and
+tries only those and the commands with no pins, in declaration order.  A
+command whose rest of guard can raise is tried at every state instead.
+Static type errors in guards, runtime errors in updates and arithmetic
+overflow all raise :class:`ModelError` naming the first failing command.
 
 Names in expressions are checked where they are resolved.  ``lang``
 refuses model text that uses an undeclared name; for a model constructed
@@ -32,7 +32,8 @@ A built graph stores its transition relation once, as compressed sparse
 rows of successors, which ``build_graph`` writes as it visits the states,
 and a valuation -> states table that ``states_with`` reads.  The transpose,
 the predecessor rows, is built on first use, which only CTL's EX, EF and EG
-make: judging a log walks forwards.  Models and built graphs are immutable
+make: judging a log builds no graph unless the log is refused, and then
+reads only its states and sizes.  Models and built graphs are immutable
 after construction, apart from that idempotent cache, and safe to share
 across threads for concurrent reads.
 """
@@ -423,15 +424,20 @@ def _initial_valuations(model: SystemModel, budget: int) -> list[Valuation]:
     return sorted(inits)
 
 
-def build_graph(model: SystemModel, max_states: int = DEFAULT_STATE_BUDGET) -> StateGraph:
+def build_graph(
+    model: SystemModel, max_states: int = DEFAULT_STATE_BUDGET, compiled: tuple | None = None
+) -> StateGraph:
     """Breadth-first closure of the reachable state space.
 
     Deterministic: initial valuations are seeded in sorted order and each
     state's successors are explored in sorted order, so equal models yield
     bit-identical graphs.  Raises :class:`StateExplosionError` once more
-    than ``max_states`` distinct states are discovered.
+    than ``max_states`` distinct states are discovered.  ``compiled`` is
+    the model's initial valuations and ``compile_step(model)``, when the
+    caller has them already.
     """
-    inits = _initial_valuations(model, max_states)
+    compiled = compiled or (_initial_valuations(model, max_states), compile_step(model))
+    inits, successors = sorted(compiled[0]), compiled[1]
     index: dict[Valuation, int] = {}
     states: list[Valuation] = []
 
@@ -448,7 +454,6 @@ def build_graph(model: SystemModel, max_states: int = DEFAULT_STATE_BUDGET) -> S
 
     for v in inits:
         intern(v)
-    successors = compile_step(model)
     # States are numbered in discovery order, so visiting them by index, as
     # the list grows, is the breadth-first queue, and each state's row is
     # written right after the row before it.  Successor valuations are

@@ -79,3 +79,34 @@ def full_disk(monkeypatch):
         return builtins.open(path, mode, *args, **kwargs)
 
     return lambda: monkeypatch.setattr(lifecycle, "open", full_open, raising=False)
+
+
+@pytest.fixture
+def torn_write(monkeypatch):
+    """A function that makes every later ledger append write half its line
+    and then fail as on a full disk, leaving a torn last line."""
+    import builtins
+    import errno
+
+    from traceval import lifecycle
+
+    class HalfFile:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def half_open(path, mode="r", *args, **kwargs):
+        fh = builtins.open(path, mode, *args, **kwargs)
+        return HalfFile(fh) if "a" in mode else fh
+
+    return lambda: monkeypatch.setattr(lifecycle, "open", half_open, raising=False)

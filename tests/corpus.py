@@ -33,12 +33,19 @@ _CMP = ("==", "!=", "<", "<=", ">", ">=")
 
 
 def random_graph(
-    rng: random.Random, max_states: int = 64, max_degree: int = 4, values: int = 8
+    rng: random.Random, max_states: int = 64, max_degree: int = 4, values: int = 8,
+    distinct: bool = False,
 ) -> StateGraph:
     """Random total graph over ``GRAPH_VARS``, each taking ``values`` values;
-    distinct states often share a valuation."""
+    distinct states often share a valuation, unless ``distinct``, as in the
+    graphs ``build_graph`` builds."""
     n = rng.randint(1, max_states)
-    states = tuple((rng.randint(0, values - 1), rng.randint(0, values - 1)) for _ in range(n))
+    if distinct:
+        pool = [(x, y) for x in range(values) for y in range(values)]
+        states = tuple(rng.sample(pool, min(n, len(pool))))
+        n = len(states)
+    else:
+        states = tuple((rng.randint(0, values - 1), rng.randint(0, values - 1)) for _ in range(n))
     succ = tuple(
         frozenset(rng.randrange(n) for _ in range(rng.randint(1, max_degree)))
         for _ in range(n)

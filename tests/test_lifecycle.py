@@ -196,7 +196,7 @@ GRID10 = (
 
 def test_judging_a_log_never_builds_the_predecessor_rows(ledger, store, transposes, town5x5, objective4):
     from traceval import ctl
-    from traceval.checker import follow, holds_initially
+    from traceval.checker import holds_initially
     from traceval.execlog import BASES, MODES, ExecutionLog, format_log
     from traceval.lang import parse_model
     from traceval.model import build_graph
@@ -216,16 +216,15 @@ def test_judging_a_log_never_builds_the_predecessor_rows(ledger, store, transpos
     ]
     verdicts = set()
     for model_text, log in cases:
-        graph = build_graph(parse_model(model_text))
         log_text = format_log(log)
         for mode in MODES:
             for base in BASES:
-                follow(graph, log, mode, base)
                 verdicts.add(adjudicate(model_text, log_text, mode, base))
                 validate(ledger, store, _submitted(ledger, store, model_text, log_text), mode, base)
     assert transposes == []
     assert {verdict for verdict, _ in verdicts} == {STATUS_CONFIRMED, STATUS_REJECTED}
     # the count does see a transpose when one is built
+    graph = build_graph(parse_model(GRID10))
     holds_initially(graph, ctl.EF(ctl.Atom("x", "==", 9)))
     assert transposes == [graph.state_count]
 
@@ -471,23 +470,28 @@ def test_run_validator_holds_a_bounded_number_of_models(monkeypatch, ledger, sto
     assert parses == models + [models[1]]
 
 
-@pytest.mark.parametrize("stage", ["parse_model", "build_graph"])
-def test_run_validator_caches_no_exception(monkeypatch, ledger, store, stage):
-    """A model whose parse or build raises unexpectedly is tried again for
-    each of its liabilities; each gets ``validator-error``."""
+@pytest.mark.parametrize(
+    "stage,log",
+    # only a log the walk refuses, here at its first row, builds the graph
+    [("parse_model", "z\n0\n1\n1\n"), ("compile_step", "z\n0\n1\n1\n"), ("build_graph", "z\n1\n1\n")],
+    ids=["parse_model", "compile_step", "build_graph"],
+)
+def test_run_validator_caches_no_exception(monkeypatch, ledger, store, stage, log):
+    """A model whose parse, compile or build raises unexpectedly is tried
+    again for each of its liabilities; each gets ``validator-error``."""
     hostile = "var z : 0..1 init 0;\n[] z==0 -> z'=1;\n"
     real = getattr(lifecycle, stage)
     tries = []
 
-    def raising(arg, **kwargs):
+    def raising(arg, *args, **kwargs):
         if arg == hostile or getattr(arg, "var_names", None) == ("z",):
             tries.append(arg)
             raise RecursionError("maximum recursion depth exceeded")
-        return real(arg, **kwargs)
+        return real(arg, *args, **kwargs)
 
     monkeypatch.setattr(lifecycle, stage, raising)
-    for model, log in ((hostile, "z\n0\n1\n1\n"), (CHAIN2, "x\n0\n1\n1\n"), (hostile, "z\n0\n1\n1\n")):
-        _submitted(ledger, store, model, log)
+    for model, log_text in ((hostile, log), (CHAIN2, "x\n0\n1\n1\n"), (hostile, log)):
+        _submitted(ledger, store, model, log_text)
     run_validator(ledger, store)
     assert _verdict_events(ledger) == {
         1: (STATUS_REJECTED, "validator-error"),
@@ -495,6 +499,131 @@ def test_run_validator_caches_no_exception(monkeypatch, ledger, store, stage):
         3: (STATUS_REJECTED, "validator-error"),
     }
     assert len(tries) == 2
+
+
+# --- on-the-fly judging: only a refused log builds the graph ----------------
+
+def _staircase(top):
+    """The log that steps a ``GRID10``-style counter right and up in turn
+    to (top, top), and stays."""
+    rows = [(0, 0)]
+    for i in range(2 * top):
+        x, y = rows[-1]
+        rows.append((x + 1, y) if i % 2 == 0 else (x, y + 1))
+    return "x,y\n" + "".join(f"{x},{y}\n" for x, y in rows + rows[-1:])
+
+
+def test_an_admitted_log_builds_no_graph(monkeypatch, ledger, store, town5x5, objective4):
+    from traceval.execlog import BASES, MODES, format_log
+    from traceval.town import simulate, town_model_text
+
+    builds = _count_calls(monkeypatch, "build_graph")
+    cases = [
+        (CHAIN2, "x\n0\n1\n1\n"),
+        (GRID10, _staircase(9)),
+        (town_model_text(town5x5, objective4, reduce=False), format_log(simulate(town5x5, objective4))),
+    ]
+    for mode in MODES:
+        for base in BASES:
+            lids = []
+            for model_text, log_text in cases:
+                assert adjudicate(model_text, log_text, mode, base) == (STATUS_CONFIRMED, None)
+                lid = _submitted(ledger, store, model_text, log_text)
+                assert validate(ledger, store, lid, mode, base) == STATUS_CONFIRMED
+                lids.append(_submitted(ledger, store, model_text, log_text))
+            assert run_validator(ledger, store, mode, base) == [(lid, STATUS_CONFIRMED) for lid in lids]
+    assert builds == []
+
+
+def test_a_refused_log_compiles_its_model_once(monkeypatch, ledger, store):
+    """The graph a refused log builds reuses the initial valuations and the
+    successor function the walk found; ``run_validator`` compiles and
+    builds once per model."""
+    from traceval import model
+
+    def counted(name):
+        """Count the calls made through ``lifecycle`` and ``model`` alike."""
+        calls = _count_calls(monkeypatch, name)
+        real = getattr(model, name)
+        monkeypatch.setattr(model, name, lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    calls = {name: counted(name) for name in ("compile_step", "_initial_valuations")}
+    builds = _count_calls(monkeypatch, "build_graph")
+    # the init constraint adds x==1 to the initial valuations
+    toggle = TOGGLE.replace("\n[]", "\ninit x>0;\n[]", 1)
+    assert adjudicate(toggle, "x\n0\n1\n1\n") == (STATUS_REJECTED, "property-failed")
+    assert [len(c) for c in (calls["compile_step"], calls["_initial_valuations"], builds)] == [1, 1, 1]
+    for log_text in ("x\n0\n0\n1\n", "x\n2\n2\n", "x\n1\n0\n1\n1\n"):
+        _submitted(ledger, store, toggle, log_text)
+    assert [verdict for _, verdict in run_validator(ledger, store)] == [STATUS_REJECTED] * 3
+    assert [len(c) for c in (calls["compile_step"], calls["_initial_valuations"], builds)] == [2, 2, 2]
+
+
+def test_a_refused_log_steps_each_state_once(monkeypatch):
+    """The build reads the successors the walk stepped, and steps only the
+    states the walk did not."""
+    steps = []
+    real = lifecycle.compile_step
+
+    def counting(model):
+        step = real(model)
+        return lambda v: steps.append(v) or step(v)
+
+    monkeypatch.setattr(lifecycle, "compile_step", counting)
+    prepared = lifecycle.PreparedModel(GRID10)
+    # the weak search to (9,9) steps all 100 states; (0,0) is unreachable from there
+    assert prepared.judge("x,y\n0,0\n9,9\n0,0\n", "weak")[:2] == (STATUS_REJECTED, "property-failed")
+    assert sorted(steps) == sorted(prepared.graph.states)
+    assert prepared.judge("x,y\n0,0\n0,1\n0,1\n", "strong")[:2] == (STATUS_REJECTED, "property-failed")
+    assert len(steps) == prepared.graph.state_count
+
+
+# b==0 counts n up to 999,999; from (0,0) the model may move to b==1 instead,
+# where n counts up to 60 and stays.
+PAST_THE_BUDGET = (
+    "var b : 0..1 init 0;\nvar n : 0..999999 init 0;\n"
+    "[] b==0 & n<999999 -> n'=n+1;\n[] b==0 & n==0 -> b'=1;\n[] b==1 & n<60 -> n'=n+1;\n"
+)
+
+
+def test_an_admitted_log_is_confirmed_past_the_state_budget():
+    """More reachable states than the budget reject an admitted log only
+    when the walk itself explores more; a refused log builds the graph and
+    is rejected for ``state-explosion``."""
+    from traceval.execlog import BASES, MODES
+
+    climb = "b,n\n0,0\n" + "".join(f"1,{n}\n" for n in range(61)) + "1,60\n"
+    jump = "b,n\n0,0\n1,60\n1,60\n"
+    wide_init = PAST_THE_BUDGET.replace("\n[]", "\ninit n<2;\n[]", 1)
+    for mode in MODES:
+        for base in BASES:
+            # 63 rows, each stepped once, against a budget of 50
+            assert adjudicate(PAST_THE_BUDGET, climb, mode, base, max_states=50) == (STATUS_CONFIRMED, None)
+            assert adjudicate(PAST_THE_BUDGET, "b,n\n0,0\n0,1\n0,1\n", mode, base, max_states=200) == (
+                STATUS_REJECTED, "state-explosion",
+            )
+            # an init constraint over a domain wider than the budget refuses every log
+            assert adjudicate(wide_init, jump, mode, base, max_states=200) == (STATUS_REJECTED, "state-explosion")
+    # the weak search from (0,0) to (1,60) finds about 120 valuations
+    assert adjudicate(PAST_THE_BUDGET, jump, "weak", max_states=200) == (STATUS_CONFIRMED, None)
+    assert adjudicate(PAST_THE_BUDGET, jump, "weak", max_states=100) == (STATUS_REJECTED, "state-explosion")
+
+
+# x==2 is reachable, and stepping from it drives x to 7, outside 0..3
+FAILS_AT_TWO = "var x : 0..3 init 0;\n[] x==0 -> x'=1;\n[] x==0 -> x'=2;\n[] x==2 -> x'=x+5;\n"
+
+
+def test_an_update_failing_where_the_log_never_steps_from():
+    from traceval.execlog import BASES, MODES
+
+    for mode in MODES:
+        for base in BASES:
+            assert adjudicate(FAILS_AT_TWO, "x\n0\n1\n1\n", mode, base) == (STATUS_CONFIRMED, None)
+            # a log that steps from x==2, and one the walk refuses, so that
+            # the graph is built
+            for log_text in ("x\n0\n2\n2\n", "x\n0\n0\n0\n"):
+                assert adjudicate(FAILS_AT_TWO, log_text, mode, base) == (STATUS_REJECTED, "malformed-model")
 
 
 def test_replayability_same_artifacts_same_verdicts(tmp_path, ledger, store):
@@ -546,3 +675,37 @@ def test_ledger_rejects_bad_seq_and_kind(ledger):
         ledger.append("LiabilityCreated", id=5, promisor="a", promisee="b",
                       model_hash="0" * 64, objective_hash="0" * 64)
     assert ledger.events == []  # nothing was persisted
+
+
+def test_a_torn_last_line_is_cut_with_a_warning(monkeypatch, ledger, store, torn_write):
+    lid = _submitted(ledger, store)
+    before = ledger.path.read_bytes()
+    torn_write()
+    with pytest.warns(UserWarning, match=":3: dropped a torn last line"):
+        with pytest.raises(OSError, match="No space left"):
+            validate(ledger, store, lid)
+    assert ledger.path.read_bytes() == before
+    assert ledger.liability(lid).status == STATUS_RESULT_SUBMITTED
+    monkeypatch.undo()  # the disk has room again
+    fresh = Ledger(ledger.path)
+    assert fresh.events == ledger.events
+    assert validate(fresh, store, lid) == STATUS_CONFIRMED
+    assert Ledger(ledger.path).events == fresh.events
+    assert fresh.liability(lid).status == STATUS_CONFIRMED
+
+
+def test_only_a_torn_last_line_is_forgiven(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    good = json.dumps({
+        "seq": 1, "kind": "LiabilityCreated", "id": 1, "promisor": "a", "promisee": "b",
+        "model_hash": "0" * 64, "objective_hash": "0" * 64,
+    })
+    for text, error in (
+        (f'{good}\n{{"seq":2,"ki\n', ":2: not valid JSON"),  # ends in a newline
+        (f'{{"seq":1,"ki\n{good}', ":1: not valid JSON"),  # not the last line
+        (f"{good}\n[]", ":2: not a JSON object"),  # valid JSON
+    ):
+        path.write_text(text)
+        with pytest.raises(LedgerError, match=error):
+            Ledger(path)
+        assert path.read_text() == text
