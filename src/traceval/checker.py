@@ -32,12 +32,14 @@ stands on with the model's successor function:
 
 * row 1 must be an initial valuation;
 * strong: row k+1 must be among the successors of row k;
-* weak: a forward search from row k, which stops there, finds row k+1;
+* weak: row k+1 is row k, one of its successors, or found by a forward
+  search from row k (``reach``), which stops there;
 * the chain ends at row n-1 (``faithful``) or row n (``corrected``), and
   AG(row n) holds there when it is row n and its only successor is itself.
 
 So an admitted log costs its rows and weak searches, not the graph.  The
-first refused row is the ``Witness``.
+first refused row is the ``Witness``.  Run to the end from the initial
+valuations, ``reach`` counts a model's states and edges with no graph.
 """
 
 from __future__ import annotations
@@ -328,20 +330,32 @@ class Witness:
     check: str
 
 
-def _reaches(successors, source: Valuation, target: Valuation, max_states: int) -> bool:
-    """Whether ``target`` is ``source`` or reachable from it, by a
-    breadth-first search that stops once it finds ``target``."""
-    seen, queue = {source}, [source]
+def reach(
+    successors: Callable[[Valuation], Sequence[Valuation]], sources: Sequence[Valuation],
+    max_states: int, target: Valuation | None = None,
+) -> tuple[set[Valuation], int]:
+    """``(found, edges)``: the valuations a breadth-first search from
+    ``sources`` finds, and the sum of ``len(successors(v))`` over those it
+    steps.  States are stepped in the order they are found, the sources
+    first, in the order given.  From the sorted initial valuations, that is
+    the order ``build_graph`` numbers states in, so a search that steps
+    every state finds its states and edges, and raises what it raises.
+    Stops once ``target`` is found; raises :class:`StateExplosionError`
+    before stepping a state once more than ``max_states`` are found."""
+    queue = list(sources)
+    found, edges = set(queue), 0
     for v in queue:
-        if target in seen:
-            return True
-        if len(seen) > max_states:
+        if target in found:
+            break
+        if len(found) > max_states:
             raise StateExplosionError(f"state explosion: more than {max_states} reachable states")
-        for t in successors(v):
-            if t not in seen:
-                seen.add(t)
+        step = successors(v)
+        edges += len(step)
+        for t in step:
+            if t not in found:
+                found.add(t)
                 queue.append(t)
-    return target in seen
+    return found, edges
 
 
 def follow(
@@ -367,8 +381,9 @@ def follow(
         if mode == "strong":
             if row not in successors(here):
                 return Witness(k, "no-transition")
-        elif not _reaches(successors, here, row, max_states):
-            return Witness(k, "unreachable")
+        elif row != here and row not in successors(here):
+            if row not in reach(successors, (here,), max_states, row)[0]:
+                return Witness(k, "unreachable")
         here = row
     if here == rows[-1] and list(successors(here)) == [here]:
         return None

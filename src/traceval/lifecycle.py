@@ -8,31 +8,32 @@ for appends and replays alike, and refuses an illegal one.  A ledger file
 that is not UTF-8, has a line that is not a JSON object, or records an
 illegal history raises :class:`LedgerError` when it is loaded; but a
 torn last line, not valid JSON and with no newline after it, as a write
-that fails partway leaves, is cut from the file with a warning.  An
-append whose write fails reloads the ledger from its file and re-raises,
-so the ledger in memory never holds an event its file lacks.
+that fails partway leaves, is cut from the file with a warning, and a
+whole last event with no newline after it gets one, also with a warning.
+An append whose write fails reloads the ledger from its file and
+re-raises, so the ledger in memory never holds an event its file lacks.
 
 Validation is deterministic: fetch the model and the result log from the
 store and walk the log's rows forward with the model's compiled successor
 function (``checker.follow``), which decides the log's property without
-building it or the state graph.  ``PreparedModel`` parses a model text and
+building it or a state graph.  ``PreparedModel`` parses a model text and
 compiles it on first demand, and ``PreparedModel.judge`` checks one log.
-Only a log the walk refuses builds the graph, once per prepared model,
-and its ``property-failed`` verdict event records the row the log left
-the model at, the check that row failed and the graph's state and edge
-counts.
+Only a log the walk refuses sizes the model, once per prepared model, by
+a forward search of every reachable state (``checker.reach``), and its
+``property-failed`` verdict event records the row the log left the model
+at, the check that row failed and the reachable state and edge counts.
 ``run_validator`` prepares each distinct model text once per call, through
 a ``functools.lru_cache`` of the few most recently used; ``adjudicate``
 and ``validate`` prepare a fresh one per call.  Malformed artifacts
 reject the liability with a reason code instead of raising, so a hostile
 provider cannot crash the validator.
 
-As only a refused log builds the graph, an admitted log is confirmed when
-the model has more reachable states than ``max_states`` but the walk stays
-within them, or when an update fails only at states the log never steps
-from.  A log that steps from such a state is rejected ``malformed-model``,
-and an ``init`` constraint over a domain wider than the budget rejects
-every log for ``state-explosion``.
+As only a refused log searches every reachable state, an admitted log is
+confirmed when the model has more reachable states than ``max_states`` but
+the walk stays within them, or when an update fails only at states the
+log never steps from.  A log that steps from such a state is rejected
+``malformed-model``, and an ``init`` constraint over a domain wider than
+the budget rejects every log for ``state-explosion``.
 
 Single writer per ledger file; concurrent readers of ledger and store are
 safe (append-only file, immutable blobs).
@@ -51,7 +52,7 @@ from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable
 
-from .checker import Witness, follow
+from .checker import Witness, follow, reach
 from .errors import (
     LedgerError,
     ModelError,
@@ -62,7 +63,7 @@ from .errors import (
 )
 from .execlog import parse_log
 
-# Unused here; kept because bench/run.py's layer_functions wraps them on this module by name.
+# bench/run.py's layer_functions wraps holds_initially, log_property and build_graph here by name.
 from .checker import holds_initially
 from .execlog import log_property
 from .lang import parse_model
@@ -206,6 +207,10 @@ class Ledger:
                 raise LedgerError(f"{self.path}:{line_no}: not a JSON object")
             self._apply(event)
             self.events.append(event)
+            if line_no == len(lines):  # a whole event with no newline after it
+                warnings.warn(f"{self.path}:{line_no}: ended the last line with a newline")
+                with open(self.path, "a", encoding="utf-8") as fh:
+                    fh.write("\n")
 
     def _require(self, event: dict, field: str):
         value = event.get(field)
@@ -315,21 +320,23 @@ def submit_result(ledger: Ledger, store: ContentStore, lid: int, result_hash: st
 
 
 class PreparedModel:
-    """One model text, parsed on creation, compiled on first demand, its
-    graph built for the first log the walk refuses.
+    """One model text, parsed on creation, compiled on first demand, and
+    sized for the first log the walk refuses.
 
     Holds the model's variable names, initial valuations, successor
     function and a memo of the successors stepped (at most ``max_states``,
-    emptied when full), and the graph; or why the model was refused.  A
-    parse, compile or build that raises anything other than ``ParseError``,
+    emptied when full); or why the model was refused.  Sizing, a forward
+    search of every reachable state, sets ``reachable``, the set of
+    reachable valuations, and ``edge_count``, or why it failed.  A parse,
+    compile or search that raises anything other than ``ParseError``,
     ``ModelError`` or ``StateExplosionError`` propagates and records
     nothing.  One prepared model can judge any number of logs.
     """
 
     def __init__(self, model_text: str, max_states: int = DEFAULT_STATE_BUDGET):
         self.max_states = max_states
-        self.var_names = self.graph = self.reason = self._model = None
-        self._compiled = self._unbuilt = None  # (initial valuations, successor function)
+        self.var_names = self.reason = self._model = self.reachable = self.edge_count = None
+        self._compiled = self._unsized = None  # (initial valuations, successor function)
         self._memo: dict = {}
         try:
             self._model = parse_model(model_text)
@@ -347,7 +354,7 @@ class PreparedModel:
         return found
 
     def _stepped(self, v):
-        """``_step`` for the build: no state is stepped twice, nor memoised."""
+        """``_step`` for sizing: no state is stepped twice, nor memoised."""
         return self._memo.get(v) or self._compiled[1](v)
 
     def judge(
@@ -377,14 +384,14 @@ class PreparedModel:
         if witness is None:
             return STATUS_CONFIRMED, None, None
         if self._model is not None:
-            compiled = self._compiled[0], self._stepped
-            build = partial(build_graph, self._model, self.max_states, compiled)
-            self.graph, self._unbuilt = _attempt(build)
+            size = partial(reach, self._stepped, sorted(self._compiled[0]), self.max_states)
+            found, self._unsized = _attempt(size)
+            self.reachable, self.edge_count = found or (None, None)
             self._model = None
-        if self._unbuilt is not None:
-            return STATUS_REJECTED, self._unbuilt, None
+        if self._unsized is not None:
+            return STATUS_REJECTED, self._unsized, None
         # The rows before the witness's lie on a path from an initial state.
-        if not self.graph.states_with(log.rows[witness.row - 1]):
+        if log.rows[witness.row - 1] not in self.reachable:
             witness = Witness(witness.row, "not-a-model-state")
         return STATUS_REJECTED, REASON_PROPERTY_FAILED, witness
 
@@ -434,8 +441,8 @@ def _validate(
     """``validate`` with the model text prepared by ``prepare``.  Both blobs
     are read for every verdict, so missing and undecodable blobs are found
     whether or not the model is cached.  A failed property's event carries
-    the witness's ``row`` and ``check`` and the graph's ``states`` and
-    ``edges`` counts."""
+    the witness's ``row`` and ``check`` and the model's reachable ``states``
+    and ``edges`` counts."""
     liab = ledger.liability(lid)
     if liab.status != STATUS_RESULT_SUBMITTED:
         raise LedgerError(f"liability {lid}: nothing to validate in status {liab.status}")
@@ -457,9 +464,9 @@ def _validate(
     if reason is not None:
         event["reason"] = reason
     if witness is not None:
-        graph = prepared.graph
         event.update(
-            row=witness.row, check=witness.check, states=graph.state_count, edges=graph.edge_count
+            row=witness.row, check=witness.check,
+            states=len(prepared.reachable), edges=prepared.edge_count,
         )
     ledger.append(KIND_VERDICT, **event)
     return verdict
@@ -483,7 +490,7 @@ def run_validator(
     so far.  A failing liability becomes a Rejected verdict; the loop stops
     only when the ledger itself cannot be written or loaded, and raises
     that error.  Each distinct model text is parsed and compiled once per
-    call, and its graph built at most once, for the first log it refuses.
+    call, and sized at most once, for the first log it refuses.
     """
     # Keyed by the model text, not its hash, because ContentStore.get does
     # not re-hash: a replaced blob file would make a hash key stale.  The

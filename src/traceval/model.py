@@ -9,7 +9,7 @@ transition relation is total.
 
 ``compile_step`` compiles every guard and update once per model, and
 returns the successor function that ``build_graph`` and the validator's
-walk call; no state builds a dict or walks an expression tree.  What is
+searches call; no state builds a dict or walks an expression tree.  What is
 data stays data: a guard's pins, the ``var==const`` conjuncts of its
 top-level ``&`` chain, and an update to a literal in range are kept as
 values, not closures.  Commands are dispatched on their pins: those
@@ -29,11 +29,11 @@ constraint from ``build_graph``; one in an update raises when its command
 fires, as an update that cannot be typed does.
 
 A built graph stores its transition relation once, as compressed sparse
-rows of successors, which ``build_graph`` writes as it visits the states,
-and a valuation -> states table that ``states_with`` reads.  The transpose,
-the predecessor rows, is built on first use, which only CTL's EX, EF and EG
-make: judging a log builds no graph unless the log is refused, and then
-reads only its states and sizes.  Models and built graphs are immutable
+rows of successors, which ``build_graph`` writes as it visits the states.
+The transpose, the predecessor rows, is built on first use, which only
+CTL's EX, EF and EG make.  Graphs serve CTL labelling (``check``) alone:
+the validator judges and sizes logs with ``checker.reach`` over the
+successor function and builds none.  Models and built graphs are immutable
 after construction, apart from that idempotent cache, and safe to share
 across threads for concurrent reads.
 """
@@ -282,8 +282,7 @@ class StateGraph:
     ``succ`` gives, per state, any iterable of successor indices; duplicates
     collapse.  Successors are kept as ``array('i')`` offsets plus targets,
     each row sorted ascending, and so are their transpose, the predecessors,
-    built on the first ``predecessor_rows`` or ``predecessors`` call.  A
-    table from each valuation to its states answers ``states_with``.  Apart
+    built on the first ``predecessor_rows`` or ``predecessors`` call.  Apart
     from the transpose, every field is set in the constructor and never
     changes afterwards; building the transpose twice gives equal rows, so
     concurrent readers need no lock.
@@ -305,11 +304,7 @@ class StateGraph:
             start.append(len(targets))
         if targets and not (0 <= min(targets) and max(targets) < n):
             raise ValueError(f"successor index outside 0..{n - 1}")
-        groups: dict[Valuation, list[int]] = {}
-        for i, v in enumerate(states):
-            groups.setdefault(v, []).append(i)
-        where = {v: found[0] if len(found) == 1 else tuple(found) for v, found in groups.items()}
-        self._set(variables, states, initial, start, targets, where)
+        self._set(variables, states, initial, start, targets)
 
     @classmethod
     def from_rows(
@@ -319,24 +314,19 @@ class StateGraph:
         initial: Iterable[int],
         start: array,
         targets: array,
-        where: dict[Valuation, int],
     ) -> "StateGraph":
-        """A graph over states with distinct valuations, from its successor
-        rows as ``successor_rows`` gives them, each sorted and duplicate-free,
-        and the index of each valuation in ``states``.  The graph takes
-        ownership of the arrays and the dict; nothing is checked."""
+        """A graph from its successor rows as ``successor_rows`` gives them,
+        each sorted and duplicate-free.  The graph takes ownership of the
+        arrays; nothing is checked."""
         graph = cls.__new__(cls)
-        graph._set(variables, states, initial, start, targets, where)
+        graph._set(variables, states, initial, start, targets)
         return graph
 
-    def _set(self, variables, states, initial, start, targets, where):
+    def _set(self, variables, states, initial, start, targets):
         self.variables = tuple(variables)
         self.states = tuple(states)
         self.initial = frozenset(initial)
         self._succ_start, self._succ = start, targets
-        # each valuation's state, or the ascending tuple of its states when
-        # several share it
-        self._where = where
         self._pred_rows: tuple[array, array] | None = None
 
     @property
@@ -368,12 +358,6 @@ class StateGraph:
     def predecessors(self, i: int) -> array:
         start, sources = self.predecessor_rows
         return sources[start[i]:start[i + 1]]
-
-    def states_with(self, valuation: Valuation) -> tuple[int, ...]:
-        """Indices, ascending, of the states whose valuation is ``valuation``;
-        empty when it is not a state of the graph."""
-        found = self._where.get(valuation, ())
-        return (found,) if type(found) is int else found
 
     def var_index(self, name: str) -> int:
         try:
@@ -424,20 +408,15 @@ def _initial_valuations(model: SystemModel, budget: int) -> list[Valuation]:
     return sorted(inits)
 
 
-def build_graph(
-    model: SystemModel, max_states: int = DEFAULT_STATE_BUDGET, compiled: tuple | None = None
-) -> StateGraph:
+def build_graph(model: SystemModel, max_states: int = DEFAULT_STATE_BUDGET) -> StateGraph:
     """Breadth-first closure of the reachable state space.
 
     Deterministic: initial valuations are seeded in sorted order and each
     state's successors are explored in sorted order, so equal models yield
     bit-identical graphs.  Raises :class:`StateExplosionError` once more
-    than ``max_states`` distinct states are discovered.  ``compiled`` is
-    the model's initial valuations and ``compile_step(model)``, when the
-    caller has them already.
+    than ``max_states`` distinct states are discovered.
     """
-    compiled = compiled or (_initial_valuations(model, max_states), compile_step(model))
-    inits, successors = sorted(compiled[0]), compiled[1]
+    inits, successors = _initial_valuations(model, max_states), compile_step(model)
     index: dict[Valuation, int] = {}
     states: list[Valuation] = []
 
@@ -465,6 +444,4 @@ def build_graph(
             row.sort()
         targets.extend(row)
         start.append(len(targets))
-    return StateGraph.from_rows(
-        model.var_names, states, (index[v] for v in inits), start, targets, index
-    )
+    return StateGraph.from_rows(model.var_names, states, (index[v] for v in inits), start, targets)

@@ -2,17 +2,17 @@ import operator
 import random
 import warnings
 from functools import partial
-from itertools import compress, count
+from itertools import compress, count, islice
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corpus import bundled_town, fault_logs, models, random_formula, random_graph, random_town_logs
+from corpus import bundled_town, fault_logs, models, random_formula, random_graph, random_town_logs, town_texts
 from naive_ctl import NaiveChecker
 from traceval import checker, ctl
-from traceval.checker import StateSet, follow, holds_initially, sat
-from traceval.errors import EvalError, LogError, ModelError
+from traceval.checker import StateSet, follow, holds_initially, reach, sat
+from traceval.errors import EvalError, LogError, ModelError, StateExplosionError
 from traceval.execlog import (
     BASES,
     MODES,
@@ -24,7 +24,7 @@ from traceval.execlog import (
 from traceval.expr import INT_MAX, INT_MIN
 from traceval.lang import parse_formula, parse_model, print_model
 from traceval.lifecycle import STATUS_CONFIRMED, STATUS_REJECTED, PreparedModel
-from traceval.model import build_graph, compile_step
+from traceval.model import DEFAULT_STATE_BUDGET, StateGraph, _initial_valuations, build_graph, compile_step
 from traceval.town import town_model_text
 
 
@@ -376,10 +376,10 @@ def _walk(graph, log, mode, base):
     the successor rows of ``graph``, whose states have distinct valuations;
     None when it admits the log."""
     states = graph.states
+    index = {v: i for i, v in enumerate(states)}
 
     def successors(v):
-        (i,) = graph.states_with(v)
-        return sorted(states[t] for t in graph.successors(i))
+        return sorted(states[t] for t in graph.successors(index[v]))
 
     witness = follow(successors, {states[i] for i in graph.initial}, log, mode, base)
     return witness and (witness.row, witness.check)
@@ -491,7 +491,7 @@ def test_witness_is_the_first_row_no_path_follows(case):
 def _assert_judged_as_the_oracles_say(prepared, graph, log):
     """``judge``'s verdict is the numpy oracle's labelling of the log's
     property, and its witness the brute-force one, on ``graph``, the graph
-    of ``prepared``'s model; a rejection's graph is that graph."""
+    of ``prepared``'s model; a rejection sizes the model as that graph."""
     naive = NaiveChecker(graph)
     for mode, base in SHAPES:
         verdict, reason, witness = prepared.judge(format_log(log), mode, base)
@@ -502,10 +502,8 @@ def _assert_judged_as_the_oracles_say(prepared, graph, log):
         got = None if witness is None else (witness.row, witness.check)
         assert got == _brute_witness(graph, log, mode, base), (mode, base, log.rows)
         if witness is not None:
-            built = prepared.graph
-            assert (built.states, built.initial, built.successor_rows) == (
-                graph.states, graph.initial, graph.successor_rows,
-            )
+            assert (len(prepared.reachable), prepared.edge_count) == (graph.state_count, graph.edge_count)
+            assert prepared.reachable == set(graph.states)
 
 
 @st.composite
@@ -577,11 +575,60 @@ def test_walk_refuses_what_log_property_refuses():
     assert walk(log) is None
 
 
-def test_states_with_matches_a_linear_scan():
-    rng = random.Random(4242)
-    for _ in range(60):
-        g = random_graph(rng, max_states=40, values=rng.choice((2, 3, 8)))
-        for v in {*g.states, (0, -1), (8, 8), (9, 0)}:
-            want = [i for i, state in enumerate(g.states) if state == v]
-            assert list(g.states_with(v)) == want, v
-    assert any(len(g.states_with(v)) > 1 for v in g.states)
+# ---------------------------------------------------------------------------
+# Sizing a model by the forward search, against build_graph
+# ---------------------------------------------------------------------------
+
+def _outcome(make, *args):
+    """``make(*args)``, or the class and text of the refusal it raises."""
+    try:
+        return make(*args)
+    except (ModelError, StateExplosionError) as exc:
+        return type(exc), str(exc)
+
+
+def _sized(model, max_states):
+    """What a prepared model finds for a refused log: the search from the
+    initial valuations over the successor function."""
+    inits = _initial_valuations(model, max_states)
+    return reach(compile_step(model), inits, max_states)
+
+
+def _assert_sized_as_built(model, max_states):
+    """Sizing finds ``build_graph``'s states and edges, or raises what it
+    raises; returns the outcome's kind."""
+    built, sized = _outcome(build_graph, model, max_states), _outcome(_sized, model, max_states)
+    if not isinstance(built, StateGraph):
+        assert sized == built
+        return built[0]
+    found, edges = sized
+    assert (len(found), edges) == (built.state_count, built.edge_count)
+    assert found == set(built.states)
+    return StateGraph
+
+
+@settings(max_examples=400, deadline=None)
+@given(models(), st.sampled_from((1, 2, 5, 20, DEFAULT_STATE_BUDGET)))
+def test_reach_sizes_a_model_as_build_graph_builds_it(model, max_states):
+    _assert_sized_as_built(model, max_states)
+
+
+def test_reach_sizes_the_town_models_as_build_graph_builds_them():
+    town, objective = bundled_town()
+    texts = [town_model_text(town, objective, reduce=reduce) for reduce in (True, False)]
+    texts += [text for text, _ in islice(random_town_logs(), 20)]
+    texts += town_texts(17, 2)
+    kinds = set()
+    for text in texts:
+        model = parse_model(text)
+        for max_states in (DEFAULT_STATE_BUDGET, 5):
+            kinds.add(_assert_sized_as_built(model, max_states))
+    assert kinds == {StateGraph, StateExplosionError}
+
+
+def test_reach_keeps_builds_reason_when_an_update_fails_past_the_budget():
+    """x==0 steps to 1 and 2, and stepping x==2 fails: with room for two
+    states the budget is met first, with room for three the update."""
+    model = parse_model("var x : 0..3 init 0;\n[] x==0 -> x'=1;\n[] x==0 -> x'=2;\n[] x==2 -> x'=x+5;\n")
+    assert _assert_sized_as_built(model, 2) is StateExplosionError
+    assert _assert_sized_as_built(model, 3) is ModelError

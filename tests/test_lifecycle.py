@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shutil
+import warnings
 
 import pytest
 
@@ -408,13 +409,13 @@ def _verdict_events(ledger):
     return {e["id"]: (e["verdict"], e.get("reason")) for e in ledger.events if e["kind"] == "Verdict"}
 
 
-def test_run_validator_parses_and_builds_each_model_once(monkeypatch, ledger, store):
+def test_run_validator_parses_and_sizes_each_model_once(monkeypatch, ledger, store):
     parses = _count_calls(monkeypatch, "parse_model")
-    builds = _count_calls(monkeypatch, "build_graph")
+    sizings = _count_calls(monkeypatch, "reach")
     pairs = [(model, log) for log in ("x\n0\n1\n1\n", "x\n0\n0\n1\n") for model in (CHAIN2, TOGGLE)]
     lids = [_submitted(ledger, store, model, log) for model, log in pairs]
     results = run_validator(ledger, store)
-    assert (len(parses), len(builds)) == (2, 2)
+    assert (len(parses), len(sizings)) == (2, 2)
     assert results == list(zip(lids, [STATUS_CONFIRMED] + [STATUS_REJECTED] * 3))
 
 
@@ -445,12 +446,12 @@ def test_run_validator_verdicts_equal_adjudicate_on_a_mixed_ledger(ledger, store
     }
 
 
-def test_run_validator_builds_nothing_behind_a_malformed_log(monkeypatch, ledger, store):
-    builds = _count_calls(monkeypatch, "build_graph")
+def test_run_validator_sizes_nothing_behind_a_malformed_log(monkeypatch, ledger, store):
+    sizings = _count_calls(monkeypatch, "reach")
     _submitted(ledger, store, EXPLODING, "n\n0\n")
     assert run_validator(ledger, store, max_states=50) == [(1, STATUS_REJECTED)]
     assert _verdict_events(ledger) == {1: (STATUS_REJECTED, "malformed-log")}
-    assert builds == []
+    assert sizings == []
 
 
 def test_run_validator_holds_a_bounded_number_of_models(monkeypatch, ledger, store):
@@ -472,19 +473,20 @@ def test_run_validator_holds_a_bounded_number_of_models(monkeypatch, ledger, sto
 
 @pytest.mark.parametrize(
     "stage,log",
-    # only a log the walk refuses, here at its first row, builds the graph
-    [("parse_model", "z\n0\n1\n1\n"), ("compile_step", "z\n0\n1\n1\n"), ("build_graph", "z\n1\n1\n")],
-    ids=["parse_model", "compile_step", "build_graph"],
+    # only a log the walk refuses, here at its first row, sizes the model
+    [("parse_model", "z\n0\n1\n1\n"), ("compile_step", "z\n0\n1\n1\n"), ("reach", "z\n1\n1\n")],
+    ids=["parse_model", "compile_step", "reach"],
 )
 def test_run_validator_caches_no_exception(monkeypatch, ledger, store, stage, log):
-    """A model whose parse, compile or build raises unexpectedly is tried
+    """A model whose parse, compile or sizing raises unexpectedly is tried
     again for each of its liabilities; each gets ``validator-error``."""
     hostile = "var z : 0..1 init 0;\n[] z==0 -> z'=1;\n"
     real = getattr(lifecycle, stage)
     tries = []
 
     def raising(arg, *args, **kwargs):
-        if arg == hostile or getattr(arg, "var_names", None) == ("z",):
+        owner = getattr(arg, "__self__", arg)  # reach steps with a prepared model's method
+        if arg == hostile or getattr(owner, "var_names", None) == ("z",):
             tries.append(arg)
             raise RecursionError("maximum recursion depth exceeded")
         return real(arg, *args, **kwargs)
@@ -501,7 +503,7 @@ def test_run_validator_caches_no_exception(monkeypatch, ledger, store, stage, lo
     assert len(tries) == 2
 
 
-# --- on-the-fly judging: only a refused log builds the graph ----------------
+# --- on-the-fly judging: only a refused log sizes the model -----------------
 
 def _staircase(top):
     """The log that steps a ``GRID10``-style counter right and up in turn
@@ -513,11 +515,11 @@ def _staircase(top):
     return "x,y\n" + "".join(f"{x},{y}\n" for x, y in rows + rows[-1:])
 
 
-def test_an_admitted_log_builds_no_graph(monkeypatch, ledger, store, town5x5, objective4):
+def test_an_admitted_log_is_not_sized(monkeypatch, ledger, store, town5x5, objective4):
     from traceval.execlog import BASES, MODES, format_log
     from traceval.town import simulate, town_model_text
 
-    builds = _count_calls(monkeypatch, "build_graph")
+    sizings = _count_calls(monkeypatch, "reach")
     cases = [
         (CHAIN2, "x\n0\n1\n1\n"),
         (GRID10, _staircase(9)),
@@ -532,13 +534,13 @@ def test_an_admitted_log_builds_no_graph(monkeypatch, ledger, store, town5x5, ob
                 assert validate(ledger, store, lid, mode, base) == STATUS_CONFIRMED
                 lids.append(_submitted(ledger, store, model_text, log_text))
             assert run_validator(ledger, store, mode, base) == [(lid, STATUS_CONFIRMED) for lid in lids]
-    assert builds == []
+    assert sizings == []
 
 
 def test_a_refused_log_compiles_its_model_once(monkeypatch, ledger, store):
-    """The graph a refused log builds reuses the initial valuations and the
+    """Sizing for a refused log reuses the initial valuations and the
     successor function the walk found; ``run_validator`` compiles and
-    builds once per model."""
+    sizes once per model."""
     from traceval import model
 
     def counted(name):
@@ -549,19 +551,19 @@ def test_a_refused_log_compiles_its_model_once(monkeypatch, ledger, store):
         return calls
 
     calls = {name: counted(name) for name in ("compile_step", "_initial_valuations")}
-    builds = _count_calls(monkeypatch, "build_graph")
+    sizings = _count_calls(monkeypatch, "reach")
     # the init constraint adds x==1 to the initial valuations
     toggle = TOGGLE.replace("\n[]", "\ninit x>0;\n[]", 1)
     assert adjudicate(toggle, "x\n0\n1\n1\n") == (STATUS_REJECTED, "property-failed")
-    assert [len(c) for c in (calls["compile_step"], calls["_initial_valuations"], builds)] == [1, 1, 1]
+    assert [len(c) for c in (calls["compile_step"], calls["_initial_valuations"], sizings)] == [1, 1, 1]
     for log_text in ("x\n0\n0\n1\n", "x\n2\n2\n", "x\n1\n0\n1\n1\n"):
         _submitted(ledger, store, toggle, log_text)
     assert [verdict for _, verdict in run_validator(ledger, store)] == [STATUS_REJECTED] * 3
-    assert [len(c) for c in (calls["compile_step"], calls["_initial_valuations"], builds)] == [2, 2, 2]
+    assert [len(c) for c in (calls["compile_step"], calls["_initial_valuations"], sizings)] == [2, 2, 2]
 
 
 def test_a_refused_log_steps_each_state_once(monkeypatch):
-    """The build reads the successors the walk stepped, and steps only the
+    """Sizing reads the successors the walk stepped, and steps only the
     states the walk did not."""
     steps = []
     real = lifecycle.compile_step
@@ -574,9 +576,9 @@ def test_a_refused_log_steps_each_state_once(monkeypatch):
     prepared = lifecycle.PreparedModel(GRID10)
     # the weak search to (9,9) steps all 100 states; (0,0) is unreachable from there
     assert prepared.judge("x,y\n0,0\n9,9\n0,0\n", "weak")[:2] == (STATUS_REJECTED, "property-failed")
-    assert sorted(steps) == sorted(prepared.graph.states)
+    assert sorted(steps) == sorted(prepared.reachable)
     assert prepared.judge("x,y\n0,0\n0,1\n0,1\n", "strong")[:2] == (STATUS_REJECTED, "property-failed")
-    assert len(steps) == prepared.graph.state_count
+    assert len(steps) == len(prepared.reachable) == 100
 
 
 # b==0 counts n up to 999,999; from (0,0) the model may move to b==1 instead,
@@ -589,7 +591,7 @@ PAST_THE_BUDGET = (
 
 def test_an_admitted_log_is_confirmed_past_the_state_budget():
     """More reachable states than the budget reject an admitted log only
-    when the walk itself explores more; a refused log builds the graph and
+    when the walk itself explores more; a refused log sizes the model and
     is rejected for ``state-explosion``."""
     from traceval.execlog import BASES, MODES
 
@@ -621,7 +623,7 @@ def test_an_update_failing_where_the_log_never_steps_from():
         for base in BASES:
             assert adjudicate(FAILS_AT_TWO, "x\n0\n1\n1\n", mode, base) == (STATUS_CONFIRMED, None)
             # a log that steps from x==2, and one the walk refuses, so that
-            # the graph is built
+            # the model is sized
             for log_text in ("x\n0\n2\n2\n", "x\n0\n0\n0\n"):
                 assert adjudicate(FAILS_AT_TWO, log_text, mode, base) == (STATUS_REJECTED, "malformed-model")
 
@@ -692,6 +694,23 @@ def test_a_torn_last_line_is_cut_with_a_warning(monkeypatch, ledger, store, torn
     assert validate(fresh, store, lid) == STATUS_CONFIRMED
     assert Ledger(ledger.path).events == fresh.events
     assert fresh.liability(lid).status == STATUS_CONFIRMED
+
+
+def test_a_last_event_without_a_newline_is_ended_with_one(ledger, store):
+    """A whole last event with no newline after it, as a write that fails
+    just before its newline leaves, gets one when the ledger loads, so the
+    next append starts a line of its own."""
+    lid = _submitted(ledger, store)
+    ledger.path.write_bytes(ledger.path.read_bytes().rstrip(b"\n"))
+    with pytest.warns(UserWarning, match=":2: ended the last line with a newline"):
+        fresh = Ledger(ledger.path)
+    assert fresh.events == ledger.events
+    assert validate(fresh, store, lid) == STATUS_CONFIRMED
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reloaded = Ledger(ledger.path)
+    assert reloaded.events == fresh.events
+    assert reloaded.liability(lid).status == STATUS_CONFIRMED
 
 
 def test_only_a_torn_last_line_is_forgiven(tmp_path):

@@ -289,16 +289,8 @@ def test_built_graphs_equal_the_graphs_given_as_rows(town5x5, objective4):
         built = build_graph(model)
         rows = [list(built.successors(i)) for i in range(built.state_count)]
         given = StateGraph(built.variables, built.states, built.initial, [row[::-1] + row for row in rows])
-        domain = itertools.product(*(range(v.lo - 1, v.hi + 2) for v in model.variables))
-        present = set(built.states)
-        absent = [v for v in itertools.islice(domain, 5000) if v not in present][:50]
-        absent += [(), built.states[0] + (0,)]
-        for g in (built, given):
-            assert not any(g.states_with(v) for v in absent)
         for field in ("variables", "states", "initial", "successor_rows", "predecessor_rows"):
             assert getattr(built, field) == getattr(given, field), (text, field)
-        assert [built.states_with(v) for v in built.states] == [(i,) for i in range(built.state_count)]
-        assert [given.states_with(v) for v in built.states] == [(i,) for i in range(built.state_count)]
 
 
 _X_IS_1 = BinOp("==", Name("x"), IntLit(1))
