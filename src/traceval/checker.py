@@ -6,9 +6,10 @@ is computed from its children's sets: atoms scan one variable's column
 of values, boolean connectives are set algebra, EX marks the
 predecessors of the child's members, EF is a least fixpoint computed as a
 backward worklist over predecessors, and EG a greatest fixpoint that
-counts each member's successors inside the set and drops members whose
-count reaches zero.  Each temporal operator is O(|S| + |E|): it turns its
-bitmask into per-state marks once, walks the graph's predecessor rows and
+counts each member's successors inside the set, by walking the members'
+predecessors, and drops members whose count reaches zero.  Each temporal
+operator is O(|S| + |E|): it turns its bitmask into per-state marks once,
+walks the graph's predecessor rows, the one relation a graph keeps, and
 turns the marks back into one bitmask.  AX, AF and AG go through their
 existential duals, so only three temporal algorithms exist.
 
@@ -212,22 +213,21 @@ def _backward_reach(graph: StateGraph, seed: int) -> int:
 
 def _eg_fixpoint(graph: StateGraph, seed: int) -> int:
     # Greatest fixpoint Z = seed ∩ EX Z.  ``left[s]`` counts the successors
-    # of member s still in Z; a member leaves when its count reaches 0, and
-    # each leaver lowers the count of its predecessors still in Z.
-    succ_start, targets = graph.successor_rows
-    pred_start, sources = graph.predecessor_rows
+    # of member s still in Z: first the members whose predecessor rows name
+    # s.  A member leaves when its count reaches 0, and each leaver lowers
+    # the count of its predecessors still in Z.
+    start, sources = graph.predecessor_rows
     inside = _marks(seed, graph.state_count)
     left = [0] * graph.state_count
-    work = []
-    for s in _members(seed):
-        left[s] = sum(map(inside.__getitem__, targets[succ_start[s]:succ_start[s + 1]]))
-        if not left[s]:
-            work.append(s)
+    for t in _members(seed):
+        for p in sources[start[t]:start[t + 1]]:
+            left[p] += 1
+    work = [s for s in _members(seed) if not left[s]]
     for s in work:
         inside[s] = 0
     while work:
         t = work.pop()
-        for p in sources[pred_start[t]:pred_start[t + 1]]:
+        for p in sources[start[t]:start[t + 1]]:
             if inside[p]:
                 left[p] -= 1
                 if not left[p]:

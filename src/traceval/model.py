@@ -29,13 +29,13 @@ constraint from ``build_graph``; one in an update raises when its command
 fires, as an update that cannot be typed does.
 
 A built graph stores its transition relation once, as compressed sparse
-rows of successors, which ``build_graph`` writes as it visits the states.
-The transpose, the predecessor rows, is built on first use, which only
-CTL's EX, EF and EG make.  Graphs serve CTL labelling (``check``) alone:
-the validator judges and sizes logs with ``checker.reach`` over the
-successor function and builds none.  Models and built graphs are immutable
-after construction, apart from that idempotent cache, and safe to share
-across threads for concurrent reads.
+rows of predecessors, the one relation CTL labelling reads.
+``build_graph`` writes successor rows as it visits the states, and the
+graph transposes them when it is built and keeps only the transpose.
+Graphs serve CTL labelling (``check``) alone: the validator judges and
+sizes logs with ``checker.reach`` over the successor function and builds
+none.  Models and built graphs are immutable after construction and safe
+to share across threads for concurrent reads.
 """
 
 from __future__ import annotations
@@ -276,16 +276,14 @@ def _always(v: Valuation) -> bool:
 
 class StateGraph:
     """Explicit state graph: indexed valuations plus a total transition
-    relation, stored once as compressed sparse rows of successors.
+    relation, stored once as compressed sparse rows of predecessors.
 
     ``initial`` and every successor refer to indices into ``states``.
     ``succ`` gives, per state, any iterable of successor indices; duplicates
-    collapse.  Successors are kept as ``array('i')`` offsets plus targets,
-    each row sorted ascending, and so are their transpose, the predecessors,
-    built on the first ``predecessor_rows`` or ``predecessors`` call.  Apart
-    from the transpose, every field is set in the constructor and never
-    changes afterwards; building the transpose twice gives equal rows, so
-    concurrent readers need no lock.
+    collapse.  The constructor checks every index, transposes the rows and
+    keeps the predecessors alone, as ``array('i')`` offsets plus sources,
+    each row sorted ascending.  Every field is set in the constructor and
+    never changes afterwards.
     """
 
     def __init__(
@@ -300,10 +298,12 @@ class StateGraph:
             raise ValueError(f"{len(succ)} successor rows for {n} states")
         start, targets = array("i", [0]), array("i")
         for row in succ:
-            targets.extend(sorted(set(row)))
+            targets.extend(set(row))
             start.append(len(targets))
-        if targets and not (0 <= min(targets) and max(targets) < n):
-            raise ValueError(f"successor index outside 0..{n - 1}")
+        initial = frozenset(initial)
+        for what, indices in (("successor", targets), ("initial", initial)):
+            if indices and not (0 <= min(indices) and max(indices) < n):
+                raise ValueError(f"{what} index outside 0..{n - 1}")
         self._set(variables, states, initial, start, targets)
 
     @classmethod
@@ -315,9 +315,10 @@ class StateGraph:
         start: array,
         targets: array,
     ) -> "StateGraph":
-        """A graph from its successor rows as ``successor_rows`` gives them,
-        each sorted and duplicate-free.  The graph takes ownership of the
-        arrays; nothing is checked."""
+        """A graph from its successor rows: the successors of state ``i``
+        are ``targets[start[i]:start[i + 1]]``, each row duplicate-free.
+        The graph keeps their transpose, not the arrays; nothing is
+        checked."""
         graph = cls.__new__(cls)
         graph._set(variables, states, initial, start, targets)
         return graph
@@ -326,8 +327,7 @@ class StateGraph:
         self.variables = tuple(variables)
         self.states = tuple(states)
         self.initial = frozenset(initial)
-        self._succ_start, self._succ = start, targets
-        self._pred_rows: tuple[array, array] | None = None
+        self._pred_start, self._pred = _transpose(start, targets)
 
     @property
     def state_count(self) -> int:
@@ -335,29 +335,16 @@ class StateGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._succ)
-
-    @property
-    def successor_rows(self) -> tuple[array, array]:
-        """``(start, targets)``: the successors of state ``i`` are
-        ``targets[start[i]:start[i + 1]]``.  Callers must not modify them."""
-        return self._succ_start, self._succ
+        return len(self._pred)
 
     @property
     def predecessor_rows(self) -> tuple[array, array]:
         """``(start, sources)``: the predecessors of state ``i`` are
         ``sources[start[i]:start[i + 1]]``.  Callers must not modify them."""
-        rows = self._pred_rows
-        if rows is None:
-            rows = self._pred_rows = _transpose(self._succ_start, self._succ)
-        return rows
-
-    def successors(self, i: int) -> array:
-        return self._succ[self._succ_start[i]:self._succ_start[i + 1]]
+        return self._pred_start, self._pred
 
     def predecessors(self, i: int) -> array:
-        start, sources = self.predecessor_rows
-        return sources[start[i]:start[i + 1]]
+        return self._pred[self._pred_start[i]:self._pred_start[i + 1]]
 
     def var_index(self, name: str) -> int:
         try:
@@ -436,12 +423,11 @@ def build_graph(model: SystemModel, max_states: int = DEFAULT_STATE_BUDGET) -> S
     # States are numbered in discovery order, so visiting them by index, as
     # the list grows, is the breadth-first queue, and each state's row is
     # written right after the row before it.  Successor valuations are
-    # distinct, so their indices need sorting but no deduplication.
+    # distinct, so their indices need no deduplication.
     start, targets = array("i", [0]), array("i")
     for v in states:
-        row = [intern(nxt) for nxt in successors(v)]
-        if len(row) > 1:
-            row.sort()
-        targets.extend(row)
+        targets.extend([intern(nxt) for nxt in successors(v)])
         start.append(len(targets))
-    return StateGraph.from_rows(model.var_names, states, (index[v] for v in inits), start, targets)
+    initial = [index[v] for v in inits]
+    del index  # the intern table, freed before the transpose
+    return StateGraph.from_rows(model.var_names, states, initial, start, targets)

@@ -54,6 +54,16 @@ def random_graph(
     return StateGraph(GRAPH_VARS, states, initial, succ)
 
 
+def successor_lists(graph: StateGraph) -> list[list[int]]:
+    """Each state's successors, ascending, read off the graph's one
+    relation, its predecessor rows."""
+    rows: list[list[int]] = [[] for _ in range(graph.state_count)]
+    for t in range(graph.state_count):
+        for s in graph.predecessors(t):
+            rows[s].append(t)
+    return rows
+
+
 def random_formula(rng: random.Random, depth: int) -> ctl.CtlFormula:
     if depth <= 0 or rng.random() < 0.3:
         roll = rng.random()

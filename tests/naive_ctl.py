@@ -39,9 +39,9 @@ class NaiveChecker:
         n = graph.state_count
         self.n = n
         adj = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            for t in graph.successors(i):
-                adj[i, t] = True
+        for t in range(n):
+            for s in graph.predecessors(t):
+                adj[s, t] = True
         self.adj = adj
         self.reach = _positive_closure(adj) | np.eye(n, dtype=bool)
         self.columns = {

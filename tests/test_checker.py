@@ -8,7 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corpus import bundled_town, fault_logs, models, random_formula, random_graph, random_town_logs, town_texts
+from corpus import (
+    bundled_town, fault_logs, models, random_formula, random_graph, random_town_logs, successor_lists, town_texts,
+)
 from naive_ctl import NaiveChecker
 from traceval import checker, ctl
 from traceval.checker import StateSet, follow, holds_initially, reach, sat
@@ -294,6 +296,7 @@ def test_monotonicity_and_self_loop_laws_on_random_corpus():
     rng = random.Random(90210)
     for _ in range(40):
         g = random_graph(rng, max_states=24)
+        succ = successor_lists(g)
         cache = {}
         for _ in range(15):
             phi = random_formula(rng, 3)
@@ -303,7 +306,7 @@ def test_monotonicity_and_self_loop_laws_on_random_corpus():
             ag = sat(g, ctl.AG(phi), cache)
             assert ag.issubset(base)
             for s in range(g.state_count):
-                if list(g.successors(s)) == [s]:
+                if succ[s] == [s]:
                     assert (s in ag) == (s in base)
 
 
@@ -317,25 +320,59 @@ GRID_TEMPLATE = (
 )
 
 
-def test_only_the_backward_operators_build_the_predecessor_rows(transposes):
+def test_each_graph_transposes_once_when_built_and_labelling_never(transposes):
     from traceval.template import Settings, render
 
     model = parse_model(render(GRID_TEMPLATE, None, Settings({"top": 5})))
-    for text, builds in (
-        ("x==5 & !(y<3) | y>=2", False),
-        ("EX(x==1)", True),
-        ("EF(x==5 & y==5)", True),
-        ("EG(x<5)", True),
-        ("AX(x==1)", True),
-        ("AF(x==5)", True),
-        ("AG(x>=0)", True),
+    for text in (
+        "x==5 & !(y<3) | y>=2", "EX(x==1)", "EF(x==5 & y==5)", "EG(x<5)", "AX(x==1)", "AF(x==5)", "AG(x>=0)",
     ):
         graph = build_graph(model)
+        assert transposes == [graph.state_count], text
         for _ in range(2):
             holds_initially(graph, parse_formula(text))
-        # built once, then kept
-        assert transposes == ([graph.state_count] if builds else []), text
+        assert transposes == [graph.state_count], text
         transposes.clear()
+
+
+def _brute_fixpoint(succ, op, seed):
+    """EX, EF or EG of the set ``seed`` by iterating its defining equation
+    from the empty set (EF) or every state (EG) until nothing changes."""
+    ex = lambda z: {s for s, row in enumerate(succ) if z.intersection(row)}
+    if op == "EX":
+        return ex(seed)
+    z = set() if op == "EF" else set(range(len(succ)))
+    while True:
+        nxt = seed | ex(z) if op == "EF" else seed & ex(z)
+        if nxt == z:
+            return z
+        z = nxt
+
+
+def test_few_member_seeds_take_the_set_bit_walk_inside_labelling(monkeypatch):
+    """On a 400-state grid, a seed of a few states late in the numbering
+    lists its members by the set-bit walk: once for EX and EF, twice for
+    EG, which counts successors and then collects the members with none.
+    In the last seed, (17,17) keeps one of its two successors, (17,18),
+    after the other, (18,17), leaves."""
+    from traceval.template import Settings, render
+
+    graph = build_graph(parse_model(render(GRID_TEMPLATE, None, Settings({"top": 19}))))
+    succ = successor_lists(graph)
+    walks = []
+    set_bits = checker._set_bits
+    monkeypatch.setattr(checker, "_set_bits", lambda mask: walks.append(mask) or set_bits(mask))
+    for child in (
+        "x==19 & y==19", "x==18 & y==19", "x>=18 & y>=18", "y==19 & x>=15 & x<19",
+        "x==17 & y>=17 | y==19 & x>=17 | x==18 & y==17",
+    ):
+        seed = _indices(graph, child)
+        assert 1 <= len(seed) <= 6 and min(seed) > 300, child
+        for op, times in (("EX", 1), ("EF", 1), ("EG", 2)):
+            walks.clear()
+            found = sat(graph, parse_formula(f"{op}({child})"))
+            assert len(walks) == times, (op, child)
+            assert set(found) == _brute_fixpoint(succ, op, seed), (op, child)
 
 
 def test_a_40000_state_grid_counter():
@@ -373,13 +410,14 @@ def _ctl_holds(graph, log, mode, base):
 
 def _walk(graph, log, mode, base):
     """``(row, check)`` where ``follow`` refuses the log, stepping through
-    the successor rows of ``graph``, whose states have distinct valuations;
+    the successors of ``graph``, whose states have distinct valuations;
     None when it admits the log."""
     states = graph.states
     index = {v: i for i, v in enumerate(states)}
+    succ = successor_lists(graph)
 
     def successors(v):
-        return sorted(states[t] for t in graph.successors(index[v]))
+        return sorted(states[t] for t in succ[index[v]])
 
     witness = follow(successors, {states[i] for i in graph.initial}, log, mode, base)
     return witness and (witness.row, witness.check)
@@ -390,13 +428,13 @@ def _log_through(draw, graph, max_steps):
     row is a successor of the last state, a repeat of the last row, any
     state's valuation, or a valuation outside the graph.  The last row is
     often repeated, so faithful logs both end in two equal rows and not."""
-    states = graph.states
+    states, succ = graph.states, successor_lists(graph)
     s = draw(st.sampled_from(sorted(graph.initial) * 3 + list(range(len(states)))))
     rows = [states[s]]
     for _ in range(draw(st.integers(1, max_steps))):
         kind = draw(st.sampled_from(("step", "step", "step", "repeat", "any", "outside")))
         if kind == "step":
-            s = draw(st.sampled_from(list(graph.successors(s))))
+            s = draw(st.sampled_from(succ[s]))
             rows.append(states[s])
         elif kind == "repeat":
             rows.append(rows[-1])
@@ -436,10 +474,10 @@ def test_walk_decides_the_log_property_on_random_graphs(case):
         )
 
 
-def _reachable(graph, s):
+def _reachable(succ, s):
     seen, todo = {s}, [s]
     while todo:
-        for t in graph.successors(todo.pop()):
+        for t in succ[todo.pop()]:
             if t not in seen:
                 seen.add(t)
                 todo.append(t)
@@ -451,7 +489,8 @@ def _brute_witness(graph, log, mode, base):
     path of the graph that follows the rows, listed state by state."""
     rows, n = log.rows, log.n
     last = n - 1 if base == "faithful" else n
-    step = graph.successors if mode == "strong" else lambda s: _reachable(graph, s)
+    succ = successor_lists(graph)
+    step = succ.__getitem__ if mode == "strong" else lambda s: _reachable(succ, s)
     paths = [(s,) for s in sorted(graph.initial)]
     for k in range(1, last + 1):
         if k > 1:
@@ -463,7 +502,7 @@ def _brute_witness(graph, log, mode, base):
             if k == 1:
                 return k, "not-initial"
             return k, "no-transition" if mode == "strong" else "unreachable"
-    if any(all(graph.states[t] == rows[-1] for t in _reachable(graph, p[-1])) for p in paths):
+    if any(all(graph.states[t] == rows[-1] for t in _reachable(succ, p[-1])) for p in paths):
         return None
     return n, "not-a-model-state" if rows[-1] not in graph.states else "not-absorbing"
 

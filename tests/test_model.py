@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import naive_eval
 from conftest import CHAIN2, TOGGLE
-from corpus import full_grid_town, models, random_town_logs
+from corpus import full_grid_town, models, random_town_logs, successor_lists
 from traceval.errors import EvalError, ModelError, StateExplosionError
 from traceval import model as model_module
 from traceval.expr import INT_MAX, BinOp, BoolLit, IntLit, Name, NotOp
@@ -21,10 +21,6 @@ from traceval.town import Objective, ObjectiveStep, town_model_text
 
 def _cmd(guard, updates=()):
     return GuardedCommand(None, guard, tuple(updates))
-
-
-def _successor_rows(g):
-    return [list(g.successors(i)) for i in range(g.state_count)]
 
 
 def test_step_single_enabled_command():
@@ -58,20 +54,20 @@ def test_build_graph_chain2(chain2_graph):
     g = chain2_graph
     assert g.states == ((0,), (1,))
     assert g.initial == frozenset({0})
-    assert _successor_rows(g) == [[1], [1]]
+    assert successor_lists(g) == [[1], [1]]
     assert (g.state_count, g.edge_count) == (2, 2)
 
 
 def test_build_graph_toggle(toggle_graph):
     g = toggle_graph
     assert g.states == ((0,), (1,))
-    assert _successor_rows(g) == [[1], [0]]
+    assert successor_lists(g) == [[1], [0]]
 
 
 def test_build_graph_no_commands_single_state():
     g = build_graph(parse_model("var x : 0..5 init 3;\n"))
     assert g.states == ((3,),)
-    assert _successor_rows(g) == [[0]]
+    assert successor_lists(g) == [[0]]
 
 
 def test_build_graph_counter_four_states():
@@ -168,10 +164,14 @@ def test_graph_invariants_on_random_models(transposes):
         model = _random_model(rng)
         g = build_graph(model)
         again = build_graph(model)
+        # each graph is transposed once, when it is built
+        assert transposes == [g.state_count, again.state_count]
+        transposes.clear()
         # determinism: same model, bit-identical graph
         assert g.states == again.states
-        assert _successor_rows(g) == _successor_rows(again)
+        assert g.predecessor_rows == again.predecessor_rows
         assert g.initial == again.initial
+        succ = successor_lists(g)
         index = {v: i for i, v in enumerate(g.states)}
         assert len(index) == g.state_count  # deduplicated
         bounds = {v.name: (v.lo, v.hi) for v in model.variables}
@@ -183,13 +183,13 @@ def test_graph_invariants_on_random_models(transposes):
         frontier = list(g.initial)
         while frontier:
             s = frontier.pop()
-            for t in g.successors(s):
+            for t in succ[s]:
                 if t not in reachable:
                     reachable.add(t)
                     frontier.append(t)
         assert reachable == set(range(g.state_count))  # reachability-closed
         for i, valuation in enumerate(g.states):
-            targets = set(g.successors(i))
+            targets = set(succ[i])
             assert len(targets) >= 1  # totality
             assert all(0 <= t < g.state_count for t in targets)  # closure
             successors = naive_eval.step(model, valuation)
@@ -197,21 +197,16 @@ def test_graph_invariants_on_random_models(transposes):
             # agreement: graph edges are exactly the reference successors
             # (the reference step already folds the deadlock self-loop in)
             assert targets == expected
-        # predecessors are exactly the transpose of successors, built once,
-        # on first use
+        # the row arrays are the relation ``predecessors`` slices, each row
+        # ascending and duplicate-free, and reading them transposes nothing
+        start, sources = g.predecessor_rows
+        assert len(start) == g.state_count + 1 and start[-1] == len(sources) == g.edge_count
+        for t in range(g.state_count):
+            row = g.predecessors(t)
+            assert sources[start[t]:start[t + 1]] == row
+            assert list(row) == sorted(set(row))
+        assert g.edge_count == sum(map(len, succ))
         assert transposes == []
-        edges = [(s, t) for s in range(g.state_count) for t in g.successors(s)]
-        transposed = [(s, t) for t in range(g.state_count) for s in g.predecessors(t)]
-        assert sorted(transposed) == sorted(edges)
-        assert g.predecessor_rows is g.predecessor_rows
-        assert transposes == [g.state_count]
-        transposes.clear()
-        assert g.edge_count == sum(len(g.successors(s)) for s in range(g.state_count))
-        # the row arrays are the same relation the per-state methods slice
-        for rows, row in ((g.successor_rows, g.successors), (g.predecessor_rows, g.predecessors)):
-            start, flat = rows
-            assert len(start) == g.state_count + 1 and start[-1] == len(flat) == g.edge_count
-            assert all(flat[start[i]:start[i + 1]] == row(i) for i in range(g.state_count))
 
 
 # --- the compiled evaluator against the tree-walking reference ---------------
@@ -234,7 +229,7 @@ def _assert_graph_matches_reference(model):
     g = build_graph(model)
     assert g.states == tuple(states)
     assert g.initial == frozenset(initial)
-    assert _successor_rows(g) == rows
+    assert successor_lists(g) == rows
 
 
 @settings(max_examples=150, deadline=None)
@@ -287,10 +282,27 @@ def test_built_graphs_equal_the_graphs_given_as_rows(town5x5, objective4):
     for text in texts:
         model = parse_model(text)
         built = build_graph(model)
-        rows = [list(built.successors(i)) for i in range(built.state_count)]
+        rows = successor_lists(built)
         given = StateGraph(built.variables, built.states, built.initial, [row[::-1] + row for row in rows])
-        for field in ("variables", "states", "initial", "successor_rows", "predecessor_rows"):
+        for field in ("variables", "states", "initial", "predecessor_rows"):
             assert getattr(built, field) == getattr(given, field), (text, field)
+
+
+def test_the_constructor_checks_every_index():
+    """An initial index outside the states is refused as a successor index
+    is, not left for labelling to misread."""
+    states = ((0,), (1,))
+    for initial, rows, named in (
+        ({5}, [[1], [1]], "initial"),
+        ({-1}, [[1], [1]], "initial"),
+        ({0}, [[1], [2]], "successor"),
+        ({0}, [[-1], [1]], "successor"),
+    ):
+        with pytest.raises(ValueError, match=f"{named} index outside 0..1"):
+            StateGraph(("x",), states, initial, rows)
+    with pytest.raises(ValueError, match="1 successor rows for 2 states"):
+        StateGraph(("x",), states, {0}, [[1]])
+    assert StateGraph(("x",), states, {1}, [[1], [1]]).initial == {1}
 
 
 _X_IS_1 = BinOp("==", Name("x"), IntLit(1))
@@ -439,7 +451,7 @@ def test_dispatch_matches_reference_with_the_same_errors(model):
         assert graph == expected
     else:
         states, initial, rows = expected
-        assert (graph.states, graph.initial, _successor_rows(graph)) == (
+        assert (graph.states, graph.initial, successor_lists(graph)) == (
             tuple(states), frozenset(initial), rows
         )
 
@@ -511,8 +523,8 @@ def test_dispatch_tries_only_the_commands_pinned_to_a_state(monkeypatch):
     assert successors((99, 99, 0, 0)) == [(99, 99, 0, 0)]
     tables = calls  # a valuation no command pins calls only the table lookups
     assert 0 < tables <= 2
-    for i, valuation in enumerate(graph.states):
+    for valuation, row in zip(graph.states, successor_lists(graph)):
         calls = 0
         found = successors(valuation)
-        assert found == sorted(graph.states[t] for t in graph.successors(i))
+        assert found == sorted(graph.states[t] for t in row)
         assert calls <= tables + pinned[valuation[:3]], valuation
