@@ -47,7 +47,7 @@ from .execlog import (
     row_conjunction,
 )
 from .expr import print_expr
-from .lang import parse_expression, parse_formula, parse_model, print_model
+from .lang import parse_formula, parse_model, print_model
 from .lifecycle import (
     ContentStore,
     Ledger,
@@ -70,8 +70,6 @@ from .model import (
 )
 from .template import (
     Settings,
-    format_bindings,
-    format_settings,
     parse_bindings,
     parse_settings,
     render,

@@ -98,30 +98,6 @@ class StateSet:
         self.mask = mask
         self.universe = universe
 
-    @classmethod
-    def from_indices(cls, indices, universe: int) -> "StateSet":
-        marks = bytearray(universe)
-        for i in indices:
-            if not 0 <= i < universe:
-                raise ValueError(f"state index {i} outside 0..{universe - 1}")
-            marks[i] = 1
-        return cls(_mask(marks), universe)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    def complement(self) -> "StateSet":
-        return StateSet(~self.mask & ((1 << self.universe) - 1), self.universe)
-
-    def union(self, other: "StateSet") -> "StateSet":
-        return StateSet(self.mask | other.mask, self.universe)
-
-    def intersection(self, other: "StateSet") -> "StateSet":
-        return StateSet(self.mask & other.mask, self.universe)
-
-    def issubset(self, other: "StateSet") -> bool:
-        return self.mask & ~other.mask == 0
-
     def __contains__(self, i: int) -> bool:
         return 0 <= i < self.universe and bool(self.mask >> i & 1)
 

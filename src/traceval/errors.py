@@ -16,9 +16,9 @@ class ParseError(TracevalError):
     """Syntax or semantic error in model, formula or settings text.
 
     Carries a 1-based ``line`` and ``col`` whenever the offending position
-    is known; the position is prefixed to the message.  Errors in model,
-    formula and expression text also carry the 0-based character
-    ``offset`` of that position; settings errors carry ``None``.
+    is known; the position is prefixed to the message.  Errors in model
+    and formula text also carry the 0-based character ``offset`` of that
+    position; settings errors carry ``None``.
     """
 
     def __init__(
@@ -31,14 +31,10 @@ class ParseError(TracevalError):
         self.bare_message = message
         self.line = line
         self.col = col
-        self._offset = offset
+        self.offset = offset
         if line is not None:
             message = f"{line}:{col}: {message}"
         super().__init__(message)
-
-    @property
-    def offset(self) -> int | None:
-        return self._offset
 
 
 class EvalError(TracevalError):

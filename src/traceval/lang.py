@@ -226,15 +226,6 @@ def _typed_expr(
     return expr
 
 
-def parse_expression(text: str) -> Expr:
-    """Parse a standalone expression fragment (no name or type checks)."""
-    s = _Stream(text, allow_comments=True)
-    expr = _parse_expr(s)
-    if s.toks[s.pos]:
-        raise s.error("trailing input after expression")
-    return expr
-
-
 # ---------------------------------------------------------------------------
 # Model parsing
 # ---------------------------------------------------------------------------

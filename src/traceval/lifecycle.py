@@ -35,8 +35,12 @@ log never steps from.  A log that steps from such a state is rejected
 ``malformed-model``, and an ``init`` constraint over a domain wider than
 the budget rejects every log for ``state-explosion``.
 
-Single writer per ledger file; concurrent readers of ledger and store are
-safe (append-only file, immutable blobs).
+One process at a time may write a ledger file, and until a lock is held
+across load and append (ROADMAP item 3), no process may load a ledger
+while another appends to it: a load cuts a last line that has no newline
+and is not valid JSON, and such a line may be another process's append
+still in flight.  Store blobs are immutable and renamed into place, so
+the store may be read while it is written.
 """
 
 from __future__ import annotations
@@ -89,6 +93,9 @@ _HASH_RE_LEN = 64
 
 # Prepared models one run_validator call keeps; the least recently used goes.
 _CACHED_MODELS = 8
+
+# Seconds a run_validator --watch loop sleeps between re-reads of the ledger.
+_POLL_INTERVAL = 0.5
 
 
 class ContentStore:
@@ -284,9 +291,6 @@ class Ledger:
         out.sort(key=lambda l: l.result_seq or 0)
         return out
 
-    def next_id(self) -> int:
-        return len(self.liabilities) + 1
-
 
 def create_liability(
     ledger: Ledger,
@@ -300,7 +304,7 @@ def create_liability(
     for what, digest in (("model", model_hash), ("objective", objective_hash)):
         if digest not in store:
             raise StoreError(f"{what} hash does not resolve in the store: {digest}")
-    lid = ledger.next_id()
+    lid = len(ledger.liabilities) + 1
     ledger.append(
         KIND_CREATED,
         id=lid,
@@ -479,25 +483,22 @@ def run_validator(
     base: str = "faithful",
     max_states: int = DEFAULT_STATE_BUDGET,
     watch: bool = False,
-    interval: float = 0.5,
-    max_polls: int | None = None,
 ) -> list[tuple[int, str]]:
     """Validate every pending liability in submission order.
 
-    With ``watch`` the ledger file is re-read every ``interval`` seconds
-    until interrupted (or ``max_polls`` re-reads, when given).  An interrupt
-    (``KeyboardInterrupt``) ends the run and returns the verdicts recorded
-    so far.  A failing liability becomes a Rejected verdict; the loop stops
-    only when the ledger itself cannot be written or loaded, and raises
-    that error.  Each distinct model text is parsed and compiled once per
-    call, and sized at most once, for the first log it refuses.
+    With ``watch`` the ledger file is re-read every ``_POLL_INTERVAL``
+    (half a second) until interrupted.  An interrupt (``KeyboardInterrupt``)
+    ends the run and returns the verdicts recorded so far.  A failing
+    liability becomes a Rejected verdict; the loop stops only when the
+    ledger itself cannot be written or loaded, and raises that error.
+    Each distinct model text is parsed and compiled once per call, and
+    sized at most once, for the first log it refuses.
     """
     # Keyed by the model text, not its hash, because ContentStore.get does
     # not re-hash: a replaced blob file would make a hash key stale.  The
     # bound keeps a --watch run's memory bounded.
     prepare = lru_cache(maxsize=_CACHED_MODELS)(partial(PreparedModel, max_states=max_states))
     results: list[tuple[int, str]] = []
-    polls = 0
     try:
         while True:
             for liab in ledger.pending():
@@ -513,10 +514,7 @@ def run_validator(
                 results.append((liab.id, verdict))
             if not watch:
                 break
-            polls += 1
-            if max_polls is not None and polls >= max_polls:
-                break
-            time.sleep(interval)
+            time.sleep(_POLL_INTERVAL)
             ledger.reload()
     except KeyboardInterrupt:
         pass  # a --watch run ends here; the verdicts recorded so far stand

@@ -116,9 +116,6 @@ class SystemModel:
     def var_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
 
-    def declared_init(self) -> Valuation:
-        return tuple(v.init for v in self.variables)
-
 
 def _fails(message: str):
     def fail(v: Valuation):
@@ -373,7 +370,7 @@ def _transpose(start: array, targets: array) -> tuple[array, array]:
 
 
 def _initial_valuations(model: SystemModel, budget: int) -> list[Valuation]:
-    base = model.declared_init()
+    base = tuple(v.init for v in model.variables)
     if model.init_constraint is None:
         return [base]
     # Widening constraint: every domain valuation satisfying it is initial,

@@ -12,7 +12,9 @@ error's character offset back to the tag substituted there.
 The settings format is a restricted two-map subset of YAML: the top-level
 keys ``parameters:`` and ``defaults:``, each holding flat ``key: value``
 entries with scalar values; ``#`` starts a comment.  Anything deeper or
-fancier is rejected.
+fancier is rejected.  A bindings file is one flat JSON object of strings.
+Both are inputs only: ``parse_settings`` and ``parse_bindings`` read them,
+and nothing here writes them.
 """
 
 from __future__ import annotations
@@ -213,24 +215,6 @@ def parse_settings(text: str) -> Settings:
     return settings
 
 
-def format_settings(settings: Settings) -> str:
-    """Canonical settings text; round-trips through :func:`parse_settings`."""
-    lines: list[str] = []
-    if settings.parameters:
-        lines.append("parameters:")
-        for key, value in settings.parameters.items():
-            lines.append(f"  {key}: {value if isinstance(value, int) else _quote(value)}")
-    if settings.defaults:
-        lines.append("defaults:")
-        for key, value in settings.defaults.items():
-            lines.append(f"  {key}: {_quote(value)}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _quote(value: str) -> str:
-    return '"' + value.replace('"', "'") + '"'
-
-
 def parse_bindings(text: str) -> dict[str, str]:
     """Parse a bindings file: one flat JSON object with string values."""
     try:
@@ -245,7 +229,3 @@ def parse_bindings(text: str) -> dict[str, str]:
         if not isinstance(value, str):
             raise TemplateError(f"binding '{key}' must be a string")
     return dict(data)
-
-
-def format_bindings(bindings: Mapping[str, str]) -> str:
-    return json.dumps(dict(bindings), indent=2) + "\n"

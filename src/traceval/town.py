@@ -21,6 +21,9 @@ With ``reduce=False`` the unused actions instead stay enabled for the
 whole mission, which preserves honest behavior but keeps the full
 branching state space.
 
+``simulate`` runs the robot from the town's checked ``start`` and returns
+its log, which a ``Fault`` diverts or mutates.
+
 Headings are 0:N, 1:E, 2:S, 3:W with north along +y.  The model's
 variables, and therefore the log columns, are (x, y, d, k).
 """
@@ -95,11 +98,15 @@ class TownMap:
                     raise TownError(f"duplicate tag {node.tag}")
                 by_tag[node.tag] = node
             by_pos[node.x, node.y] = node
-        for src, dst in sorted(self.edges):  # so an error names the same edge on every run
-            if src not in by_pos or dst not in by_pos:
-                raise TownError(f"edge {src}->{dst} references an undeclared node")
-            if abs(src[0] - dst[0]) + abs(src[1] - dst[1]) != 1:
+        bad = [
+            (src, dst) for src, dst in self.edges
+            if src not in by_pos or dst not in by_pos or abs(src[0] - dst[0]) + abs(src[1] - dst[1]) != 1
+        ]
+        if bad:  # the least, so that an error names the same edge on every run
+            src, dst = min(bad)
+            if src in by_pos and dst in by_pos:
                 raise TownError(f"edge {src}->{dst} does not join adjacent nodes")
+            raise TownError(f"edge {src}->{dst} references an undeclared node")
         if (self.start[0], self.start[1]) not in by_pos:
             raise TownError("start node not declared")
         if not 0 <= self.start[2] <= 3:
@@ -351,14 +358,9 @@ def parse_fault(spec: str) -> Fault:
     raise TownError(f"bad fault spec '{spec}': unknown fault kind '{kind}'")
 
 
-def simulate(
-    town: TownMap,
-    objective: Objective,
-    start: tuple[int, int, int] | None = None,
-    fault: Fault | str | None = None,
-) -> ExecutionLog:
-    """Run the robot and return its log, one (x, y, d, k) row per state
-    visited, terminal row duplicated once.
+def simulate(town: TownMap, objective: Objective, fault: Fault | str | None = None) -> ExecutionLog:
+    """Run the robot from ``town.start`` and return its log, one
+    (x, y, d, k) row per state visited, terminal row duplicated once.
 
     A ``wrong-turn`` fault diverts the j-th stop and the log records what
     actually happened; ``forge``/``skip``/``truncate`` mutate the honest
@@ -372,11 +374,7 @@ def simulate(
     if fault is not None and fault.kind == "wrong-turn" and not 1 <= fault.index <= seq_len:
         raise TownError(f"wrong-turn index {fault.index} out of range 1..{seq_len}")
 
-    x, y, d = start if start is not None else town.start
-    if town.node_at(x, y) is None:
-        raise TownError("start node not declared")
-    if not 0 <= d <= 3:
-        raise TownError("start heading must be 0..3")
+    x, y, d = town.start
     k = 0
     rows = [(x, y, d, k)]
     stops_taken = 0

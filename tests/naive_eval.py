@@ -123,7 +123,7 @@ def step(model: SystemModel, v: Valuation) -> list[Valuation]:
 def initial_valuations(model: SystemModel) -> list[Valuation]:
     """The declared init vector plus every domain valuation satisfying the
     init constraint, sorted."""
-    inits = {model.declared_init()}
+    inits = {tuple(v.init for v in model.variables)}
     if model.init_constraint is not None:
         ranges = [range(v.lo, v.hi + 1) for v in model.variables]
         for cand in itertools.product(*ranges):

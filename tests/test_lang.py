@@ -16,7 +16,7 @@ from traceval.ctl import print_formula
 from traceval.errors import EvalError, ParseError, TemplateError, line_col
 from traceval.execlog import MODES, ExecutionLog, log_property
 from traceval.expr import INT_MIN, BinOp, IntLit, Name, compile_expr
-from traceval.lang import _error_at, _lex, parse_expression, parse_formula, parse_model, print_model
+from traceval.lang import _error_at, _lex, parse_formula, parse_model, print_model
 from traceval.model import build_graph
 from traceval.town import town_model_text
 
@@ -48,7 +48,7 @@ def test_parse_errors_carry_positions():
     assert err.value.col is not None
 
 
-_PARSERS = {"model": parse_model, "formula": parse_formula, "expression": parse_expression}
+_PARSERS = {"model": parse_model, "formula": parse_formula}
 
 
 @pytest.mark.parametrize(
@@ -72,7 +72,6 @@ _PARSERS = {"model": parse_model, "formula": parse_formula, "expression": parse_
         ('model', "// header\nvar x : 0..3 init 0;\n[] 1 < x < 2 -> x'=1;", "3:10: chained comparison is not allowed, found '<'"),
         ('formula', 'x==0 &\n  EX(y = 1)', "2:8: unknown comparator '='"),
         ('formula', '\n\tx==0 x==1', "2:7: trailing input after formula, found 'x'"),
-        ('expression', 'x + 1\n  )', "2:3: trailing input after expression, found ')'"),
     ],
 )
 def test_each_parse_error_names_its_position(kind, text, message):
@@ -462,7 +461,7 @@ def test_offset_lexer_matches_the_line_col_lexer(gen_model, text):
             want = "value", [(tok.kind, tok.text, (tok.line, tok.col)) for tok in want[1]]
         assert got == want
 
-    for parse in (parse_model, parse_formula, parse_expression):
+    for parse in (parse_model, parse_formula):
         got = _outcome(parse, text)
         with naive_lex.parsing():
             want = _outcome(parse, text)
@@ -535,8 +534,3 @@ def test_atom_comparators_agree_with_guard_comparisons(op, lhs, rhs):
     via_atom = 0 in sat(graph, ctl.Atom("x", op, rhs))
     via_expr = compile_expr(BinOp(op, Name("x"), IntLit(rhs)), ("x",))[1]((lhs,))
     assert via_atom == via_expr
-
-
-def test_parse_expression_fragment():
-    expr = parse_expression("x==0 & (k==1 | k==3)")
-    assert compile_expr(expr, ("x", "k"))[1]((0, 3)) is True

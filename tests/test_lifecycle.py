@@ -360,10 +360,23 @@ def test_run_validator_empty_ledger(ledger, store):
     assert run_validator(ledger, store) == []
 
 
-def test_run_validator_watch_polls_and_stops(ledger, store):
-    _submitted(ledger, store)
-    results = run_validator(ledger, store, watch=True, interval=0.01, max_polls=2)
-    assert len(results) == 1
+def test_run_validator_watch_validates_what_another_writer_submits(monkeypatch, ledger, store):
+    """A --watch run re-reads the ledger between polls, so a liability that
+    another process submits while it sleeps gets its verdict too."""
+    honest = _submitted(ledger, store)
+    sleeps, submitted = [], []
+
+    def sleep(seconds):
+        sleeps.append(seconds)
+        if len(sleeps) > 1:
+            raise KeyboardInterrupt
+        submitted.append(_submitted(Ledger(ledger.path), store, log_text="x\n0\n0\n1\n"))
+
+    monkeypatch.setattr(lifecycle.time, "sleep", sleep)
+    results = run_validator(ledger, store, watch=True)
+    assert results == [(honest, STATUS_CONFIRMED), (submitted[0], STATUS_REJECTED)]
+    assert sleeps == [lifecycle._POLL_INTERVAL] * 2
+    assert Ledger(ledger.path).liability(submitted[0]).reason == "property-failed"
 
 
 def test_run_validator_returns_its_verdicts_when_interrupted(monkeypatch, ledger, store):

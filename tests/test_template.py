@@ -5,8 +5,6 @@ from traceval.lang import parse_model
 from traceval.model import build_graph
 from traceval.template import (
     Settings,
-    format_bindings,
-    format_settings,
     parse_bindings,
     parse_settings,
     render,
@@ -127,16 +125,8 @@ def test_parse_settings_integer_past_the_digit_limit():
     assert (err.value.line, err.value.col) == (2, 8)
 
 
-def test_settings_round_trip():
-    settings = Settings(
-        parameters={"width": 5, "label": "east"}, defaults={"turn_left": "false"}
-    )
-    assert parse_settings(format_settings(settings)) == settings
-
-
-def test_bindings_round_trip_and_validation():
-    bindings = {"go": "x==0", "stop": "false"}
-    assert parse_bindings(format_bindings(bindings)) == bindings
+def test_parse_bindings_and_validation():
+    assert parse_bindings('{"go": "x==0", "stop": "false"}') == {"go": "x==0", "stop": "false"}
     with pytest.raises(TemplateError, match="JSON object"):
         parse_bindings("[1, 2]")
     with pytest.raises(TemplateError, match="must be a string"):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -161,7 +162,7 @@ def test_unreduced_model_still_confirms_honest_log(town5x5, objective4):
 def test_start_override():
     town = load_town(TWO_NODE)
     objective = load_objective(ONE_FORWARD)
-    log = simulate(town, objective, start=(1, 0, 1))
+    log = simulate(dataclasses.replace(town, start=(1, 0, 1)), objective)
     # starting on the untagged node heading east: no edge, immediate halt
     assert log.rows == ((1, 0, 1, 0), (1, 0, 1, 0))
 
@@ -218,6 +219,9 @@ THREE_WIDE = dict(TWO_NODE, width=3, nodes=TWO_NODE["nodes"] + [{"x": 2, "y": 0}
     (dict(TWO_NODE, start={"x": 1, "y": 1, "d": 0}), "start node not declared"),
     (dict(TWO_NODE, start={"x": 0, "y": 0, "d": 4}), "start heading must be 0..3"),
     (dict(TWO_NODE, start={"x": 0, "y": 0, "d": -1}), "start heading must be 0..3"),
+    # the least bad edge is named by the rule it breaks, not the other's
+    (dict(THREE_WIDE, edges=[{"from": [1, 0], "to": [1, 1]}, {"from": [0, 0], "to": [2, 0]}]),
+     "edge (0, 0)->(2, 0) does not join adjacent nodes"),
 ])
 def test_an_invalid_town_raises_one_message_however_it_is_built(spec, message):
     with pytest.raises(TownError) as loaded:
