@@ -72,6 +72,7 @@ _PARSERS = {"model": parse_model, "formula": parse_formula}
         ('model', "// header\nvar x : 0..3 init 0;\n[] 1 < x < 2 -> x'=1;", "3:10: chained comparison is not allowed, found '<'"),
         ('formula', 'x==0 &\n  EX(y = 1)', "2:8: unknown comparator '='"),
         ('formula', '\n\tx==0 x==1', "2:7: trailing input after formula, found 'x'"),
+        ('model', "var x : 0..3 init 0;\n[] (x==0\n  x==1) -> x'=1;", "3:3: expected ')', found 'x'"),
     ],
 )
 def test_each_parse_error_names_its_position(kind, text, message):

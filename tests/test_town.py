@@ -167,6 +167,17 @@ def test_start_override():
     assert log.rows == ((1, 0, 1, 0), (1, 0, 1, 0))
 
 
+@pytest.mark.parametrize("start,message", [
+    ((1, 1, 0), "start node not declared"),
+    ((0, 0, 4), "start heading must be 0..3"),
+])
+def test_a_bad_start_is_refused_before_simulate(start, message):
+    """simulate runs from town.start unchecked: TownMap refuses a bad start
+    however it is set, replace included."""
+    with pytest.raises(TownError, match=message):
+        dataclasses.replace(load_town(TWO_NODE), start=start)
+
+
 def test_random_towns_honest_round_trip():
     import random
 
@@ -222,6 +233,8 @@ THREE_WIDE = dict(TWO_NODE, width=3, nodes=TWO_NODE["nodes"] + [{"x": 2, "y": 0}
     # the least bad edge is named by the rule it breaks, not the other's
     (dict(THREE_WIDE, edges=[{"from": [1, 0], "to": [1, 1]}, {"from": [0, 0], "to": [2, 0]}]),
      "edge (0, 0)->(2, 0) does not join adjacent nodes"),
+    (dict(THREE_WIDE, edges=[{"from": [0, 0], "to": [2, 0]}, {"from": [0, 0], "to": [0, 1]}]),
+     "edge (0, 0)->(0, 1) references an undeclared node"),
 ])
 def test_an_invalid_town_raises_one_message_however_it_is_built(spec, message):
     with pytest.raises(TownError) as loaded:
