@@ -31,7 +31,7 @@ from .lifecycle import (
 )
 from .model import DEFAULT_STATE_BUDGET, build_graph
 from .template import Settings, blame, parse_bindings, parse_settings, render
-from .town import build_bindings, load_objective, load_town, parse_fault, simulate
+from .town import load_objective, load_town, parse_fault, simulate, town_model_text
 
 
 def _read(path: str) -> str:
@@ -173,8 +173,7 @@ def cmd_demo(args) -> int:
     objective_text = _read(args.objective)
     objective = load_objective(objective_text)
     fault = parse_fault(args.fault) if args.fault else None
-    parts = build_bindings(town, objective)
-    model_text = render(parts.template, parts.bindings, parts.settings)
+    model_text = town_model_text(town, objective)
     log = _relaying_warnings(simulate, town, objective, fault=fault)
 
     workspace = Path(tempfile.mkdtemp(prefix="traceval-demo-"))

@@ -1,8 +1,13 @@
 """Execution logs and their compilation into CTL properties.
 
 A log is a CSV table: a header of variable names, then one row of signed
-64-bit integer values per observed state.  The log compiles into two
-property shapes:
+64-bit integer values per observed state.  ``parse_log`` checks the rows
+in bulk, with one line-anchored regex search for the first line that is
+not a row of integer cells of at most 18 digits, the cells that surely
+fit in 64 bits.  When it finds none, the cells are converted in chunks of
+whole lines inside C calls; otherwise the line-by-line parse runs, and it
+alone words every ``LogError``.  The log compiles into two property
+shapes:
 
 * strong -- consecutive rows must be connected by single transitions (EX)
   and the final row must hold forever (AG);
@@ -32,6 +37,13 @@ from .expr import INT_MAX, INT_MIN, int_literal
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT_RE = re.compile(r"-?\d+\Z")
+# One cell of a row that fits in 64 bits: an integer of at most 18 digits,
+# with blanks, but no newline, around it.
+_CELL = r"[^\S\n]*-?\d{1,18}[^\S\n]*"
+_TOKEN_RE = re.compile(r"-?\d+")
+# Characters of whole lines per findall, so that the strings of only one
+# chunk's cells are alive at once, not those of the whole log.
+_CHUNK = 1 << 16
 
 MODES = ("strong", "weak")
 BASES = ("faithful", "corrected")
@@ -56,9 +68,10 @@ class ExecutionLog:
         if len(self.rows) < 2:
             raise LogError("fewer than 2 rows")
         m = len(self.variables)
-        for i, row in enumerate(self.rows, start=1):
-            if len(row) != m:
-                raise LogError(f"row {i} has {len(row)} cells, expected {m}")
+        if any(map(m.__ne__, map(len, self.rows))):
+            for i, row in enumerate(self.rows, start=1):
+                if len(row) != m:
+                    raise LogError(f"row {i} has {len(row)} cells, expected {m}")
 
     @property
     def n(self) -> int:
@@ -66,21 +79,61 @@ class ExecutionLog:
 
 
 def parse_log(text: str) -> ExecutionLog:
-    """Parse CSV log text (LF or CRLF, no quoting)."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    lines = [line.rstrip("\r") for line in lines]
-    if not lines:
+    """Parse CSV log text (LF or CRLF, no quoting).
+
+    The header is read first.  When every line after it is a row of as many
+    integer cells as the header has names, none of 19 digits or more, the
+    cells are converted in bulk; otherwise ``_parse_rows`` reads the body
+    line by line and raises the ``LogError`` that names the first bad
+    line."""
+    if not text:
         raise LogError("empty log")
-    header = [cell.strip() for cell in lines[0].split(",")]
+    newline = text.find("\n")
+    if newline < 0:
+        newline = len(text)
+    header = [cell.strip() for cell in text[:newline].rstrip("\r").split(",")]
     for cell in header:
         if not _IDENT_RE.match(cell):
             raise LogError(f"invalid variable name {cell!r} in header")
     m = len(header)
+    end = len(text) - text.endswith("\n")
+    rows = _bulk_rows(text, newline, end, m) if newline < end else None
+    if rows is None:
+        rows = _parse_rows(text[newline + 1:], m)
+    return ExecutionLog(tuple(header), rows)
+
+
+def _bulk_rows(text: str, start: int, end: int, m: int) -> tuple[tuple[int, ...], ...] | None:
+    """The rows on the lines of ``text[start + 1:end]``, ``start`` being the
+    header's newline, or None unless each line is ``m`` integer cells of at
+    most 18 digits, which all fit in 64 bits."""
+    # One search for a line that is not a row.  Anchored on the newline
+    # before each line, not on ^, it starts a match only at newlines, which
+    # the regex engine finds by scanning for that one character.
+    row = f"{_CELL}(?:,{_CELL}){{{m - 1}}}$"
+    if re.compile(f"(?m)\n(?!{row})").search(text, start, end) is not None:
+        return None
     rows: list[tuple[int, ...]] = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        cells = [cell.strip() for cell in line.split(",")]
+    i = start + 1
+    while i < end:
+        j = text.find("\n", i + _CHUNK, end)
+        if j < 0:
+            j = end
+        cells = map(int, _TOKEN_RE.findall(text, i, j))
+        rows.extend(zip(*[cells] * m))
+        i = j + 1
+    return tuple(rows)
+
+
+def _parse_rows(body: str, m: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of ``body``, the text after the header's newline, read line
+    by line: the first bad line raises ``LogError``."""
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    rows: list[tuple[int, ...]] = []
+    for line_no, line in enumerate(lines, start=2):
+        cells = [cell.strip() for cell in line.rstrip("\r").split(",")]
         if len(cells) != m:
             raise LogError(f"ragged row at line {line_no}: {len(cells)} cells, expected {m}")
         values = []
@@ -94,7 +147,7 @@ def parse_log(text: str) -> ExecutionLog:
                 )
             values.append(value)
         rows.append(tuple(values))
-    return ExecutionLog(tuple(header), tuple(rows))
+    return tuple(rows)
 
 
 def format_log(log: ExecutionLog) -> str:

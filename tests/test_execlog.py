@@ -1,6 +1,11 @@
-import pytest
+from unittest import mock
 
-from traceval import ctl
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import naive_log
+from traceval import ctl, execlog
 from traceval.checker import holds_initially, sat
 from traceval.ctl import print_formula
 from traceval.errors import LogError
@@ -50,6 +55,78 @@ def test_parse_cell_outside_64_bits():
         parse_log("x\n0\n9223372036854775808\n")
     log = parse_log("x\n-9223372036854775808\n0009223372036854775807\n")
     assert log.rows == ((INT_MIN,), (INT_MAX,))
+
+
+# Pieces of log text the bulk check must judge as the line-by-line parse
+# does: blanks that str.strip() removes but int() does not (\x1c-\x1f), a
+# no-break space, a non-ASCII digit, signs and separators int() would take
+# in a whole cell, zero padding, and cells of 19 and 20 digits on both sides
+# of the 64-bit bounds.
+_BLANKS = ("", " ", "  ", "\t", "\r", "\xa0", "\x1c", "\x1d", "\x1e", "\x1f")
+_CELLS = (
+    "0", "7", "-3", "42", "-0", "007", "-0012", "\u0663", "1\u0663", "9223372036854775807",
+    "-9223372036854775808", "0000000000000000001", "00000000000000000012", "-00000000000000000000",
+)
+_NOT_CELLS = (
+    "+1", "1_0", "_1", "", "-", "x", "1 2", "9223372036854775808", "-9223372036854775809",
+    "12345678901234567890",
+)
+_NAMES = ("x", "y", " z ", "w\r", "x1", "_")
+_NOT_NAMES = ("1a", "", "\xa0v", "x")
+_PIECES = _BLANKS + _CELLS + _NOT_CELLS + (",", "\n", "\r\n", "\n\n")
+
+
+@st.composite
+def log_texts(draw):
+    """Log text of 1-4 columns: rows of cells made of the pieces above,
+    sometimes ragged, blank or CRLF-ended, or free text of the pieces."""
+    names = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True))
+    if draw(st.integers(0, 9)) == 0:
+        names[draw(st.integers(0, len(names) - 1))] = draw(st.sampled_from(_NOT_NAMES))
+    header = ",".join(names)
+    if draw(st.integers(0, 9)) == 0:
+        return header + "\n" + "".join(draw(st.lists(st.sampled_from(_PIECES), max_size=30)))
+    m = len(names)
+    lines = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("row",) * 12 + ("any", "ragged", "blank")))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(_BLANKS)))
+            continue
+        width = m + draw(st.sampled_from((-1, 1))) if kind == "ragged" else m
+        cores = _CELLS + _NOT_CELLS if kind == "any" else _CELLS
+        cell = st.tuples(st.sampled_from(_BLANKS), st.sampled_from(cores), st.sampled_from(_BLANKS))
+        lines.append(",".join("".join(draw(cell)) for _ in range(max(width, 1))))
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    return end.join(lines) + draw(st.sampled_from(("", "\n", "\r\n", "\n\n")))
+
+
+def _parsed(parse, text):
+    try:
+        return "log", parse(text)
+    except LogError as error:
+        return "error", str(error)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(log_texts(), st.sampled_from((1, 5, 1 << 16)))
+def test_parse_log_matches_the_line_by_line_parse(text, chunk):
+    """The same log or the same ``LogError`` text as the reference, with
+    chunks of one line each, of a few lines and of the whole body."""
+    with mock.patch.object(execlog, "_CHUNK", chunk):
+        assert _parsed(parse_log, text) == _parsed(naive_log.parse_log, text)
+
+
+def test_a_long_log_is_converted_in_chunks_of_whole_lines():
+    """Rows far past one chunk, of padded and signed cells, read as the
+    reference reads them; a bad last line is still named by its number."""
+    body = "".join(f" {i % 7 - 3}, 0{i}\t,-{i % 100}\r\n" for i in range(20_000))
+    text = "a,b,c\r\n" + body
+    log = parse_log(text)
+    assert log.n == 20_000 and log.rows[-1] == (19_999 % 7 - 3, 19_999, -99)
+    assert log == naive_log.parse_log(text)
+    with pytest.raises(LogError, match="ragged row at line 20002: 2 cells, expected 3"):
+        parse_log(text + "1,2\n")
 
 
 def test_parse_duplicate_header():
