@@ -38,17 +38,16 @@ stands on with the model's successor function:
 * the chain ends at row n-1 (``faithful``) or row n (``corrected``), and
   AG(row n) holds there when it is row n and its only successor is itself.
 
-So an admitted log costs its distinct steps and weak searches, not its
-rows or the graph.  The first refused row is the ``Witness``.  Run to the
-end from the initial valuations, ``reach`` counts a model's states and
-edges with no graph.
+So an admitted log costs its rows and weak searches, not the graph.  The
+first refused row is the ``Witness``.  Run to the end from the initial
+valuations, ``reach`` counts a model's states and edges with no graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count, islice, repeat
-from operator import indexOf, itemgetter
+from itertools import compress, count, repeat
+from operator import itemgetter
 from typing import Callable, Collection, Sequence
 
 from . import ctl
@@ -344,28 +343,24 @@ def follow(
     and initial valuations are given admits the log, exactly when
     ``holds_initially(build_graph(model), log_property(log, mode, base))``
     holds; otherwise the first row the walk refuses.  The log's columns are
-    the model's variables, in order.  Each distinct step, a pair of
-    consecutive rows, is tested once, in the order of its first occurrence,
-    so the first step refused first occurs at the first row refused.
-    Raises :class:`LogError` for an unknown mode or base, as
-    ``log_property`` does, and :class:`StateExplosionError` when a weak
-    search finds more than ``max_states`` valuations."""
+    the model's variables, in order.  Raises :class:`LogError` for an
+    unknown mode or base, as ``log_property`` does, and
+    :class:`StateExplosionError` when a weak search finds more than
+    ``max_states`` valuations."""
     check_shape(mode, base)
     rows = log.rows
-    if rows[0] not in initial:
+    here = rows[0]
+    if here not in initial:
         return Witness(1, "not-initial")
-    last = len(rows) - 1 if base == "faithful" else len(rows)
-    for here, row in dict.fromkeys(zip(rows, islice(rows, 1, last))):
+    for k in range(2, len(rows) if base == "faithful" else len(rows) + 1):
+        row = rows[k - 1]
         if mode == "strong":
-            refused = row not in successors(here)
-        else:
-            refused = row != here and row not in successors(here) and (
-                row not in reach(successors, (here,), max_states, row)[0]
-            )
-        if refused:
-            first = indexOf(zip(rows, islice(rows, 1, last)), (here, row))
-            return Witness(first + 2, "no-transition" if mode == "strong" else "unreachable")
-    here = rows[last - 1]
+            if row not in successors(here):
+                return Witness(k, "no-transition")
+        elif row != here and row not in successors(here):
+            if row not in reach(successors, (here,), max_states, row)[0]:
+                return Witness(k, "unreachable")
+        here = row
     if here == rows[-1] and list(successors(here)) == [here]:
         return None
     return Witness(len(rows), "not-absorbing")

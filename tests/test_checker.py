@@ -3,7 +3,6 @@ import random
 import warnings
 from functools import partial
 from itertools import compress, count, islice
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +13,7 @@ from corpus import (
 )
 from naive_ctl import NaiveChecker
 from traceval import checker, ctl
-from traceval.checker import StateSet, Witness, follow, holds_initially, reach, sat
+from traceval.checker import StateSet, follow, holds_initially, reach, sat
 from traceval.errors import EvalError, LogError, ModelError, StateExplosionError
 from traceval.execlog import (
     BASES,
@@ -392,9 +391,10 @@ def _ctl_holds(graph, log, mode, base):
         return holds_initially(graph, log_property(log, mode, base)).holds
 
 
-def _stepper(graph):
-    """The successor function and initial valuations of ``graph``, whose
-    states have distinct valuations."""
+def _walk(graph, log, mode, base):
+    """``(row, check)`` where ``follow`` refuses the log, stepping through
+    the successors of ``graph``, whose states have distinct valuations;
+    None when it admits the log."""
     states = graph.states
     index = {v: i for i, v in enumerate(states)}
     succ = successor_lists(graph)
@@ -402,34 +402,7 @@ def _stepper(graph):
     def successors(v):
         return sorted(states[t] for t in succ[index[v]])
 
-    return successors, {states[i] for i in graph.initial}
-
-
-def _follow_row_by_row(successors, initial, log, mode, base, max_states=DEFAULT_STATE_BUDGET):
-    """``follow`` as it was before it tested each distinct step once: one
-    test per row, in row order."""
-    rows = log.rows
-    here = rows[0]
-    if here not in initial:
-        return Witness(1, "not-initial")
-    for k in range(2, len(rows) if base == "faithful" else len(rows) + 1):
-        row = rows[k - 1]
-        if mode == "strong":
-            if row not in successors(here):
-                return Witness(k, "no-transition")
-        elif row != here and row not in successors(here):
-            if row not in reach(successors, (here,), max_states, row)[0]:
-                return Witness(k, "unreachable")
-        here = row
-    if here == rows[-1] and list(successors(here)) == [here]:
-        return None
-    return Witness(len(rows), "not-absorbing")
-
-
-def _walk(graph, log, mode, base, walk=follow):
-    """``(row, check)`` where ``walk`` refuses the log, stepping through
-    the successors of ``graph``; None when it admits the log."""
-    witness = walk(*_stepper(graph), log, mode, base)
+    witness = follow(successors, {states[i] for i in graph.initial}, log, mode, base)
     return witness and (witness.row, witness.check)
 
 
@@ -482,73 +455,6 @@ def test_walk_decides_the_log_property_on_random_graphs(case):
         assert (_walk(graph, log, mode, base) is None) == _ctl_holds(graph, log, mode, base), (
             mode, base, log.rows,
         )
-
-
-@st.composite
-def repeated_logs(draw):
-    """A graph and a log through it whose steps recur: each row of a log
-    from ``_log_through`` held for 1-3 rows, and the whole run 1-4 times."""
-    graph, log = draw(graphs_and_logs(sizes=(3, 8), max_steps=4))
-    held = [row for row in log.rows for _ in range(draw(st.integers(1, 3)))]
-    rows = held * draw(st.integers(1, 4))
-    if draw(st.booleans()):
-        rows.append(rows[-1])
-    return graph, ExecutionLog(graph.variables, tuple(rows))
-
-
-@settings(max_examples=300, deadline=None)
-@given(repeated_logs())
-def test_follow_tests_each_distinct_step_once(case):
-    """``follow`` refuses the row the row-by-row walk refuses, and calls the
-    successor function once per distinct step it tests, in the order of
-    their first occurrence, then once for the final AG when the chain ends
-    on the last row; a weak step from a row to itself needs no call, and
-    the calls of a weak search are its own."""
-    graph, log = case
-    rows = log.rows
-    successors, initial = _stepper(graph)
-    for mode, base in SHAPES:
-        want = _walk(graph, log, mode, base, _follow_row_by_row)
-        assert _walk(graph, log, mode, base) == want, (mode, base, rows)
-
-        calls, searching = [], []
-
-        def counted(v):
-            if not searching:
-                calls.append(v)
-            return successors(v)
-
-        def search(*args):
-            searching.append(True)
-            try:
-                return reach(*args)
-            finally:
-                searching.pop()
-
-        with mock.patch.object(checker, "reach", search):
-            follow(counted, initial, log, mode, base)
-        last = log.n - 1 if base == "faithful" else log.n
-        steps = list(dict.fromkeys(zip(rows, rows[1:last])))
-        if want is not None and want[1] == "not-initial":
-            steps = []
-        elif want is not None and want[1] != "not-absorbing":
-            steps = steps[:steps.index(rows[want[0] - 2:want[0]]) + 1]
-        expected = [here for here, row in steps if mode == "strong" or row != here]
-        if (want is None or want[1] == "not-absorbing") and rows[last - 1] == rows[-1]:
-            expected.append(rows[-1])
-        assert calls == expected, (mode, base, rows)
-
-
-def test_a_long_cycling_log_costs_its_distinct_steps():
-    """20,000 rows that toggle x: two distinct steps and the final AG, which
-    fails, whatever the length."""
-    step = compile_step(parse_model("var x : 0..1 init 0;\n[] x==0 -> x'=1;\n[] x==1 -> x'=0;\n"))
-    log = ExecutionLog(("x",), tuple((i % 2,) for i in range(20_000)))
-    for mode, base in SHAPES:
-        calls = []
-        witness = follow(lambda v: calls.append(v) or step(v), {(0,)}, log, mode, base)
-        assert (witness.row, witness.check) == (20_000, "not-absorbing")
-        assert len(calls) == (2 if base == "faithful" else 3)
 
 
 def _reachable(succ, s):
