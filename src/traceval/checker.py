@@ -320,17 +320,20 @@ def reach(
     before stepping a state once more than ``max_states`` are found."""
     queue = list(sources)
     found, edges = set(queue), 0
+    add, append = found.add, queue.append
     for v in queue:
-        if target in found:
-            break
-        if len(found) > max_states:
+        # one test per state; the target first, so that finding it stops
+        # the search even past the budget
+        if len(found) > max_states or target in found:
+            if target in found:
+                break
             raise StateExplosionError(f"state explosion: more than {max_states} reachable states")
         step = successors(v)
         edges += len(step)
         for t in step:
             if t not in found:
-                found.add(t)
-                queue.append(t)
+                add(t)
+                append(t)
     return found, edges
 
 

@@ -7,7 +7,8 @@ combine booleans, and a mismatch is found without evaluating anything.
 valuation tuple in one pass, so a model's guards and updates are walked
 once, not at every state.  ``compile_parts`` does the same but hands back
 what is data as data: the ``var==const`` pins of a top-level ``&`` chain,
-apart from the function of the rest, and the value of a literal.
+apart from the function of the rest, the value of a literal, and the slot
+and offset of a shift such as ``x + 1``.
 Arithmetic is checked against the signed 64-bit range so results stay
 machine-representable.
 
@@ -142,11 +143,13 @@ def compile_parts(
     expr: Expr,
     slots: Mapping[str, int],
     consts: Mapping[str, int],
-) -> tuple[str, tuple[tuple[int, int], ...], Callable | None, bool, int | bool | None]:
+) -> tuple[
+    str, tuple[tuple[int, int], ...], Callable | None, bool, int | bool | None, tuple[int, int] | None
+]:
     """Like :func:`compile_expr`, but keep what is data as data.
 
     ``slots`` maps each variable to its slot in the valuation tuple.
-    Returns ``(type, pins, rest, safe, value)``:
+    Returns ``(type, pins, rest, safe, value, shift)``:
 
     - ``pins``: the ``(slot, value)`` pairs of the ``var==const`` (or
       ``const==var``) conjuncts of the top-level ``&`` chain.  A pin under
@@ -156,6 +159,11 @@ def compile_parts(
       expression is a literal or a constant.
     - ``safe``: ``rest`` cannot raise.
     - ``value``: the value of a literal or a constant, else ``None``.
+    - ``shift``: ``(slot, offset)`` when the expression is ``v + c``,
+      ``v - c`` or ``c + v``, for a variable ``v`` and a literal or a
+      constant ``c``: it computes ``v[slot] + offset`` where that lies in
+      the 64-bit range, and ``rest`` raises its overflow where it does
+      not.  Else ``None``.
 
     A boolean expression holds exactly where every pin holds and ``rest``
     is true.  Errors are those of :func:`compile_expr`.
@@ -163,7 +171,24 @@ def compile_parts(
     kind, fn, slot, value, safe, pins = _compile(expr, slots, consts)
     if slot is not None:
         fn = itemgetter(slot)
-    return kind, tuple(pins), fn, safe, value
+    return kind, tuple(pins), fn, safe, value, _shift(expr, slots, consts)
+
+
+def _shift(expr: Expr, slots: Mapping[str, int], consts: Mapping[str, int]):
+    """``(slot, offset)`` for a well-typed ``v + c``, ``v - c`` or ``c + v``,
+    else ``None``; ``c - v`` is no shift."""
+    if type(expr) is not BinOp or expr.op not in ("+", "-"):
+        return None
+    left, right = expr.left, expr.right
+    if type(left) not in (IntLit, Name) or type(right) not in (IntLit, Name):
+        return None
+    _, _, a, x, _, _ = _compile_leaf(left, slots, consts)
+    _, _, b, y, _, _ = _compile_leaf(right, slots, consts)
+    if a is not None and y is not None:
+        return a, y if expr.op == "+" else -y
+    if expr.op == "+" and x is not None and b is not None:
+        return b, x
+    return None
 
 
 def _compile(expr: Expr, slots: Mapping[str, int], consts: Mapping[str, int]):

@@ -48,6 +48,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 import time
 import warnings
@@ -90,6 +91,9 @@ REASON_PROPERTY_FAILED = "property-failed"
 REASON_MISSING_BLOB = "missing-blob"
 
 _HASH_RE_LEN = 64
+# fullmatch, not match with '$', which takes a trailing newline; and no
+# '\d', which takes non-ASCII digits
+_HASH_RE = re.compile(f"[0-9a-f]{{{_HASH_RE_LEN}}}")
 
 # Prepared models one run_validator call keeps; the least recently used goes.
 _CACHED_MODELS = 8
@@ -106,7 +110,7 @@ class ContentStore:
         self.root.mkdir(parents=True, exist_ok=True)
 
     def _path(self, digest: str) -> Path:
-        if len(digest) != _HASH_RE_LEN or any(c not in "0123456789abcdef" for c in digest):
+        if not _HASH_RE.fullmatch(digest):
             raise StoreError(f"not a content hash: {digest!r}")
         return self.root / digest
 

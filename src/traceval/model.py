@@ -11,12 +11,16 @@ transition relation is total.
 returns the successor function that ``build_graph`` and the validator's
 searches call; no state builds a dict or walks an expression tree.  What is
 data stays data: a guard's pins, the ``var==const`` conjuncts of its
-top-level ``&`` chain, and an update to a literal in range are kept as
-values, not closures.  Commands are dispatched on their pins: those
-pinning the same variables share a table keyed by the pinned values, so a
-state looks up the commands whose pins it meets, one lookup per table, and
-tries only those and the commands with no pins, in declaration order.  A
-command whose rest of guard can raise is tried at every state instead.
+top-level ``&`` chain, an update to a literal in range, and a shifted
+update such as ``x'=x+1`` or ``x'=y-K`` are kept as values, not closures.
+A command needs no closure of its own to fire: the successor function
+writes its literals and computes its updates in its own frame, and calls
+only the guards and the updates that are not data.  Commands are
+dispatched on their pins: those pinning the same variables share a table
+keyed by the pinned values, so a state looks up the commands whose pins
+it meets, one lookup per table, and tries only those and the commands
+with no pins, in declaration order.  A command whose rest of guard can
+raise is tried at every state instead.
 Static type errors in guards, runtime errors in updates and arithmetic
 overflow all raise :class:`ModelError` naming the first failing command.
 
@@ -30,8 +34,9 @@ fires, as an update that cannot be typed does.
 
 A built graph stores its transition relation once, as compressed sparse
 rows of predecessors, the one relation CTL labelling reads.
-``build_graph`` writes successor rows as it visits the states, and the
-graph transposes them when it is built and keeps only the transpose.
+``build_graph`` writes successor rows as it visits the states, numbering a
+successor it has numbered before with no Python call, and the graph
+transposes them when it is built and keeps only the transpose.
 Graphs serve CTL labelling (``check``) alone: the validator judges and
 sizes logs with ``checker.reach`` over the successor function and builds
 none.  Models and built graphs are immutable after construction and safe
@@ -48,7 +53,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import EvalError, ModelError, StateExplosionError
-from .expr import Expr, compile_expr, compile_parts, conjunction
+from .expr import INT_MAX, INT_MIN, Expr, compile_expr, compile_parts, conjunction
 
 Valuation = tuple[int, ...]
 
@@ -125,18 +130,24 @@ def _fails(message: str):
 
 
 def _compile_command(model: SystemModel, slots: Mapping[str, int], i: int):
-    """``(where, pins, rest, safe, fire)`` for command ``i``, or ``None``
-    when its guard is the literal ``false``, so that it never fires.
+    """``(where, pins, rest, safe, literals, updates)`` for command ``i``, or
+    ``None`` when its guard is the literal ``false``, so that it never
+    fires.
 
     The guard holds where every ``(slot, value)`` pin holds and ``rest``,
     unless it is ``None``, is true; ``safe`` means ``rest`` cannot raise.
-    ``where`` describes the command and ``fire`` gives the valuation it
-    leads to.  Like a failing update, an update that cannot be typed
-    raises only when its command fires."""
+    ``where`` describes the command.  Firing it writes the ``(slot,
+    value)`` literals, which lie in their variables' ranges, into a copy of
+    the valuation, then each ``(slot, src, offset, fn, lo, hi, name)``
+    update in declaration order: a shift, ``src`` not ``None``, gives
+    ``v[src] + offset``, and any other update ``fn(v)``; a value outside
+    ``lo..hi`` fails.  A shift that fails calls ``fn``, which raises its
+    64-bit overflow, if any.  Like a failing update, an update that cannot
+    be typed raises only when its command fires."""
     cmd = model.commands[i]
     where = cmd.describe(i)
     try:
-        kind, pins, rest, safe, value = compile_parts(cmd.guard, slots, model.constants)
+        kind, pins, rest, safe, value, _ = compile_parts(cmd.guard, slots, model.constants)
     except EvalError as exc:
         raise ModelError(f"{where}: {exc}") from None
     if kind != "bool":
@@ -144,15 +155,17 @@ def _compile_command(model: SystemModel, slots: Mapping[str, int], i: int):
     if value is False:
         return None
     # A literal update inside its variable's range is data: it is written
-    # into the successor and never checked again.
+    # into the successor and never checked again.  A shift is data too, when
+    # its variable's range lies in 64 bits: a value in that range cannot
+    # have overflowed, so the overflow test waits for one outside it.
     literals, updates = [], []
     for name, rhs in cmd.updates:
         slot = slots[name]
         decl = model.variables[slot]
         try:
-            kind, _, fn, _, value = compile_parts(rhs, slots, model.constants)
+            kind, _, fn, _, value, shift = compile_parts(rhs, slots, model.constants)
         except EvalError as exc:
-            kind, fn, value = "int", _fails(f"{where}: {exc}"), None
+            kind, fn, value, shift = "int", _fails(f"{where}: {exc}"), None, None
         if kind != "int":
             fn, value = _fails(f"{where}: update of '{name}' is not integer"), None
         if value is not None and decl.lo <= value <= decl.hi:
@@ -160,40 +173,13 @@ def _compile_command(model: SystemModel, slots: Mapping[str, int], i: int):
             continue
         if fn is None:
             fn = _constant(value)
-        updates.append((slot, fn, decl.lo, decl.hi, name))
-
-    # plain list() for a command with no literal, so that it pays nothing
-    start = _writing(literals) if literals else list
-
-    def fire(v: Valuation) -> Valuation:
-        nxt = start(v)
-        for slot, value, lo, hi, name in updates:
-            val = value(v)
-            if not lo <= val <= hi:
-                raise ModelError(
-                    f"{where}: update drives '{name}' to {val}, outside {lo}..{hi}"
-                )
-            nxt[slot] = val
-        return tuple(nxt)
-
-    return where, pins, rest, safe, fire
+        src, offset = shift if shift and INT_MIN <= decl.lo and decl.hi <= INT_MAX else (None, 0)
+        updates.append((slot, src, offset, fn, decl.lo, decl.hi, name))
+    return where, pins, rest, safe, literals, updates
 
 
 def _constant(value: int):
     return lambda v: value
-
-
-def _writing(literals):
-    """A function giving a valuation as a list with the ``(slot, value)``
-    literals written into it."""
-
-    def start(v: Valuation) -> list[int]:
-        nxt = list(v)
-        for slot, value in literals:
-            nxt[slot] = value
-        return nxt
-
-    return start
 
 
 def compile_step(model: SystemModel) -> Callable[[Valuation], list[Valuation]]:
@@ -203,7 +189,11 @@ def compile_step(model: SystemModel) -> Callable[[Valuation], list[Valuation]]:
     The successors of a valuation ``v`` are one valuation per enabled
     command, deduplicated and sorted, or ``[v]`` itself when no command is
     enabled.  All update right-hand sides are evaluated against ``v``, so
-    updates within one command are simultaneous.
+    updates within one command are simultaneous.  The successor function
+    fires each enabled command itself, from the data ``_compile_command``
+    gives: it writes the literals, then computes the updates in
+    declaration order, a shift inline and any other update by its
+    function, so that the first failing update is the one named.
 
     Commands are dispatched on the pins of their guards, the ``var==const``
     conjuncts of a guard's top-level ``&`` chain.  Commands whose pins fix
@@ -223,15 +213,15 @@ def compile_step(model: SystemModel) -> Callable[[Valuation], list[Valuation]]:
     or leaves its variable's range, or when arithmetic overflows.
     """
     slots = {name: i for i, name in enumerate(model.var_names)}
-    scanned = []  # (index, where, guard, fire), tried at every state
+    scanned = []  # (index, where, guard, literals, updates), tried at every state
     tables: dict[tuple[int, ...], dict] = {}
     for i in range(len(model.commands)):
         compiled = _compile_command(model, slots, i)
         if compiled is None:
             continue
-        where, pins, rest, safe, fire = compiled
+        where, pins, rest, safe, literals, updates = compiled
         if not (pins and safe):
-            scanned.append((i, where, conjunction(pins, rest, safe) or _always, fire))
+            scanned.append((i, where, conjunction(pins, rest, safe) or _always, literals, updates))
             continue
         fixed: dict[int, int] = {}
         if any(fixed.setdefault(slot, value) != value for slot, value in pins):
@@ -241,20 +231,38 @@ def compile_step(model: SystemModel) -> Callable[[Valuation], list[Valuation]]:
         table = tables.setdefault(pinned, {})
         # itemgetter of one slot returns the value itself, so one-slot
         # tables are keyed by bare values
-        table.setdefault(key if len(key) > 1 else key[0], []).append((i, where, rest or _always, fire))
+        command = (i, where, rest or _always, literals, updates)
+        table.setdefault(key if len(key) > 1 else key[0], []).append(command)
     lookups = [(itemgetter(*pinned), table.get) for pinned, table in tables.items()]
 
     # commands defaults to the scanned list, so that a model with no pins
     # is served by this function alone
     def successors(v: Valuation, commands=scanned) -> list[Valuation]:
-        out: set[Valuation] = set()
+        out = []
         try:
-            for _, where, guard, fire in commands:
+            for _, where, guard, literals, updates in commands:
                 if guard(v):
-                    out.add(fire(v))
+                    nxt = list(v)
+                    for slot, value in literals:
+                        nxt[slot] = value
+                    for slot, src, offset, fn, lo, hi, name in updates:
+                        val = fn(v) if src is None else v[src] + offset
+                        if not lo <= val <= hi:
+                            if src is not None:
+                                fn(v)  # raises where the shift overflowed
+                            raise ModelError(
+                                f"{where}: update drives '{name}' to {val}, outside {lo}..{hi}"
+                            )
+                        nxt[slot] = val
+                    out.append(tuple(nxt))
         except EvalError as exc:
             raise ModelError(f"{where}: {exc}") from None
-        return sorted(out) if out else [v]
+        if len(out) == 2:  # ordered by comparing, which is cheaper than hashing into a set
+            a, b = out
+            return out if a < b else [b, a] if b < a else [a]
+        if len(out) > 2:
+            return sorted(set(out))
+        return out or [v]
 
     if not lookups:
         return successors
@@ -392,39 +400,48 @@ def _initial_valuations(model: SystemModel, budget: int) -> list[Valuation]:
     return sorted(inits)
 
 
+class _Numbering(dict):
+    """Valuation -> index, numbering the valuations in discovery order: a
+    valuation not yet numbered is appended to ``states`` and given the next
+    index, unless ``max_states`` are numbered already."""
+
+    def __init__(self, max_states: int):
+        super().__init__()
+        self.states: list[Valuation] = []
+        self.max_states = max_states
+
+    def __missing__(self, v: Valuation) -> int:
+        n = len(self.states)
+        if n >= self.max_states:
+            raise StateExplosionError(f"state explosion: more than {self.max_states} reachable states")
+        self.states.append(v)
+        self[v] = n
+        return n
+
+
 def build_graph(model: SystemModel, max_states: int = DEFAULT_STATE_BUDGET) -> StateGraph:
     """Breadth-first closure of the reachable state space.
 
     Deterministic: initial valuations are seeded in sorted order and each
     state's successors are explored in sorted order, so equal models yield
-    bit-identical graphs.  Raises :class:`StateExplosionError` once more
-    than ``max_states`` distinct states are discovered.
+    bit-identical graphs.  States are numbered by a dict whose
+    ``__missing__`` numbers a new one, so a successor numbered before costs
+    one lookup in C.  Raises :class:`StateExplosionError` once more than
+    ``max_states`` distinct states are discovered.
     """
     inits, successors = _initial_valuations(model, max_states), compile_step(model)
-    index: dict[Valuation, int] = {}
-    states: list[Valuation] = []
-
-    def intern(v: Valuation) -> int:
-        found = index.get(v)
-        if found is None:
-            if len(states) >= max_states:
-                raise StateExplosionError(
-                    f"state explosion: more than {max_states} reachable states"
-                )
-            found = index[v] = len(states)
-            states.append(v)
-        return found
-
-    for v in inits:
-        intern(v)
+    numbering = _Numbering(max_states)
+    number = numbering.__getitem__
+    initial = list(map(number, inits))
+    states = numbering.states
     # States are numbered in discovery order, so visiting them by index, as
     # the list grows, is the breadth-first queue, and each state's row is
     # written right after the row before it.  Successor valuations are
-    # distinct, so their indices need no deduplication.
+    # distinct, so their indices need no deduplication, and one already
+    # numbered is looked up in C, with no Python call.
     start, targets = array("i", [0]), array("i")
     for v in states:
-        targets.extend([intern(nxt) for nxt in successors(v)])
+        targets.extend(map(number, successors(v)))
         start.append(len(targets))
-    initial = [index[v] for v in inits]
-    del index  # the intern table, freed before the transpose
+    del numbering, number  # the numbering, freed before the transpose
     return StateGraph.from_rows(model.var_names, states, initial, start, targets)

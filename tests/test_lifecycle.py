@@ -68,11 +68,16 @@ def test_store_put_leaves_other_temporary_files_alone(store):
     assert store.hashes() == [digest]
 
 
-def test_store_get_unknown(store):
+@pytest.mark.parametrize(
+    "digest",
+    ["nonsense", "ABCDEF0123456789" * 4, "0123456789abcdef" * 4 + "\n", "0" * 63 + "\u0663", "../" + "0" * 61],
+    ids=["nonsense", "uppercase", "trailing-newline", "non-ascii-digit", "path"],
+)
+def test_store_get_unknown(store, digest):
     with pytest.raises(StoreError, match="unknown hash"):
         store.get("0" * 64)
     with pytest.raises(StoreError, match="not a content hash"):
-        store.get("nonsense")
+        store.get(digest)
 
 
 def test_store_verify_flags_corruption(store):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import naive_eval
 from conftest import CHAIN2, TOGGLE
 from corpus import full_grid_town, models, random_town_logs, successor_lists
+from traceval.checker import reach
 from traceval.errors import EvalError, ModelError, StateExplosionError
 from traceval import model as model_module
 from traceval.expr import INT_MAX, BinOp, BoolLit, IntLit, Name, NotOp
@@ -306,6 +307,8 @@ def test_the_constructor_checks_every_index():
 
 
 _X_IS_1 = BinOp("==", Name("x"), IntLit(1))
+_X_AT_LEAST_1 = BinOp(">=", Name("x"), IntLit(1))
+_OVERFLOW_IN_PLUS = r"#1 \[bad\]: arithmetic overflow in '\+': result 922337203685477580[89]$"
 _OVERFLOWS_UNLESS_X_IS_0 = BinOp("==", BinOp("*", BinOp("*", Name("x"), IntLit(INT_MAX)), IntLit(4)), IntLit(0))
 
 
@@ -328,6 +331,15 @@ _OVERFLOWS_UNLESS_X_IS_0 = BinOp("==", BinOp("*", BinOp("*", Name("x"), IntLit(I
             {1, 2},
             r"#1 \[bad\]: arithmetic overflow in '\*'",
         ),
+        # shifts that leave 64 bits where x is 1 or more
+        (_X_AT_LEAST_1, (("x", BinOp("+", Name("x"), IntLit(INT_MAX))),), {1, 2}, _OVERFLOW_IN_PLUS),
+        (_X_AT_LEAST_1, (("x", BinOp("+", IntLit(INT_MAX), Name("x"))),), {1, 2}, _OVERFLOW_IN_PLUS),
+        (
+            _X_AT_LEAST_1,
+            (("x", BinOp("-", Name("x"), IntLit(-INT_MAX))),),
+            {1, 2},
+            r"#1 \[bad\]: arithmetic overflow in '-': result 922337203685477580[89]$",
+        ),
     ],
     ids=[
         "non-boolean-guard",
@@ -335,6 +347,9 @@ _OVERFLOWS_UNLESS_X_IS_0 = BinOp("==", BinOp("*", BinOp("*", Name("x"), IntLit(I
         "ill-typed-update",
         "unknown-name-in-update",
         "overflow-right-of-and",
+        "shift-overflow",
+        "shift-overflow-constant-first",
+        "shift-overflow-minus",
     ],
 )
 def test_errors_raise_model_error_exactly_where_the_reference_raises(guard, updates, raising, message):
@@ -399,6 +414,27 @@ def _and_chain(draw, parts):
 
 
 @st.composite
+def _update(draw, names, target):
+    """A right side for an update of ``target``: a literal, the constant,
+    an overflowing product, a shift ``v + c``, ``v - c`` or ``c + v`` of
+    any variable by a literal or the constant, one by INT_MAX, which
+    leaves 64 bits where ``v`` is 1 or more (``-`` where it is -2 or less),
+    or ``c - v``, which is no shift."""
+    source = Name(draw(st.sampled_from(names)))
+    by = draw(st.sampled_from((IntLit(draw(st.integers(-3, 4))), Name("K"))))
+    shifts = lambda c: (BinOp("+", source, c), BinOp("-", source, c), BinOp("+", c, source))
+    return draw(st.sampled_from((
+        IntLit(draw(st.integers(-3, 4))),
+        BinOp("+", Name(target), IntLit(1)),
+        Name("K"),
+        _overflows_unless_zero(target),
+        draw(st.sampled_from(shifts(by))),
+        draw(st.sampled_from(shifts(IntLit(INT_MAX)))),
+        BinOp("-", by, source),
+    )))
+
+
+@st.composite
 def pinned_models(draw):
     """Models whose guards are '&' chains of pins (repeated and contradictory
     ones too), comparisons, pins under '!' and '|', overflowing rests and
@@ -417,24 +453,18 @@ def pinned_models(draw):
             parts.append(parts[0])  # a repeated pin, or a repeated test
         updates = []
         for target in draw(st.permutations(names))[: draw(st.integers(0, len(names)))]:
-            rhs = draw(st.one_of(
-                st.builds(IntLit, st.integers(-3, 4)),
-                st.just(BinOp("+", Name(target), IntLit(1))),
-                st.just(Name("K")),
-                st.just(_overflows_unless_zero(target)),
-            ))
-            updates.append((target, rhs))
+            updates.append((target, draw(_update(names, target))))
         label = draw(st.one_of(st.none(), st.just(f"c{i}")))
         commands.append(GuardedCommand(label, draw(_and_chain(parts)), tuple(updates)))
     return SystemModel({"K": draw(st.integers(-2, 3))}, tuple(variables), tuple(commands))
 
 
 def _outcome(fn, *args):
-    """``fn(*args)``, or the text of the ModelError it raises."""
+    """``fn(*args)``, or the class and text of the ModelError it raises."""
     try:
         return fn(*args)
     except ModelError as exc:
-        return f"ModelError: {exc}"
+        return f"{type(exc).__name__}: {exc}"
 
 
 @settings(max_examples=300, deadline=None)
@@ -453,6 +483,83 @@ def test_dispatch_matches_reference_with_the_same_errors(model):
         states, initial, rows = expected
         assert (graph.states, graph.initial, successor_lists(graph)) == (
             tuple(states), frozenset(initial), rows
+        )
+
+
+def test_a_shift_past_64_bits_overflows_whatever_the_range():
+    """A variable built directly with a range past INT_MAX: x + 1 at INT_MAX
+    fits the range but not 64 bits, so it still overflows."""
+    wide = VarDecl("x", 0, INT_MAX + 5, INT_MAX)
+    model = SystemModel({}, (wide,), (_cmd(BoolLit(True), (("x", BinOp("+", Name("x"), IntLit(1))),)),))
+    successors = compile_step(model)
+    expected = _outcome(naive_eval.step, model, (INT_MAX,))
+    assert expected.startswith("ModelError: command #1: arithmetic overflow in '+'")
+    assert _outcome(successors, (INT_MAX,)) == expected
+    assert successors((0,)) == naive_eval.step(model, (0,)) == [(1,)]
+
+
+def _explodes(max_states):
+    return StateExplosionError(f"state explosion: more than {max_states} reachable states")
+
+
+def _reference_build(model, max_states):
+    """``(states, initial, rows)``: build_graph's numbering written out,
+    stepping with the reference evaluator.  A new valuation is numbered
+    unless ``max_states`` are numbered already."""
+    inits = naive_eval.initial_valuations(model)
+    index, states = {}, []
+
+    def intern(v):
+        if v not in index:
+            if len(states) >= max_states:
+                raise _explodes(max_states)
+            index[v] = len(states)
+            states.append(v)
+        return index[v]
+
+    initial = [intern(v) for v in inits]
+    rows = [sorted(intern(t) for t in naive_eval.step(model, v)) for v in states]
+    return tuple(states), frozenset(initial), rows
+
+
+def _reference_reach(model, sources, max_states, target):
+    """``checker.reach`` written out, stepping with the reference evaluator:
+    a found target stops the search before the budget is tested."""
+    queue = list(sources)
+    found, edges = set(queue), 0
+    for v in queue:
+        if target in found:
+            break
+        if len(found) > max_states:
+            raise _explodes(max_states)
+        step = naive_eval.step(model, v)
+        edges += len(step)
+        for t in step:
+            if t not in found:
+                found.add(t)
+                queue.append(t)
+    return found, edges
+
+
+def _graph_rows(model, max_states):
+    graph = build_graph(model, max_states)
+    return graph.states, graph.initial, successor_lists(graph)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pinned_models(), st.data())
+def test_budgets_stop_the_build_and_the_search_where_the_reference_does(model, data):
+    """Every budget from 0 to one past the reachable state count: the
+    graph, the search's states and edges, or the error, are the reference's."""
+    domain = list(itertools.product(*(range(v.lo, v.hi + 1) for v in model.variables)))
+    target = data.draw(st.one_of(st.none(), st.sampled_from(domain)))
+    reachable = _outcome(naive_eval.reachable_graph, model)
+    count = len(domain) if isinstance(reachable, str) else len(reachable[0])
+    successors, inits = compile_step(model), naive_eval.initial_valuations(model)
+    for budget in range(count + 2):
+        assert _outcome(_graph_rows, model, budget) == _outcome(_reference_build, model, budget)
+        assert _outcome(reach, successors, inits, budget, target) == _outcome(
+            _reference_reach, model, inits, budget, target
         )
 
 
@@ -508,10 +615,10 @@ def test_dispatch_tries_only_the_commands_pinned_to_a_state(monkeypatch):
     real_parts = model_module.compile_parts
 
     def parts(*args):
-        kind, pins, rest, safe, value = real_parts(*args)
+        kind, pins, rest, safe, value, shift = real_parts(*args)
         if kind == "bool":  # a guard's rest, not an update
             rest = counting(rest)
-        return kind, pins, rest, safe, value
+        return kind, pins, rest, safe, value, shift
 
     real_conjunction = model_module.conjunction
     monkeypatch.setattr(model_module, "compile_parts", parts)
