@@ -1,8 +1,10 @@
 """Command-line interface: the full pipeline as batch subcommands.
 
 Exit codes: 0 = success / property holds / Confirmed, 1 = property fails /
-Rejected, 2 = usage, I/O or parse error.  Verdicts are never reported via
-code 2.  Results go to stdout, diagnostics to stderr.
+Rejected, 2 = usage, I/O or parse error, an input nested too deeply to
+process, or any other failure, printed with its traceback.  Verdicts are
+never reported via code 2, nor a failure via code 1.  Results go to
+stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import os
 import sys
 import tempfile
+import traceback
 import warnings
 from pathlib import Path
 
@@ -279,7 +282,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (TracevalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except RecursionError as exc:
+        print(f"error: input nested too deeply to process: {exc}", file=sys.stderr)
+    except Exception:
+        traceback.print_exc()
+    return 2
 
 
 def run():

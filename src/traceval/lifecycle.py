@@ -25,8 +25,10 @@ at, the check that row failed and the reachable state and edge counts.
 ``run_validator`` prepares each distinct model text once per call, through
 a ``functools.lru_cache`` of the few most recently used; ``adjudicate``
 and ``validate`` prepare a fresh one per call.  Malformed artifacts
-reject the liability with a reason code instead of raising, so a hostile
-provider cannot crash the validator.
+reject the liability with a reason code instead of raising, and
+``validate`` records any other exception (a ``RecursionError`` on a deeply
+nested model text, say) as ``validator-error``: a hostile provider cannot
+crash the validator, which stops only on a ledger it cannot load or write.
 
 As only a refused log searches every reachable state, an admitted log is
 confirmed when the model has more reachable states than ``max_states`` but
@@ -89,6 +91,7 @@ REASON_VARIABLE_MISMATCH = "variable-mismatch"
 REASON_STATE_EXPLOSION = "state-explosion"
 REASON_PROPERTY_FAILED = "property-failed"
 REASON_MISSING_BLOB = "missing-blob"
+REASON_VALIDATOR_ERROR = "validator-error"
 
 _HASH_RE_LEN = 64
 # fullmatch, not match with '$', which takes a trailing newline; and no
@@ -332,38 +335,31 @@ class PreparedModel:
     sized for the first log the walk refuses.
 
     Holds the model's variable names, initial valuations, successor
-    function and a memo of the successors stepped (at most ``max_states``,
-    emptied when full); or why the model was refused.  Sizing, a forward
-    search of every reachable state, sets ``reachable``, the set of
-    reachable valuations, and ``edge_count``, or why it failed.  A parse,
-    compile or search that raises anything other than ``ParseError``,
-    ``ModelError`` or ``StateExplosionError`` propagates and records
-    nothing.  One prepared model can judge any number of logs.
+    function and a memo of the successors the walk stepped (at most
+    ``max_states``, emptied when full); or why the model was refused.
+    Sizing, a forward search of every reachable state with the successor
+    function, sets ``reachable``, the set of reachable valuations, and
+    ``edge_count``, or why it failed.  ``_attempt`` gives the parse, the
+    compile, the walk and the sizing their reason; one that raises
+    anything else propagates and records nothing, so the next log tries
+    it again.  One prepared model can judge any number of logs.
     """
 
     def __init__(self, model_text: str, max_states: int = DEFAULT_STATE_BUDGET):
         self.max_states = max_states
-        self.var_names = self.reason = self._model = self.reachable = self.edge_count = None
-        self._compiled = self._unsized = None  # (initial valuations, successor function)
+        self.reachable = self.edge_count = self._initial = self._successors = self._unsized = None
         self._memo: dict = {}
-        try:
-            self._model = parse_model(model_text)
-        except (ParseError, ModelError):
-            self.reason = REASON_MALFORMED_MODEL
-        else:
-            self.var_names = self._model.var_names
+        # the parse tree, held until the model compiles or is refused
+        self._model, self.reason = _attempt(partial(parse_model, model_text))
+        self.var_names = None if self._model is None else self._model.var_names
 
     def _step(self, v):
         found = self._memo.get(v)
         if found is None:
             if len(self._memo) >= self.max_states:
                 self._memo.clear()
-            found = self._memo[v] = self._compiled[1](v)
+            found = self._memo[v] = self._successors(v)
         return found
-
-    def _stepped(self, v):
-        """``_step`` for sizing: no state is stepped twice, nor memoised."""
-        return self._memo.get(v) or self._compiled[1](v)
 
     def judge(
         self, log_text: str, mode: str = "strong", base: str = "faithful"
@@ -378,24 +374,25 @@ class PreparedModel:
             return STATUS_REJECTED, REASON_MALFORMED_LOG, None
         if log.variables != self.var_names:
             return STATUS_REJECTED, REASON_VARIABLE_MISMATCH, None
-        if self._compiled is None and self.reason is None:
-            self._compiled, self.reason = _attempt(lambda: (
+        if self._model is not None:
+            compiled, self.reason = _attempt(lambda: (
                 frozenset(_initial_valuations(self._model, self.max_states)),
                 compile_step(self._model),
             ))
+            self._initial, self._successors = compiled or (None, None)
+            self._model = None
         if self.reason is not None:
             return STATUS_REJECTED, self.reason, None
-        walk = partial(follow, self._step, self._compiled[0], log, mode, base, self.max_states)
+        walk = partial(follow, self._step, self._initial, log, mode, base, self.max_states)
         witness, reason = _attempt(walk)
         if reason is not None:
             return STATUS_REJECTED, reason, None
         if witness is None:
             return STATUS_CONFIRMED, None, None
-        if self._model is not None:
-            size = partial(reach, self._stepped, sorted(self._compiled[0]), self.max_states)
+        if self.reachable is None and self._unsized is None:
+            size = partial(reach, self._successors, sorted(self._initial), self.max_states)
             found, self._unsized = _attempt(size)
             self.reachable, self.edge_count = found or (None, None)
-            self._model = None
         if self._unsized is not None:
             return STATUS_REJECTED, self._unsized, None
         # The rows before the witness's lie on a path from an initial state.
@@ -410,7 +407,7 @@ def _attempt(make: Callable):
         return make(), None
     except StateExplosionError:
         return None, REASON_STATE_EXPLOSION
-    except ModelError:
+    except (ModelError, ParseError):
         return None, REASON_MALFORMED_MODEL
 
 
@@ -422,7 +419,8 @@ def adjudicate(
     max_states: int = DEFAULT_STATE_BUDGET,
 ) -> tuple[str, str | None]:
     """Pure validation core: (verdict, reason) for a model text and a log
-    text.  Never raises on malformed provider artifacts."""
+    text.  A malformed artifact gets a reason code, but a model text too
+    deep to parse still raises ``RecursionError`` (ROADMAP item 1)."""
     return PreparedModel(model_text, max_states).judge(log_text, mode, base)[:2]
 
 
@@ -446,28 +444,29 @@ def _validate(
     base: str,
     prepare: Callable[[str], PreparedModel],
 ) -> str:
-    """``validate`` with the model text prepared by ``prepare``.  Both blobs
-    are read for every verdict, so missing and undecodable blobs are found
-    whether or not the model is cached.  A failed property's event carries
-    the witness's ``row`` and ``check`` and the model's reachable ``states``
-    and ``edges`` counts."""
+    """``validate`` with the model text prepared by ``prepare``; the one
+    writer of Verdict events.  Both blobs are read for every verdict, so
+    missing and undecodable blobs are found whether or not the model is
+    cached, and any other exception but the ledger's is ``validator-error``.
+    A failed property's event carries the witness's ``row`` and ``check``
+    and the model's reachable ``states`` and ``edges`` counts."""
     liab = ledger.liability(lid)
     if liab.status != STATUS_RESULT_SUBMITTED:
         raise LedgerError(f"liability {lid}: nothing to validate in status {liab.status}")
-    verdict, witness, texts = STATUS_REJECTED, None, []
-    blobs = (liab.model_hash, REASON_MALFORMED_MODEL), (liab.result_hash, REASON_MALFORMED_LOG)
-    for digest, undecodable in blobs:
-        try:
-            texts.append(store.get_text(digest))
-        except StoreError:
-            reason = REASON_MISSING_BLOB
-            break
-        except UnicodeDecodeError:
-            reason = undecodable
-            break
-    else:
-        prepared = prepare(texts[0])
-        verdict, reason, witness = prepared.judge(texts[1], mode, base)
+    verdict, witness = STATUS_REJECTED, None
+    try:
+        reason = REASON_MALFORMED_MODEL  # until the model blob decodes
+        model_text = store.get_text(liab.model_hash)
+        reason = REASON_MALFORMED_LOG  # until the log blob decodes
+        log_text = store.get_text(liab.result_hash)
+        prepared = prepare(model_text)
+        verdict, reason, witness = prepared.judge(log_text, mode, base)
+    except StoreError:
+        reason = REASON_MISSING_BLOB
+    except UnicodeDecodeError:
+        pass  # ``reason`` names the blob that is not UTF-8
+    except Exception:
+        reason = REASON_VALIDATOR_ERROR
     event = {"id": lid, "verdict": verdict}
     if reason is not None:
         event["reason"] = reason
@@ -492,8 +491,8 @@ def run_validator(
 
     With ``watch`` the ledger file is re-read every ``_POLL_INTERVAL``
     (half a second) until interrupted.  An interrupt (``KeyboardInterrupt``)
-    ends the run and returns the verdicts recorded so far.  A failing
-    liability becomes a Rejected verdict; the loop stops only when the
+    ends the run and returns the verdicts recorded so far.  Each liability
+    gets its verdict as ``validate`` gives it; the loop stops only when the
     ledger itself cannot be written or loaded, and raises that error.
     Each distinct model text is parsed and compiled once per call, and
     sized at most once, for the first log it refuses.
@@ -506,16 +505,7 @@ def run_validator(
     try:
         while True:
             for liab in ledger.pending():
-                try:
-                    verdict = _validate(ledger, store, liab.id, mode, base, prepare)
-                except LedgerError:
-                    raise
-                except Exception:
-                    ledger.append(
-                        KIND_VERDICT, id=liab.id, verdict=STATUS_REJECTED, reason="validator-error"
-                    )
-                    verdict = STATUS_REJECTED
-                results.append((liab.id, verdict))
+                results.append((liab.id, _validate(ledger, store, liab.id, mode, base, prepare)))
             if not watch:
                 break
             time.sleep(_POLL_INTERVAL)

@@ -1,3 +1,4 @@
+import json
 import os
 import stat
 import tempfile
@@ -410,8 +411,6 @@ def test_usage_error_exits_2():
 
 
 def test_demo_town_with_null_nodes_is_code_2(tmp_path, capsys, demo_tmp):
-    import json
-
     town = json.loads((SAMPLES / "town5x5.json").read_text())
     town["nodes"] = None
     (tmp_path / "town.json").write_text(json.dumps(town))
@@ -433,8 +432,6 @@ def test_demo_town_with_null_nodes_is_code_2(tmp_path, capsys, demo_tmp):
 ], ids=["null-nodes", "no-nodes", "no-steps", "absent-tag", "unknown-fault", "fault-out-of-range"])
 def test_demo_refused_input_leaves_no_workspace(tmp_path, monkeypatch, capsys,
                                                 town_nodes, objective, fault):
-    import json
-
     monkeypatch.setenv("TMPDIR", str(tmp_path))
     monkeypatch.setattr(tempfile, "tempdir", None)  # read TMPDIR again
     town = json.loads((SAMPLES / "town5x5.json").read_text())
@@ -491,3 +488,49 @@ def test_warnings_are_relayed_to_stderr(tmp_path, capsys, demo_tmp):
     assert capsys.readouterr().err == (
         "warning: wrong turn at stop 4 leads off the map; log truncated\n"
     )
+
+
+DEEP = "(" * 5000 + "x==0" + ")" * 5000  # nested past the parser's recursion
+
+
+@pytest.mark.parametrize("case", ["check-model", "check-property", "order", "gen-model"])
+def test_input_nested_too_deeply_is_code_2(tmp_path, capsys, workspace, case):
+    """Code 1 is a verdict; a RecursionError is one error line, code 2."""
+    deep_model = tmp_path / "deep.gcm"
+    deep_model.write_text(f"var x : 0..1 init 0;\n[] {DEEP} -> x'=1;\n")
+    prop = tmp_path / "p.ctl"
+    prop.write_text("AG(x==0)\n")
+    deep_prop = tmp_path / "deep.ctl"
+    deep_prop.write_text(DEEP + "\n")
+    bindings = tmp_path / "bindings.json"
+    bindings.write_text(json.dumps({"go": DEEP}))
+    args = {
+        "check-model": ["check", "--model", str(deep_model), "--property", str(prop)],
+        "check-property": ["check", "--model", str(workspace / "model.gcm"), "--property", str(deep_prop)],
+        "order": ["order", "--ledger", str(tmp_path / "ledger.jsonl"), "--store", str(tmp_path / "store"),
+                  "--model", str(deep_model), "--objective", str(workspace / "objective.json"),
+                  "--promisor", "0x01", "--promisee", "0x02"],
+        "gen-model": ["gen-model", "--template", str(SAMPLES / "gate.gcmt"),
+                      "--bindings", str(bindings), "-o", str(tmp_path / "out.gcm")],
+    }[case]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: input nested too deeply to process: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_an_unexpected_exception_is_code_2_with_its_traceback(monkeypatch, capsys, workspace):
+    from traceval import cli
+
+    def failing(*args, **kwargs):
+        raise ValueError("a fault in a layer")
+
+    monkeypatch.setattr(cli, "build_graph", failing)
+    prop = workspace / "p.ctl"
+    prop.write_text("AG(x==0)\n")
+    assert main(["check", "--model", str(workspace / "model.gcm"), "--property", str(prop)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback")
+    assert captured.err.endswith("ValueError: a fault in a layer\n")

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import shutil
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CHAIN2, TOGGLE
 from traceval import lifecycle
@@ -300,9 +303,19 @@ def test_adjudicate_state_explosion_reason():
     assert (verdict, reason) == (STATUS_REJECTED, "state-explosion")
 
 
+# Model texts equal to ``[] x==0 -> x'=1`` but nested or long past the
+# parser's recursion: adjudicate raises RecursionError on each.
+_HEAD = "var x : 0..1 init 0;\n[] "
+HOSTILE = {
+    "nested-parens": _HEAD + "(" * 5000 + "x==0" + ")" * 5000 + " -> x'=1;\n",
+    "long-sum": _HEAD + "x==0 -> x'=" + "0+" * 19999 + "1;\n",
+    "many-nots": _HEAD + "!" * 20000 + "(x==0) -> x'=1;\n",
+}
+
+
 def test_validate_never_crashes_on_corrupt_artifacts(ledger, store):
     """Undecodable or vanished blobs reject the liability with a reason
-    instead of raising."""
+    instead of raising, and so does a model text too deep to parse."""
     import os
 
     objective_hash = store.put_text('{"sequence":[]}')
@@ -332,10 +345,68 @@ def test_validate_never_crashes_on_corrupt_artifacts(ledger, store):
     os.unlink(store.root / vanished)
     cases.append((lid, "missing-blob"))
 
+    for text in HOSTILE.values():
+        with pytest.raises(RecursionError):
+            adjudicate(text, "x\n0\n1\n1\n")
+        cases.append((_submitted(ledger, store, text), "validator-error"))
+
     for lid, expected_reason in cases:
         assert validate(ledger, store, lid) == STATUS_REJECTED
-        event = [e for e in ledger.events if e["kind"] == "Verdict" and e["id"] == lid][0]
-        assert event["reason"] == expected_reason
+        events = [e for e in ledger.events if e["kind"] == "Verdict" and e["id"] == lid]
+        assert [e["reason"] for e in events] == [expected_reason]
+    reloaded = Ledger(ledger.path)
+    assert reloaded.events == ledger.events
+    assert [reloaded.liability(lid).reason for lid, _ in cases] == [reason for _, reason in cases]
+
+
+@pytest.mark.parametrize("text", HOSTILE.values(), ids=HOSTILE.keys())
+def test_validate_and_run_validator_write_one_verdict_line(tmp_path, text):
+    """The Verdict line for a liability whose model is too deep to parse is
+    the same whether ``validate`` or ``run_validator`` writes it."""
+    store = ContentStore(tmp_path / "store")
+    runs = {"one": lambda ledger: validate(ledger, store, 1), "all": lambda ledger: run_validator(ledger, store)}
+    lines = []
+    for name, run in runs.items():
+        ledger = Ledger(tmp_path / f"{name}.jsonl")
+        _submitted(ledger, store, text)
+        run(ledger)
+        lines.append(ledger.path.read_bytes().splitlines()[-1])
+    assert lines[0] == lines[1]
+    assert json.loads(lines[0]) == {
+        "seq": 3, "kind": "Verdict", "id": 1, "verdict": STATUS_REJECTED, "reason": "validator-error",
+    }
+
+
+REASONS = {
+    None, "malformed-model", "malformed-log", "variable-mismatch", "state-explosion",
+    "property-failed", "missing-blob", "validator-error",
+}
+
+
+def _mangled(text: str):
+    """``text`` encoded, cut short, or followed by garbage bytes; or garbage
+    alone.  Garbage may not decode as UTF-8."""
+    data = text.encode("utf-8")
+    return st.one_of(
+        st.just(data),
+        st.integers(0, len(data)).map(lambda cut: data[:cut]),
+        st.binary(max_size=8).map(lambda tail: data + tail),
+        st.binary(max_size=32),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=_mangled(CHAIN2), log=_mangled("x\n0\n1\n1\n"))
+def test_validate_records_one_verdict_for_any_bytes(model, log):
+    with tempfile.TemporaryDirectory() as root:
+        ledger, store = Ledger(f"{root}/ledger.jsonl"), ContentStore(f"{root}/store")
+        objective_hash = store.put_text('{"sequence":[]}')
+        lid = create_liability(ledger, store, "0xaa", "0xbb", store.put(model), objective_hash)
+        submit_result(ledger, store, lid, store.put(log))
+        before = len(ledger.events)
+        assert validate(ledger, store, lid) in (STATUS_CONFIRMED, STATUS_REJECTED)
+        assert [e["kind"] for e in ledger.events[before:]] == ["Verdict"]
+        assert ledger.events[-1].get("reason") in REASONS
 
 
 @pytest.mark.parametrize(
@@ -503,8 +574,13 @@ def test_run_validator_caches_no_exception(monkeypatch, ledger, store, stage, lo
     tries = []
 
     def raising(arg, *args, **kwargs):
-        owner = getattr(arg, "__self__", arg)  # reach steps with a prepared model's method
-        if arg == hostile or getattr(owner, "var_names", None) == ("z",):
+        # parse_model reads the hostile text and compile_step its parse tree;
+        # reach sizes, with no target, only for a refused log, the hostile one
+        if stage == "reach":
+            hit = len(args) < 3 and "target" not in kwargs
+        else:
+            hit = arg == hostile or getattr(arg, "var_names", None) == ("z",)
+        if hit:
             tries.append(arg)
             raise RecursionError("maximum recursion depth exceeded")
         return real(arg, *args, **kwargs)
@@ -581,8 +657,9 @@ def test_a_refused_log_compiles_its_model_once(monkeypatch, ledger, store):
 
 
 def test_a_refused_log_steps_each_state_once(monkeypatch):
-    """Sizing reads the successors the walk stepped, and steps only the
-    states the walk did not."""
+    """Sizing steps each reachable state once with the compiled successor
+    function, not through the walk's memo; a second refusal steps nothing
+    new, as the walk steps through its memo and the model is sized once."""
     steps = []
     real = lifecycle.compile_step
 
@@ -592,11 +669,14 @@ def test_a_refused_log_steps_each_state_once(monkeypatch):
 
     monkeypatch.setattr(lifecycle, "compile_step", counting)
     prepared = lifecycle.PreparedModel(GRID10)
-    # the weak search to (9,9) steps all 100 states; (0,0) is unreachable from there
+    # the weak search to (9,9) steps most of the grid; (0,0) is unreachable from there
     assert prepared.judge("x,y\n0,0\n9,9\n0,0\n", "weak")[:2] == (STATUS_REJECTED, "property-failed")
-    assert sorted(steps) == sorted(prepared.reachable)
+    assert len(prepared.reachable) == 100
+    walked, sized = steps[:-100], steps[-100:]
+    assert sorted(sized) == sorted(prepared.reachable)
+    assert len(set(walked)) == len(walked) == len(prepared._memo) > 90
     assert prepared.judge("x,y\n0,0\n0,1\n0,1\n", "strong")[:2] == (STATUS_REJECTED, "property-failed")
-    assert len(steps) == len(prepared.reachable) == 100
+    assert len(steps) == len(walked) + 100
 
 
 # b==0 counts n up to 999,999; from (0,0) the model may move to b==1 instead,
