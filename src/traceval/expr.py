@@ -8,7 +8,10 @@ valuation tuple in one pass, so a model's guards and updates are walked
 once, not at every state.  ``compile_parts`` does the same but hands back
 what is data as data: the ``var==const`` pins of a top-level ``&`` chain,
 apart from the function of the rest, the value of a literal, and the slot
-and offset of a shift such as ``x + 1``.
+and offset of a shift such as ``x + 1``.  It keeps what each node compiled
+to in a memo keyed by the node's ``id``, which its caller passes to every
+expression of one model, so a node shared by several expressions, as
+``lang.parse_model`` shares equal subexpressions, is compiled once.
 Arithmetic is checked against the signed 64-bit range so results stay
 machine-representable.
 
@@ -135,7 +138,7 @@ def compile_expr(
     raise it only on 64-bit overflow.
     """
     slots = {name: i for i, name in enumerate(names)}
-    compiled = _compile(expr, slots, consts or {})
+    compiled = _compile(expr, slots, consts or {}, {})
     return compiled[0], _function(compiled)
 
 
@@ -143,12 +146,18 @@ def compile_parts(
     expr: Expr,
     slots: Mapping[str, int],
     consts: Mapping[str, int],
+    memo: dict,
 ) -> tuple[
     str, tuple[tuple[int, int], ...], Callable | None, bool, int | bool | None, tuple[int, int] | None
 ]:
     """Like :func:`compile_expr`, but keep what is data as data.
 
     ``slots`` maps each variable to its slot in the valuation tuple.
+    ``memo`` maps the ``id`` of each node compiled so far to what it
+    compiled to: pass one dict to every call for the expressions of one
+    model, so that a node they share is compiled once.  The caller keeps
+    the expressions alive while the memo is in use, so no ``id`` in it is
+    reused.
     Returns ``(type, pins, rest, safe, value, shift)``:
 
     - ``pins``: the ``(slot, value)`` pairs of the ``var==const`` (or
@@ -168,22 +177,21 @@ def compile_parts(
     A boolean expression holds exactly where every pin holds and ``rest``
     is true.  Errors are those of :func:`compile_expr`.
     """
-    kind, fn, slot, value, safe, pins = _compile(expr, slots, consts)
+    kind, fn, slot, value, safe, pins = _compile(expr, slots, consts, memo)
     if slot is not None:
         fn = itemgetter(slot)
-    return kind, tuple(pins), fn, safe, value, _shift(expr, slots, consts)
+    return kind, tuple(_pin_list(pins)) if pins else (), fn, safe, value, _shift(expr, memo)
 
 
-def _shift(expr: Expr, slots: Mapping[str, int], consts: Mapping[str, int]):
+def _shift(expr: Expr, memo: Mapping[int, tuple]):
     """``(slot, offset)`` for a well-typed ``v + c``, ``v - c`` or ``c + v``,
-    else ``None``; ``c - v`` is no shift."""
+    else ``None``; ``c - v`` is no shift.  ``expr`` is compiled into
+    ``memo``, where only a variable has a slot, and only a literal or a
+    constant a value."""
     if type(expr) is not BinOp or expr.op not in ("+", "-"):
         return None
-    left, right = expr.left, expr.right
-    if type(left) not in (IntLit, Name) or type(right) not in (IntLit, Name):
-        return None
-    _, _, a, x, _, _ = _compile_leaf(left, slots, consts)
-    _, _, b, y, _, _ = _compile_leaf(right, slots, consts)
+    _, _, a, x, _, _ = memo[id(expr.left)]
+    _, _, b, y, _, _ = memo[id(expr.right)]
     if a is not None and y is not None:
         return a, y if expr.op == "+" else -y
     if expr.op == "+" and x is not None and b is not None:
@@ -191,38 +199,50 @@ def _shift(expr: Expr, slots: Mapping[str, int], consts: Mapping[str, int]):
     return None
 
 
-def _compile(expr: Expr, slots: Mapping[str, int], consts: Mapping[str, int]):
-    # Pre-order with the right operand taken first, reversed, is post-order
-    # with the left operand first: the order the operands are evaluated in.
-    order = []
+def _compile(expr: Expr, slots: Mapping[str, int], consts: Mapping[str, int], memo: dict):
+    """What ``expr`` compiles to, with every node it holds in ``memo``.
+
+    One post-order walk, left operand first: the order the operands are
+    evaluated in.  A node popped again after its operands is compiled from
+    their entries; a node found in ``memo`` when it is popped is done, so
+    a node shared within or across expressions is compiled once and its
+    operands are not pushed again.  A node that fails to compile is not
+    memoised, so it fails again wherever it recurs."""
     stack = [expr]
     while stack:
         e = stack.pop()
-        order.append(e)
-        if isinstance(e, BinOp):
-            stack += (e.left, e.right)
-        elif isinstance(e, NotOp):
-            stack.append(e.operand)
-    done: list = []
-    for e in reversed(order):
-        if isinstance(e, BinOp):
-            right = done.pop()
-            done[-1] = _compile_binary(e, done[-1], right)
-        elif isinstance(e, NotOp):
-            done[-1] = _compile_not(done[-1])
-        else:
-            done.append(_compile_leaf(e, slots, consts))
-    return done[0]
+        if e is _OPERANDS_DONE:
+            e = stack.pop()
+            if type(e) is BinOp:
+                memo[id(e)] = _compile_binary(e, memo[id(e.left)], memo[id(e.right)])
+            else:
+                memo[id(e)] = _compile_not(memo[id(e.operand)])
+        elif id(e) not in memo:
+            kind = type(e)
+            if kind is BinOp:
+                stack += (e, _OPERANDS_DONE, e.right, e.left)
+            elif kind is NotOp:
+                stack += (e, _OPERANDS_DONE, e.operand)
+            else:
+                memo[id(e)] = _compile_leaf(e, slots, consts)
+    return memo[id(expr)]
+
+
+_OPERANDS_DONE = object()  # on _compile's stack, above a node whose operands are compiled
 
 
 # A node compiles to (type, fn, slot, value, safe, pins).  A variable
 # leaves fn unset and gives its slot, a literal or a constant its value, so
 # that comparing a variable with a constant reads the slot directly.  An
 # equality between a variable and a constant gives its (slot, value) pair
-# as a pin, and a conjunction gathers its operands' pins: the node holds
+# as a pin, and a conjunction joins its operands' pins: the node holds
 # where every pin holds and fn, the rest, is true (fn unset: no rest).
 # ``safe`` means fn cannot raise: the rest holds no arithmetic.  Pins never
 # raise, so evaluating them first changes no result and no error.
+# A compiled node may be shared, so it is never changed once built: pins
+# are a tree, empty ``()``, one ``(slot, value)`` pin or a pair of two
+# non-empty trees, and ``_pin_list`` flattens one only where its pins are
+# used.
 
 
 def _compile_leaf(e, slots: Mapping[str, int], consts: Mapping[str, int]):
@@ -249,7 +269,7 @@ def _compile_binary(e: BinOp, left, right):
     if op == "==":
         for var, const in ((left, right), (right, left)):
             if var[2] is not None and const[3] is not None:
-                return kind, None, None, None, True, [(var[2], const[3])]
+                return kind, None, None, None, True, (var[2], const[3])
     if op == "&":
         return _compile_and(kind, left, right)
     slot, value = left[2], right[3]
@@ -270,12 +290,8 @@ def _compile_binary(e: BinOp, left, right):
 
 
 def _compile_and(kind, left, right):
-    # Gather the pins into the longer list, so that a long chain is linear.
-    pins, other = left[5], right[5]
-    if len(pins) < len(other):
-        pins, other = other, pins
-    if other:
-        pins.extend(other)
+    # Joining two trees costs one pair, so that a long chain is linear.
+    pins = (left[5], right[5]) if left[5] and right[5] else left[5] or right[5]
     a, b = _rest(left), _rest(right)
     if a is None or b is None:
         fn = a or b
@@ -285,6 +301,20 @@ def _compile_and(kind, left, right):
         # the right operand is evaluated even when the left one is false
         fn = lambda v: a(v) & b(v)
     return kind, fn, None, None, left[4] and right[4], pins
+
+
+def _pin_list(tree) -> list[tuple[int, int]]:
+    """The pins of a non-empty pin tree, left to right, with each shared
+    pair of trees walked once."""
+    pins, pairs, stack = [], set(), [tree]
+    while stack:
+        t = stack.pop()
+        if type(t[0]) is int:
+            pins.append(t)
+        elif id(t) not in pairs:
+            pairs.add(id(t))
+            stack += (t[1], t[0])
+    return pins
 
 
 def _rest(compiled):
@@ -314,7 +344,7 @@ def _function(compiled):
     """The function of a valuation that a compiled node computes."""
     _, fn, slot, value, safe, pins = compiled
     if pins:
-        return conjunction(pins, fn, safe)
+        return conjunction(_pin_list(pins), fn, safe)
     if fn is not None:
         return fn
     if slot is not None:

@@ -20,6 +20,11 @@ Property grammar: atoms ``IDENT op INT``, whatever the identifier's name;
 ``!`` and the temporal operators ``EX EF EG AX AF AG`` bind tighter than
 ``&``, which binds tighter than ``|``; parentheses group.
 
+``parse_model`` builds one node per distinct subexpression: equal
+subexpressions of a model, such as a ``x==0`` that hundreds of guards
+test, are one shared node.  Nodes are immutable, so sharing changes no
+answer; ``model.compile_step`` compiles each shared node once.
+
 ``print_model`` and ``ctl.print_formula`` emit canonical text, so
 ``parse(print(x))`` is structurally ``x``; both print through the one
 explicit-stack printer, ``expr.print_tree``.  All functions here are pure
@@ -118,7 +123,15 @@ class _Stream:
     """The tokens of one text and the index ``pos`` of the current one.
 
     The descent reads ``toks[pos]`` itself and steps ``pos`` past each
-    token it takes; it never steps past the final ``""``.
+    token it takes; it never steps past the final ``""``.  ``leaves`` and
+    ``nodes`` hold each expression node built so far, so that an equal
+    subexpression is built once and shared: a leaf keyed by its text (a
+    negative literal's with its ``-``), a ``BinOp`` in its operator's table
+    by the ``id`` of its operands, as one integer, and a ``NotOp`` in the
+    table of ``!`` by the ``id`` of its operand.  Every node whose ``id``
+    is in a key is held by the tables, so no ``id`` is reused while they
+    last.  (One integer per key, not a tuple of them, keeps a 20,000-term
+    sum's tables 1.6 MB smaller.)
     """
 
     def __init__(self, text: str, allow_comments: bool):
@@ -127,6 +140,8 @@ class _Stream:
         self.toks = _lex(text, allow_comments)
         self.pos = 0
         self.names: set[str] = set()  # identifiers read as names; see _typed_expr
+        self.leaves: dict[str, Expr] = {"true": BoolLit(True), "false": BoolLit(False)}
+        self.nodes: dict[str, dict[int, Expr]] = {op: {} for op in (*BIN_PREC, "!")}
 
     def accept(self, text: str) -> bool:
         if self.toks[self.pos] == text:
@@ -167,6 +182,7 @@ class _Stream:
 
 def _parse_expr(s: _Stream, min_prec: int = 1) -> Expr:
     left = _parse_unary(s)
+    nodes = s.nodes
     while True:
         op = s.toks[s.pos]
         prec = BIN_PREC.get(op)
@@ -174,30 +190,41 @@ def _parse_expr(s: _Stream, min_prec: int = 1) -> Expr:
             return left
         s.pos += 1
         right = _parse_expr(s, prec + 1)
-        left = BinOp(op, left, right)
+        table, key = nodes[op], id(left) << 64 | id(right)
+        node = table.get(key)
+        if node is None:
+            node = table[key] = BinOp(op, left, right)
+        left = node
         if op in CMP_OPS and s.toks[s.pos] in CMP_OPS:
             raise s.error("chained comparison is not allowed")
 
 
 def _parse_unary(s: _Stream) -> Expr:
     tok = s.toks[s.pos]
-    if _is_ident(tok):
+    leaf = s.leaves.get(tok)
+    if leaf is None and (_is_ident(tok) or tok.isdecimal()):
+        leaf = s.leaves[tok] = IntLit(_literal(s, s.pos)) if tok.isdecimal() else Name(tok)
+    if leaf is not None:
         s.pos += 1
-        if tok == "true":
-            return BoolLit(True)
-        if tok == "false":
-            return BoolLit(False)
-        s.names.add(tok)
-        return Name(tok)
-    if tok.isdecimal():
-        s.pos += 1
-        return IntLit(_literal(s, s.pos - 1))
+        if type(leaf) is Name:
+            s.names.add(tok)
+        return leaf
     if tok == "!":
         s.pos += 1
-        return NotOp(_parse_expr(s, 4))
+        operand = _parse_expr(s, 4)
+        table = s.nodes["!"]
+        node = table.get(id(operand))
+        if node is None:
+            node = table[id(operand)] = NotOp(operand)
+        return node
     if tok == "-":
         s.pos += 1
-        return IntLit(_literal(s, s.expect_int("an integer after '-'"), negative=True))
+        index = s.expect_int("an integer after '-'")
+        key = "-" + s.toks[index]
+        leaf = s.leaves.get(key)
+        if leaf is None:
+            leaf = s.leaves[key] = IntLit(_literal(s, index, negative=True))
+        return leaf
     if tok == "(":
         s.pos += 1
         inner = _parse_expr(s, 1)
@@ -256,9 +283,19 @@ def _decl_name(s: _Stream, what: str, taken: set[str]) -> int:
 
 
 def parse_model(text: str) -> SystemModel:
-    """Parse model text into a validated :class:`SystemModel`."""
+    """Parse model text into a validated :class:`SystemModel`, in which
+    equal subexpressions are one shared node."""
     _ensure_recursion_headroom()
     s = _Stream(text, allow_comments=True)
+    try:
+        return _model(s)
+    finally:
+        # A traceback holds the parser's frames, and they the stream: drop
+        # the tables, so that an error does not keep every node alive.
+        s.leaves = s.nodes = None
+
+
+def _model(s: _Stream) -> SystemModel:
     toks = s.toks
     constants: dict[str, int] = {}
     variables: list[VarDecl] = []

@@ -7,12 +7,15 @@ variable in declaration order.  A step fires every enabled command once
 valuation, which materializes as a self-loop in the built graph so the
 transition relation is total.
 
-``compile_step`` compiles every guard and update once per model, and
-returns the successor function that ``build_graph`` and the validator's
-searches call; no state builds a dict or walks an expression tree.  What is
-data stays data: a guard's pins, the ``var==const`` conjuncts of its
-top-level ``&`` chain, an update to a literal in range, and a shifted
-update such as ``x'=x+1`` or ``x'=y-K`` are kept as values, not closures.
+``compile_step`` compiles every guard and update once per model, and each
+distinct subexpression once: a node that several guards or updates share,
+as ``lang.parse_model`` shares equal subexpressions, is compiled the first
+time it is met.  It returns the successor function that ``build_graph``
+and the validator's searches call; no state builds a dict or walks an
+expression tree.  What is data stays data: a guard's pins, the
+``var==const`` conjuncts of its top-level ``&`` chain, an update to a
+literal in range, and a shifted update such as ``x'=x+1`` or ``x'=y-K``
+are kept as values, not closures.
 A command needs no closure of its own to fire: the successor function
 writes its literals and computes its updates in its own frame, and calls
 only the guards and the updates that are not data.  Commands are
@@ -129,10 +132,11 @@ def _fails(message: str):
     return fail
 
 
-def _compile_command(model: SystemModel, slots: Mapping[str, int], i: int):
+def _compile_command(model: SystemModel, slots: Mapping[str, int], i: int, memo: dict):
     """``(where, pins, rest, safe, literals, updates)`` for command ``i``, or
     ``None`` when its guard is the literal ``false``, so that it never
-    fires.
+    fires.  ``memo`` is the memo of :func:`~traceval.expr.compile_parts`
+    that every command of the model shares.
 
     The guard holds where every ``(slot, value)`` pin holds and ``rest``,
     unless it is ``None``, is true; ``safe`` means ``rest`` cannot raise.
@@ -147,7 +151,7 @@ def _compile_command(model: SystemModel, slots: Mapping[str, int], i: int):
     cmd = model.commands[i]
     where = cmd.describe(i)
     try:
-        kind, pins, rest, safe, value, _ = compile_parts(cmd.guard, slots, model.constants)
+        kind, pins, rest, safe, value, _ = compile_parts(cmd.guard, slots, model.constants, memo)
     except EvalError as exc:
         raise ModelError(f"{where}: {exc}") from None
     if kind != "bool":
@@ -163,7 +167,7 @@ def _compile_command(model: SystemModel, slots: Mapping[str, int], i: int):
         slot = slots[name]
         decl = model.variables[slot]
         try:
-            kind, _, fn, _, value, shift = compile_parts(rhs, slots, model.constants)
+            kind, _, fn, _, value, shift = compile_parts(rhs, slots, model.constants, memo)
         except EvalError as exc:
             kind, fn, value, shift = "int", _fails(f"{where}: {exc}"), None, None
         if kind != "int":
@@ -183,8 +187,8 @@ def _constant(value: int):
 
 
 def compile_step(model: SystemModel) -> Callable[[Valuation], list[Valuation]]:
-    """Compile every guard and update of ``model`` once, and return its
-    successor function.
+    """Compile every guard and update of ``model`` once, and each node they
+    share once, and return its successor function.
 
     The successors of a valuation ``v`` are one valuation per enabled
     command, deduplicated and sorted, or ``[v]`` itself when no command is
@@ -213,10 +217,11 @@ def compile_step(model: SystemModel) -> Callable[[Valuation], list[Valuation]]:
     or leaves its variable's range, or when arithmetic overflows.
     """
     slots = {name: i for i, name in enumerate(model.var_names)}
+    memo: dict = {}  # id of each node compiled so far -> what it compiled to
     scanned = []  # (index, where, guard, literals, updates), tried at every state
     tables: dict[tuple[int, ...], dict] = {}
     for i in range(len(model.commands)):
-        compiled = _compile_command(model, slots, i)
+        compiled = _compile_command(model, slots, i, memo)
         if compiled is None:
             continue
         where, pins, rest, safe, literals, updates = compiled

@@ -74,11 +74,12 @@ def _offset_of(text: str, line: int, col: int) -> int:
 
 class Stream(lang._Stream):
     def __init__(self, text: str, allow_comments: bool):
+        # ``lang._Stream`` sets up the state of a parse, over no tokens;
+        # only the text and its tokens are this lexer's.
+        super().__init__("", allow_comments)
         self.text = text
         self.tokens = _lex(text, allow_comments)
         self.toks = [tok.text for tok in self.tokens]
-        self.pos = 0
-        self.names: set[str] = set()
 
     def error_at(self, index: int, message: str) -> ParseError:
         tok = self.tokens[index]

@@ -1,7 +1,9 @@
 import collections
+import dataclasses
 import itertools
 import random
 import re
+import time
 from operator import itemgetter
 
 import pytest
@@ -13,9 +15,11 @@ from conftest import CHAIN2, TOGGLE
 from corpus import full_grid_town, models, random_town_logs, successor_lists
 from traceval.checker import reach
 from traceval.errors import EvalError, ModelError, StateExplosionError
+from traceval import expr as expr_module
 from traceval import model as model_module
 from traceval.expr import INT_MAX, BinOp, BoolLit, IntLit, Name, NotOp
-from traceval.lang import parse_model
+from traceval.lang import parse_model, print_model
+from traceval.lifecycle import STATUS_CONFIRMED, adjudicate
 from traceval.model import GuardedCommand, StateGraph, SystemModel, VarDecl, build_graph, compile_step
 from traceval.town import Objective, ObjectiveStep, town_model_text
 
@@ -268,19 +272,24 @@ def test_build_graph_matches_reference_on_towns(town5x5, objective4):
         _assert_graph_matches_reference(model)
 
 
-def test_built_graphs_equal_the_graphs_given_as_rows(town5x5, objective4):
-    """``build_graph`` writes the rows itself; the iterable constructor,
-    given the same states, initial states and rows, out of order and
-    repeated, makes the same graph."""
+def _town_and_counter_texts(town5x5, objective4) -> list[str]:
+    """The bundled town, reduced and not, four random towns and five
+    counters."""
     counter = "var x : 0..@@ init 0;\nvar y : 0..@@ init 0;\n[] x<@@ -> x'=x+1;\n[] y<@@ -> y'=y+1;\n"
-    texts = [
+    return [
         town_model_text(town5x5, objective4, reduce=True),
         town_model_text(town5x5, objective4, reduce=False),
         *(text for text, _ in itertools.islice(random_town_logs(), 4)),
         *(counter.replace("@@", str(top)) for top in (0, 1, 7, 30)),
         "var x : 0..8 init 0;\nvar y : 0..3 init 0;\n[] x<8 -> x'=x+2;\n[] y<3 & x>2 -> y'=y+1;\n",
     ]
-    for text in texts:
+
+
+def test_built_graphs_equal_the_graphs_given_as_rows(town5x5, objective4):
+    """``build_graph`` writes the rows itself; the iterable constructor,
+    given the same states, initial states and rows, out of order and
+    repeated, makes the same graph."""
+    for text in _town_and_counter_texts(town5x5, objective4):
         model = parse_model(text)
         built = build_graph(model)
         rows = successor_lists(built)
@@ -304,6 +313,169 @@ def test_the_constructor_checks_every_index():
     with pytest.raises(ValueError, match="1 successor rows for 2 states"):
         StateGraph(("x",), states, {0}, [[1]])
     assert StateGraph(("x",), states, {1}, [[1], [1]]).initial == {1}
+
+
+# --- shared subexpressions ---------------------------------------------------
+
+
+def _roots(model):
+    """The guards and update expressions of ``model``, then its init
+    constraint, if any."""
+    roots = [cmd.guard for cmd in model.commands]
+    roots += [rhs for cmd in model.commands for _, rhs in cmd.updates]
+    return roots + ([model.init_constraint] if model.init_constraint is not None else [])
+
+
+def _node_objects(roots):
+    """Every node object under ``roots``, once each."""
+    found, stack = {}, list(roots)
+    while stack:
+        e = stack.pop()
+        if id(e) not in found:
+            found[id(e)] = e
+            if isinstance(e, BinOp):
+                stack += (e.left, e.right)
+            elif isinstance(e, NotOp):
+                stack.append(e.operand)
+    return list(found.values())
+
+
+def _unshared(expr):
+    """A copy of ``expr`` with a new node at every occurrence."""
+    done, stack = [], [(expr, False)]
+    while stack:
+        e, operands_done = stack.pop()
+        if isinstance(e, BinOp) and not operands_done:
+            stack += ((e, True), (e.right, False), (e.left, False))
+        elif isinstance(e, NotOp) and not operands_done:
+            stack += ((e, True), (e.operand, False))
+        elif isinstance(e, BinOp):
+            right = done.pop()
+            done[-1] = BinOp(e.op, done[-1], right)
+        elif isinstance(e, NotOp):
+            done[-1] = NotOp(done[-1])
+        else:
+            done.append(dataclasses.replace(e))
+    return done[0]
+
+
+def _unshared_model(model):
+    commands = tuple(
+        GuardedCommand(cmd.label, _unshared(cmd.guard), tuple((n, _unshared(rhs)) for n, rhs in cmd.updates))
+        for cmd in model.commands
+    )
+    init = model.init_constraint
+    return SystemModel(
+        dict(model.constants), model.variables, commands, None if init is None else _unshared(init)
+    )
+
+
+def _answers(model, valuations):
+    """The text of ``model``, its successors or ModelError text at each of
+    ``valuations``, and its graph or the text of the ModelError building
+    it raises; or the text of the ModelError compiling it raises."""
+    successors = _outcome(compile_step, model)
+    if isinstance(successors, str):
+        return successors
+    graph = _outcome(build_graph, model)
+    if not isinstance(graph, str):
+        graph = (graph.states, graph.initial, successor_lists(graph))
+    return print_model(model), [_outcome(successors, v) for v in valuations], graph
+
+
+def _domain(model):
+    return list(itertools.product(*(range(v.lo, v.hi + 1) for v in model.variables)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(models())
+def test_a_parsed_model_answers_as_its_unshared_copy(model):
+    parsed = parse_model(print_model(model))
+    twin = _unshared_model(parsed)
+    assert parsed == twin == model
+    assert _answers(parsed, _domain(model)) == _answers(twin, _domain(model))
+
+
+def test_parsed_towns_and_counters_answer_as_their_unshared_copies(town5x5, objective4):
+    for model in [*map(parse_model, _town_and_counter_texts(town5x5, objective4)), _grid12_model()]:
+        twin = _unshared_model(model)
+        assert model == twin
+        reachable = build_graph(twin).states
+        assert _answers(model, reachable) == _answers(twin, reachable)
+
+
+def test_nodes_a_built_model_shares_answer_as_copies_of_them():
+    """Guards that use one node object twice, and an update that cannot be
+    typed shared by two commands, which each name themselves."""
+    x, y = Name("x"), Name("y")
+    g, h = BinOp("==", x, IntLit(0)), BinOp("<", y, IntLit(2))
+    variables = (VarDecl("x", 0, 2, 0), VarDecl("y", 0, 2, 0))
+    step_y = (("y", BinOp("+", y, IntLit(1))),)
+    for guard in (BinOp("&", g, g), BinOp("|", g, BinOp("&", g, h)), BinOp("&", NotOp(g), g)):
+        model = SystemModel({}, variables, (
+            GuardedCommand("a", guard, (("x", BinOp("+", x, IntLit(1))),)),
+            GuardedCommand(None, BinOp("&", h, guard), step_y),
+        ))
+        for valuation in _domain(model):
+            assert _outcome(compile_step(model), valuation) == _outcome(naive_eval.step, model, valuation)
+        _assert_graph_matches_reference(model)
+        assert _answers(model, _domain(model)) == _answers(_unshared_model(model), _domain(model))
+    untyped = BinOp("+", x, BoolLit(True))
+    model = SystemModel({}, variables, (
+        GuardedCommand("a", g, (("y", untyped),)),
+        GuardedCommand("b", BinOp("==", x, IntLit(1)), (("y", untyped),)),
+    ))
+    successors = compile_step(model)
+    for valuation, named in (((0, 0), "#1 [a]"), ((1, 0), "#2 [b]")):
+        assert _outcome(successors, valuation) == f"ModelError: command {named}: operands of '+' must be integers"
+    assert _answers(model, _domain(model)) == _answers(_unshared_model(model), _domain(model))
+
+
+def test_a_guard_of_2000_equal_conjuncts_is_confirmed():
+    text = "var x : 0..1 init 0;\n[] " + " & ".join(["x==0"] * 2000) + " -> x'=1;\n"
+    assert adjudicate(text, "x\n0\n1\n1\n") == (STATUS_CONFIRMED, None)
+    model = parse_model(text)
+    # 1,999 '&' nodes, one 'x==0', its two leaves and the update's 1
+    assert len(_node_objects(_roots(model))) == 2003
+    assert _answers(model, [(0,), (1,)]) == _answers(_unshared_model(model), [(0,), (1,)])
+
+
+def test_parsing_shares_every_equal_subtree_and_compiling_compiles_each_once(monkeypatch):
+    model = _grid12_model()
+    nodes = _node_objects(_roots(model))
+    assert len(nodes) == len(set(nodes))  # no two node objects are equal
+    assert len(nodes) * 5 < len(_node_objects(_roots(_unshared_model(model))))
+    compiled = collections.Counter()
+
+    def counting(fn):
+        def counted(e, *args):
+            compiled[id(e)] += 1
+            return fn(e, *args)
+        return counted
+
+    for name in ("_compile_binary", "_compile_leaf"):
+        monkeypatch.setattr(expr_module, name, counting(getattr(expr_module, name)))
+    compile_step(model)
+    commands = _node_objects(_roots(dataclasses.replace(model, init_constraint=None)))
+    assert set(compiled) == {id(e) for e in commands if not isinstance(e, NotOp)}
+    assert set(compiled.values()) == {1}
+
+
+@pytest.mark.parametrize("deep", ["left", "right"])
+def test_a_long_conjunction_compiles_in_linear_time(deep):
+    """200,000 conjuncts: gathering their pins by copying lists would take
+    hours."""
+    x_is_0, y_is_1 = BinOp("==", Name("x"), IntLit(0)), BinOp("==", Name("y"), IntLit(1))
+    guard = x_is_0
+    for i in range(1, 200_000):
+        conjunct = y_is_1 if i % 2 else x_is_0
+        guard = BinOp("&", guard, conjunct) if deep == "left" else BinOp("&", conjunct, guard)
+    variables = (VarDecl("x", 0, 1, 0), VarDecl("y", 0, 1, 0))
+    model = SystemModel({}, variables, (GuardedCommand(None, guard, (("x", IntLit(1)),)),))
+    start = time.perf_counter()
+    successors = compile_step(model)
+    assert time.perf_counter() - start < 30
+    assert [successors(v) for v in ((0, 0), (0, 1))] == [[(0, 0)], [(1, 1)]]
 
 
 _X_IS_1 = BinOp("==", Name("x"), IntLit(1))
