@@ -66,7 +66,7 @@ from .model import (
     Valuation,
     VarDecl,
     build_graph,
-    compile_step,
+    compile_model,
 )
 from .template import (
     Settings,

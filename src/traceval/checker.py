@@ -313,9 +313,10 @@ def reach(
     """``(found, edges)``: the valuations a breadth-first search from
     ``sources`` finds, and the sum of ``len(successors(v))`` over those it
     steps.  States are stepped in the order they are found, the sources
-    first, in the order given.  From the sorted initial valuations, that is
-    the order ``build_graph`` numbers states in, so a search that steps
-    every state finds its states and edges, and raises what it raises.
+    first, in the order given.  From the pair ``compile_model`` gives, the
+    initial valuations and the successor function, that is the order
+    ``build_graph`` numbers states in, so a search that steps every state
+    finds its states and edges, and raises what it raises.
     Stops once ``target`` is found; raises :class:`StateExplosionError`
     before stepping a state once more than ``max_states`` are found."""
     queue = list(sources)
@@ -342,8 +343,8 @@ def follow(
     log: ExecutionLog, mode: str = "strong", base: str = "faithful",
     max_states: int = DEFAULT_STATE_BUDGET,
 ) -> Witness | None:
-    """``None`` when the model whose successor function (``compile_step``'s)
-    and initial valuations are given admits the log, exactly when
+    """``None`` when the model whose successor function and initial
+    valuations (``compile_model``'s) are given admits the log, exactly when
     ``holds_initially(build_graph(model), log_property(log, mode, base))``
     holds; otherwise the first row the walk refuses.  The log's columns are
     the model's variables, in order.  Raises :class:`LogError` for an

@@ -10,7 +10,6 @@ stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import tempfile
 import traceback
@@ -31,6 +30,7 @@ from .lifecycle import (
     run_validator,
     submit_result,
     validate,
+    write_atomically,
 )
 from .model import DEFAULT_STATE_BUDGET, build_graph
 from .template import Settings, blame, parse_bindings, parse_settings, render
@@ -45,39 +45,21 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str):
-    """Write ``text`` as UTF-8 to a temporary file beside ``path`` and rename
-    it over ``path``, so a failed write leaves any old file as it was.  A
-    target that exists but is no regular file (a device, say) is written in
-    place."""
+    """Write ``text`` as UTF-8 over ``path`` by ``write_atomically``, so a
+    failed write leaves any old file as it was.  A target that exists but
+    is no regular file (a device, say) is written in place."""
     target = Path(path)
-    tmp = None
     try:
         if target.exists() and not target.is_file():
             target.write_text(text, encoding="utf-8")
-            return
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # the mode a new file gets, not mkstemp's 0600
-        os.replace(tmp, target)
-        tmp = None
+        else:
+            write_atomically(target, text.encode("utf-8"))
     except (OSError, UnicodeEncodeError) as exc:
         raise TracevalError(f"cannot write {path}: {exc}") from exc
-    finally:
-        if tmp is not None:
-            os.unlink(tmp)
 
 
-def _relaying_warnings(call, *args, **kwargs):
-    """``call(*args, **kwargs)``, each warning it emits printed to stderr."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = call(*args, **kwargs)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    return result
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def cmd_gen_model(args) -> int:
@@ -95,7 +77,7 @@ def cmd_gen_model(args) -> int:
 
 def cmd_gen_property(args) -> int:
     log = parse_log(_read(args.log))
-    formula = _relaying_warnings(log_property, log, args.type, args.base)
+    formula = log_property(log, args.type, args.base)
     _write(args.output, print_formula(formula) + "\n")
     return 0
 
@@ -141,7 +123,7 @@ def cmd_execute(args) -> int:
     town = load_town(_read(args.town))
     objective = load_objective(store.get_text(liab.objective_hash))
     fault = parse_fault(args.fault) if args.fault else None
-    log = _relaying_warnings(simulate, town, objective, fault=fault)
+    log = simulate(town, objective, fault=fault)
     result_hash = store.put_text(format_log(log))
     submit_result(ledger, store, liab.id, result_hash)
     print(result_hash)
@@ -177,7 +159,7 @@ def cmd_demo(args) -> int:
     objective = load_objective(objective_text)
     fault = parse_fault(args.fault) if args.fault else None
     model_text = town_model_text(town, objective)
-    log = _relaying_warnings(simulate, town, objective, fault=fault)
+    log = simulate(town, objective, fault=fault)
 
     workspace = Path(tempfile.mkdtemp(prefix="traceval-demo-"))
     print(f"workspace: {workspace}")
@@ -244,8 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="confirm or reject pending liabilities")
     _add_workspace_flags(p)
-    p.add_argument("--liability", type=int, metavar="ID")
-    p.add_argument("--watch", action="store_true")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--liability", type=int, metavar="ID")
+    which.add_argument("--watch", action="store_true")
     _add_property_flags(p)
     _add_budget_flag(p)
     p.set_defaults(func=cmd_validate)
@@ -279,7 +262,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # each warning a command raises is one line on stderr, as it is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = _print_warning
+            return args.func(args)
     except (TracevalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except RecursionError as exc:

@@ -3,12 +3,12 @@
 Expressions are plain frozen dataclasses.  Typing is static: arithmetic
 (``+ - *``) works on integers, comparisons produce booleans and ``& | !``
 combine booleans, and a mismatch is found without evaluating anything.
-``compile_expr`` type-checks a tree and turns it into a function of a
-valuation tuple in one pass, so a model's guards and updates are walked
-once, not at every state.  ``compile_parts`` does the same but hands back
-what is data as data: the ``var==const`` pins of a top-level ``&`` chain,
-apart from the function of the rest, the value of a literal, and the slot
-and offset of a shift such as ``x + 1``.  It keeps what each node compiled
+``compile_parts`` type-checks a tree and turns it into functions of a
+valuation tuple in one pass, so a model's init constraint, guards and
+updates are walked once, not at every state.  It hands back what is data
+as data: the ``var==const`` pins of a top-level ``&`` chain, apart from
+the function of the rest, the value of a literal, and the slot and offset
+of a shift such as ``x + 1``.  It keeps what each node compiled
 to in a memo keyed by the node's ``id``, which its caller passes to every
 expression of one model, so a node shared by several expressions, as
 ``lang.parse_model`` shares equal subexpressions, is compiled once.
@@ -26,7 +26,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Union
 
 from .errors import EvalError
 
@@ -112,7 +112,7 @@ def infer_type(expr: Expr) -> str:
     """Return ``'int'`` or ``'bool'`` for a well-typed expression.
 
     Variables and constants are always integers in this language.  Unlike
-    :func:`compile_expr`, this recurses once per nesting level.
+    :func:`compile_parts`, this recurses once per nesting level.
     """
     kind = _LEAF_TYPES.get(type(expr))
     if kind is not None:
@@ -124,24 +124,6 @@ def infer_type(expr: Expr) -> str:
     return _leaf_type(expr)  # raises: not an expression
 
 
-def compile_expr(
-    expr: Expr,
-    names: Sequence[str],
-    consts: Mapping[str, int] | None = None,
-) -> tuple[str, Callable[[tuple[int, ...]], int | bool]]:
-    """Type-check ``expr`` and compile it into a function of a valuation.
-
-    ``names[i]`` is the variable held in slot ``i`` of the valuation tuple;
-    any other identifier is looked up in ``consts``.  Returns ``(type,
-    fn)`` where ``type`` is ``'int'`` or ``'bool'``.  Unknown identifiers
-    and operand type mismatches raise :class:`EvalError` here; ``fn`` can
-    raise it only on 64-bit overflow.
-    """
-    slots = {name: i for i, name in enumerate(names)}
-    compiled = _compile(expr, slots, consts or {}, {})
-    return compiled[0], _function(compiled)
-
-
 def compile_parts(
     expr: Expr,
     slots: Mapping[str, int],
@@ -150,9 +132,10 @@ def compile_parts(
 ) -> tuple[
     str, tuple[tuple[int, int], ...], Callable | None, bool, int | bool | None, tuple[int, int] | None
 ]:
-    """Like :func:`compile_expr`, but keep what is data as data.
+    """Type-check ``expr`` and compile it, keeping what is data as data.
 
-    ``slots`` maps each variable to its slot in the valuation tuple.
+    ``slots`` maps each variable to its slot in the valuation tuple; any
+    other identifier is looked up in ``consts``.
     ``memo`` maps the ``id`` of each node compiled so far to what it
     compiled to: pass one dict to every call for the expressions of one
     model, so that a node they share is compiled once.  The caller keeps
@@ -175,7 +158,8 @@ def compile_parts(
       not.  Else ``None``.
 
     A boolean expression holds exactly where every pin holds and ``rest``
-    is true.  Errors are those of :func:`compile_expr`.
+    is true.  Unknown identifiers and operand type mismatches raise
+    :class:`EvalError` here; ``rest`` can raise it only on 64-bit overflow.
     """
     kind, fn, slot, value, safe, pins = _compile(expr, slots, consts, memo)
     if slot is not None:

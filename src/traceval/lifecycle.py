@@ -17,9 +17,10 @@ Validation is deterministic: fetch the model and the result log from the
 store and walk the log's rows forward with the model's compiled successor
 function (``checker.follow``), which decides the log's property without
 building it or a state graph.  ``PreparedModel`` parses a model text and
-compiles it on first demand, and ``PreparedModel.judge`` checks one log.
-Only a log the walk refuses sizes the model, once per prepared model, by
-a forward search of every reachable state (``checker.reach``), and its
+compiles it (``model.compile_model``), and ``PreparedModel.judge`` checks
+one log.  Only a log the walk refuses sizes the model, once per prepared
+model, by a forward search of every reachable state (``checker.reach``),
+and its
 ``property-failed`` verdict event records the row the log left the model
 at, the check that row failed and the reachable state and edge counts.
 ``run_validator`` prepares each distinct model text once per call, through
@@ -27,8 +28,9 @@ a ``functools.lru_cache`` of the few most recently used; ``adjudicate``
 and ``validate`` prepare a fresh one per call.  Malformed artifacts
 reject the liability with a reason code instead of raising, and
 ``validate`` records any other exception (a ``RecursionError`` on a deeply
-nested model text, say) as ``validator-error``: a hostile provider cannot
-crash the validator, which stops only on a ledger it cannot load or write.
+nested model text, say) as ``validator-error``, with a warning that names
+it: a hostile provider cannot crash the validator, which stops only on a
+ledger it cannot load or write.
 
 As only a refused log searches every reachable state, an admitted log is
 confirmed when the model has more reachable states than ``max_states`` but
@@ -74,7 +76,7 @@ from .execlog import parse_log
 from .checker import holds_initially
 from .execlog import log_property
 from .lang import parse_model
-from .model import DEFAULT_STATE_BUDGET, _initial_valuations, build_graph, compile_step
+from .model import DEFAULT_STATE_BUDGET, build_graph, compile_model
 
 STATUS_CREATED = "Created"
 STATUS_RESULT_SUBMITTED = "ResultSubmitted"
@@ -105,6 +107,23 @@ _CACHED_MODELS = 8
 _POLL_INTERVAL = 0.5
 
 
+def write_atomically(path: Path, data: bytes):
+    """Write ``data`` to a temporary file of its own beside ``path`` and
+    rename it over ``path``, so a failed write leaves any old file as it
+    was.  The file gets the mode a new file gets, not mkstemp's 0600."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 class ContentStore:
     """Directory of immutable blobs keyed by the SHA-256 of their bytes."""
 
@@ -123,14 +142,7 @@ class ContentStore:
         if not path.exists():
             # A temporary name of its own per writer: two writers of one blob
             # never write into one file.  ``hashes`` ignores such names.
-            fd, tmp = tempfile.mkstemp(dir=self.root)
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(data)
-                os.replace(tmp, path)
-            except BaseException:
-                os.unlink(tmp)
-                raise
+            write_atomically(path, data)
         return digest
 
     def put_text(self, text: str) -> str:
@@ -331,14 +343,14 @@ def submit_result(ledger: Ledger, store: ContentStore, lid: int, result_hash: st
 
 
 class PreparedModel:
-    """One model text, parsed on creation, compiled on first demand, and
-    sized for the first log the walk refuses.
+    """One model text, parsed and compiled on creation, and sized for the
+    first log the walk refuses.
 
-    Holds the model's variable names, initial valuations, successor
-    function and a memo of the successors the walk stepped (at most
-    ``max_states``, emptied when full); or why the model was refused.
-    Sizing, a forward search of every reachable state with the successor
-    function, sets ``reachable``, the set of reachable valuations, and
+    Holds the model's variable names, the initial valuations and successor
+    function ``compile_model`` gives, and a memo of the successors the walk
+    stepped (at most ``max_states``, emptied when full); or why the model
+    was refused.  Sizing, a forward search of every reachable state from
+    that pair, sets ``reachable``, the set of reachable valuations, and
     ``edge_count``, or why it failed.  ``_attempt`` gives the parse, the
     compile, the walk and the sizing their reason; one that raises
     anything else propagates and records nothing, so the next log tries
@@ -347,11 +359,14 @@ class PreparedModel:
 
     def __init__(self, model_text: str, max_states: int = DEFAULT_STATE_BUDGET):
         self.max_states = max_states
-        self.reachable = self.edge_count = self._initial = self._successors = self._unsized = None
+        self.reachable = self.edge_count = self._unsized = None
         self._memo: dict = {}
-        # the parse tree, held until the model compiles or is refused
-        self._model, self.reason = _attempt(partial(parse_model, model_text))
-        self.var_names = None if self._model is None else self._model.var_names
+        model, self.reason = _attempt(partial(parse_model, model_text))
+        self.var_names = None if model is None else model.var_names
+        if model is not None:
+            # a compile failure is answered after the log's own checks
+            compiled, self.reason = _attempt(partial(compile_model, model, max_states))
+            self._initial, self._successors = compiled or (None, None)
 
     def _step(self, v):
         found = self._memo.get(v)
@@ -374,13 +389,6 @@ class PreparedModel:
             return STATUS_REJECTED, REASON_MALFORMED_LOG, None
         if log.variables != self.var_names:
             return STATUS_REJECTED, REASON_VARIABLE_MISMATCH, None
-        if self._model is not None:
-            compiled, self.reason = _attempt(lambda: (
-                frozenset(_initial_valuations(self._model, self.max_states)),
-                compile_step(self._model),
-            ))
-            self._initial, self._successors = compiled or (None, None)
-            self._model = None
         if self.reason is not None:
             return STATUS_REJECTED, self.reason, None
         walk = partial(follow, self._step, self._initial, log, mode, base, self.max_states)
@@ -390,7 +398,7 @@ class PreparedModel:
         if witness is None:
             return STATUS_CONFIRMED, None, None
         if self.reachable is None and self._unsized is None:
-            size = partial(reach, self._successors, sorted(self._initial), self.max_states)
+            size = partial(reach, self._successors, self._initial, self.max_states)
             found, self._unsized = _attempt(size)
             self.reachable, self.edge_count = found or (None, None)
         if self._unsized is not None:
@@ -447,7 +455,8 @@ def _validate(
     """``validate`` with the model text prepared by ``prepare``; the one
     writer of Verdict events.  Both blobs are read for every verdict, so
     missing and undecodable blobs are found whether or not the model is
-    cached, and any other exception but the ledger's is ``validator-error``.
+    cached, and any other exception but the ledger's is ``validator-error``,
+    with a warning that names the exception.
     A failed property's event carries the witness's ``row`` and ``check``
     and the model's reachable ``states`` and ``edges`` counts."""
     liab = ledger.liability(lid)
@@ -465,8 +474,9 @@ def _validate(
         reason = REASON_MISSING_BLOB
     except UnicodeDecodeError:
         pass  # ``reason`` names the blob that is not UTF-8
-    except Exception:
+    except Exception as exc:
         reason = REASON_VALIDATOR_ERROR
+        warnings.warn(f"liability {lid}: {reason}: {type(exc).__name__}: {exc}")
     event = {"id": lid, "verdict": verdict}
     if reason is not None:
         event["reason"] = reason

@@ -7,11 +7,13 @@ variable in declaration order.  A step fires every enabled command once
 valuation, which materializes as a self-loop in the built graph so the
 transition relation is total.
 
-``compile_step`` compiles every guard and update once per model, and each
-distinct subexpression once: a node that several guards or updates share,
-as ``lang.parse_model`` shares equal subexpressions, is compiled the first
-time it is met.  It returns the successor function that ``build_graph``
-and the validator's searches call; no state builds a dict or walks an
+``compile_model`` is the one preparation of a model.  It compiles the init
+constraint, every guard and every update once, and each distinct
+subexpression once: a node that several of them share, as
+``lang.parse_model`` shares equal subexpressions, is compiled the first
+time it is met.  It returns the sorted initial valuations and the
+successor function, the pair that ``build_graph``, the validator's walk
+and its sizing all start from; no state builds a dict or walks an
 expression tree.  What is data stays data: a guard's pins, the
 ``var==const`` conjuncts of its top-level ``&`` chain, an update to a
 literal in range, and a shifted update such as ``x'=x+1`` or ``x'=y-K``
@@ -31,9 +33,9 @@ Names in expressions are checked where they are resolved.  ``lang``
 refuses model text that uses an undeclared name; for a model constructed
 directly, ``SystemModel`` checks only its declarations and update
 targets, and compiling resolves every other name.  An unknown name in a
-guard raises :class:`ModelError` from ``compile_step``, one in the init
-constraint from ``build_graph``; one in an update raises when its command
-fires, as an update that cannot be typed does.
+guard or in the init constraint raises :class:`ModelError` from
+``compile_model``; one in an update raises when its command fires, as an
+update that cannot be typed does.
 
 A built graph stores its transition relation once, as compressed sparse
 rows of predecessors, the one relation CTL labelling reads.
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import EvalError, ModelError, StateExplosionError
-from .expr import INT_MAX, INT_MIN, Expr, compile_expr, compile_parts, conjunction
+from .expr import INT_MAX, INT_MIN, Expr, compile_parts, conjunction
 
 Valuation = tuple[int, ...]
 
@@ -186,9 +188,38 @@ def _constant(value: int):
     return lambda v: value
 
 
-def compile_step(model: SystemModel) -> Callable[[Valuation], list[Valuation]]:
-    """Compile every guard and update of ``model`` once, and each node they
-    share once, and return its successor function.
+def _initial_valuations(model: SystemModel, slots: Mapping[str, int], memo: dict, budget: int):
+    base = tuple(v.init for v in model.variables)
+    if model.init_constraint is None:
+        return (base,)
+    # Widening constraint: every domain valuation satisfying it is initial,
+    # alongside the declared init vector.  The domain's size is checked
+    # against the state budget before enumerating, since itertools.product
+    # turns every range into a tuple before it yields anything.
+    try:
+        kind, pins, rest, safe, value, _ = compile_parts(model.init_constraint, slots, model.constants, memo)
+        if kind != "bool":
+            raise ModelError("init constraint is not boolean")
+        if math.prod(v.hi - v.lo + 1 for v in model.variables) > budget:
+            raise StateExplosionError(
+                f"state explosion: init constraint enumeration exceeded {budget} candidates"
+            )
+        allows = conjunction(pins, rest, safe) or _constant(value)
+        ranges = [range(v.lo, v.hi + 1) for v in model.variables]
+        inits = {base, *filter(allows, itertools.product(*ranges))}
+    except EvalError as exc:
+        raise ModelError(f"init constraint: {exc}") from None
+    return tuple(sorted(inits))
+
+
+def compile_model(
+    model: SystemModel, max_states: int = DEFAULT_STATE_BUDGET
+) -> tuple[tuple[Valuation, ...], Callable[[Valuation], list[Valuation]]]:
+    """``(initial, successors)``: the sorted initial valuations of ``model``,
+    the declared init vector and every valuation its init constraint
+    allows, and its successor function.  Sorted is the order ``build_graph``
+    numbers states in and the sizing searches in.  The init constraint,
+    the guards and the updates share one memo, so a node is compiled once.
 
     The successors of a valuation ``v`` are one valuation per enabled
     command, deduplicated and sorted, or ``[v]`` itself when no command is
@@ -212,12 +243,16 @@ def compile_step(model: SystemModel) -> Callable[[Valuation], list[Valuation]]:
     the literal ``false`` are dropped.  A model with no pins is scanned as
     a plain list, with no lookup.
 
-    Raises :class:`ModelError` for a guard that is not boolean or cannot be
-    typed; the successor function raises it when an update is not integer
-    or leaves its variable's range, or when arithmetic overflows.
+    Raises :class:`ModelError` for an init constraint or a guard that is
+    not boolean or cannot be typed, or an init constraint that overflows,
+    and :class:`StateExplosionError` for an init constraint over more than
+    ``max_states`` valuations, the init constraint's before any guard's;
+    the successor function raises :class:`ModelError` when an update is
+    not integer or leaves its variable's range, or when arithmetic overflows.
     """
     slots = {name: i for i, name in enumerate(model.var_names)}
     memo: dict = {}  # id of each node compiled so far -> what it compiled to
+    initial = _initial_valuations(model, slots, memo, max_states)
     scanned = []  # (index, where, guard, literals, updates), tried at every state
     tables: dict[tuple[int, ...], dict] = {}
     for i in range(len(model.commands)):
@@ -270,14 +305,14 @@ def compile_step(model: SystemModel) -> Callable[[Valuation], list[Valuation]]:
         return out or [v]
 
     if not lookups:
-        return successors
+        return initial, successors
 
     def dispatch(v: Valuation) -> list[Valuation]:
         commands = scanned + [c for get, lookup in lookups for c in lookup(get(v), ())]
         commands.sort()  # declaration order; indices are unique
         return successors(v, commands)
 
-    return dispatch
+    return initial, dispatch
 
 
 def _always(v: Valuation) -> bool:
@@ -382,29 +417,6 @@ def _transpose(start: array, targets: array) -> tuple[array, array]:
     return pred_start, sources
 
 
-def _initial_valuations(model: SystemModel, budget: int) -> list[Valuation]:
-    base = tuple(v.init for v in model.variables)
-    if model.init_constraint is None:
-        return [base]
-    # Widening constraint: every domain valuation satisfying it is initial,
-    # alongside the declared init vector.  The domain's size is checked
-    # against the state budget before enumerating, since itertools.product
-    # turns every range into a tuple before it yields anything.
-    try:
-        kind, allows = compile_expr(model.init_constraint, model.var_names, model.constants)
-        if kind != "bool":
-            raise ModelError("init constraint is not boolean")
-        if math.prod(v.hi - v.lo + 1 for v in model.variables) > budget:
-            raise StateExplosionError(
-                f"state explosion: init constraint enumeration exceeded {budget} candidates"
-            )
-        ranges = [range(v.lo, v.hi + 1) for v in model.variables]
-        inits = {base, *filter(allows, itertools.product(*ranges))}
-    except EvalError as exc:
-        raise ModelError(f"init constraint: {exc}") from None
-    return sorted(inits)
-
-
 class _Numbering(dict):
     """Valuation -> index, numbering the valuations in discovery order: a
     valuation not yet numbered is appended to ``states`` and given the next
@@ -434,7 +446,7 @@ def build_graph(model: SystemModel, max_states: int = DEFAULT_STATE_BUDGET) -> S
     one lookup in C.  Raises :class:`StateExplosionError` once more than
     ``max_states`` distinct states are discovered.
     """
-    inits, successors = _initial_valuations(model, max_states), compile_step(model)
+    inits, successors = compile_model(model, max_states)
     numbering = _Numbering(max_states)
     number = numbering.__getitem__
     initial = list(map(number, inits))

@@ -26,7 +26,7 @@ from traceval.execlog import (
 from traceval.expr import INT_MAX, INT_MIN
 from traceval.lang import parse_formula, parse_model, print_model
 from traceval.lifecycle import STATUS_CONFIRMED, STATUS_REJECTED, PreparedModel
-from traceval.model import DEFAULT_STATE_BUDGET, StateGraph, _initial_valuations, build_graph, compile_step
+from traceval.model import DEFAULT_STATE_BUDGET, StateGraph, build_graph, compile_model
 from traceval.town import town_model_text
 
 
@@ -585,7 +585,8 @@ def test_witnesses_on_a_chain():
 
 def test_walk_refuses_what_log_property_refuses():
     log = ExecutionLog(("x",), ((0,), (1,), (1,)))
-    walk = partial(follow, compile_step(parse_model("var x : 0..1 init 0;\n[] x==0 -> x'=1;\n")), {(0,)})
+    initial, successors = compile_model(parse_model("var x : 0..1 init 0;\n[] x==0 -> x'=1;\n"))
+    walk = partial(follow, successors, initial)
     for mode, base, message in (
         ("sideways", "faithful", "unknown property mode 'sideways'"),
         ("strong", "lenient", "unknown base mode 'lenient'"),
@@ -612,8 +613,8 @@ def _outcome(make, *args):
 def _sized(model, max_states):
     """What a prepared model finds for a refused log: the search from the
     initial valuations over the successor function."""
-    inits = _initial_valuations(model, max_states)
-    return reach(compile_step(model), inits, max_states)
+    initial, successors = compile_model(model, max_states)
+    return reach(successors, initial, max_states)
 
 
 def _assert_sized_as_built(model, max_states):

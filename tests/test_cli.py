@@ -490,6 +490,73 @@ def test_warnings_are_relayed_to_stderr(tmp_path, capsys, demo_tmp):
     )
 
 
+def _validate_args(tmp_path, *flags):
+    return ["validate", "--ledger", str(tmp_path / "ledger.jsonl"), "--store", str(tmp_path / "store"), *flags]
+
+
+def test_a_torn_ledger_line_is_one_warning_line(tmp_path, capsys):
+    lid = _town_order(tmp_path, capsys)
+    assert _execute(tmp_path, lid) == 0
+    capsys.readouterr()
+    ledger = tmp_path / "ledger.jsonl"
+    with open(ledger, "a") as fh:
+        fh.write('{"seq":3,"kind":"Ver')
+    assert main(_validate_args(tmp_path)) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"liability {lid}: Confirmed\n1 processed\n"
+    assert captured.err.startswith(f"warning: {ledger}:3: dropped a torn last line: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_watch_prints_each_warning_as_it_is_raised(tmp_path, capsys, monkeypatch):
+    """A torn line a poll finds is printed at that poll, before the run ends."""
+    from traceval import lifecycle
+
+    lid = _town_order(tmp_path, capsys)
+    assert _execute(tmp_path, lid) == 0
+    capsys.readouterr()
+    polls = []
+
+    def poll(seconds):
+        if polls:
+            raise KeyboardInterrupt
+        polls.append(capsys.readouterr().err)
+        with open(tmp_path / "ledger.jsonl", "a") as fh:
+            fh.write('{"seq":4,"kind":"Ver')
+
+    monkeypatch.setattr(lifecycle.time, "sleep", poll)
+    assert main(_validate_args(tmp_path, "--watch")) == 0
+    captured = capsys.readouterr()
+    assert polls == [""]
+    assert captured.out == f"liability {lid}: Confirmed\n1 processed\n"
+    assert captured.err.startswith(f"warning: {tmp_path / 'ledger.jsonl'}:4: dropped a torn last line: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_a_validator_error_is_warned_with_its_exception(tmp_path, capsys):
+    from traceval.lifecycle import ContentStore, create_liability, submit_result
+
+    ledger, store = Ledger(tmp_path / "ledger.jsonl"), ContentStore(tmp_path / "store")
+    model_hash = store.put_text(f"var x : 0..1 init 0;\n[] {DEEP} -> x'=1;\n")
+    lid = create_liability(ledger, store, "0x01", "0x02", model_hash, store.put_text("{}"))
+    submit_result(ledger, store, lid, store.put_text("x\n0\n1\n1\n"))
+    assert main(_validate_args(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"liability {lid}: Rejected (validator-error)\n1 processed\n"
+    assert captured.err.startswith(f"warning: liability {lid}: validator-error: RecursionError: maximum recursion")
+    assert captured.err.count("\n") == 1
+    assert (tmp_path / "ledger.jsonl").read_text().splitlines()[-1] == (
+        f'{{"seq":3,"kind":"Verdict","id":{lid},"verdict":"Rejected","reason":"validator-error"}}'
+    )
+
+
+def test_validate_liability_and_watch_are_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(_validate_args(tmp_path, "--liability", "1", "--watch"))
+    assert err.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 DEEP = "(" * 5000 + "x==0" + ")" * 5000  # nested past the parser's recursion
 
 

@@ -19,7 +19,7 @@ from traceval.execlog import (
     row_conjunction,
 )
 from traceval.lang import parse_model
-from traceval.model import build_graph, compile_step
+from traceval.model import build_graph, compile_model
 
 
 def test_parse_minimal_log():
@@ -263,8 +263,7 @@ def test_deep_log_property_round_trips_and_checks():
 
 def _unique_run(model, n):
     """Simulation oracle: the n-state run of a deterministic model."""
-    successors = compile_step(model)
-    state = tuple(v.init for v in model.variables)
+    (state,), successors = compile_model(model)
     rows = [state]
     for _ in range(n - 1):
         nxt = successors(state)

@@ -15,7 +15,7 @@ from traceval.cli import build_parser
 from traceval.ctl import print_formula
 from traceval.errors import EvalError, ParseError, TemplateError, line_col
 from traceval.execlog import MODES, ExecutionLog, log_property
-from traceval.expr import INT_MIN, BinOp, IntLit, Name, compile_expr
+from traceval.expr import INT_MIN, BinOp, IntLit, Name, compile_parts, conjunction
 from traceval.lang import _error_at, _lex, parse_formula, parse_model, print_model
 from traceval.model import build_graph
 from traceval.town import town_model_text
@@ -533,5 +533,6 @@ def test_atom_comparators_agree_with_guard_comparisons(op, lhs, rhs):
 
     graph = StateGraph(("x",), ((lhs,),), frozenset({0}), (frozenset({0}),))
     via_atom = 0 in sat(graph, ctl.Atom("x", op, rhs))
-    via_expr = compile_expr(BinOp(op, Name("x"), IntLit(rhs)), ("x",))[1]((lhs,))
+    _, pins, rest, safe, _, _ = compile_parts(BinOp(op, Name("x"), IntLit(rhs)), {"x": 0}, {}, {})
+    via_expr = conjunction(pins, rest, safe)((lhs,))
     assert via_atom == via_expr

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import shutil
+import stat
 import tempfile
 import warnings
 
@@ -69,6 +71,17 @@ def test_store_put_leaves_other_temporary_files_alone(store):
     assert stale.read_bytes() == b"another writer's half"
     assert store.get(digest) == b"blob"
     assert store.hashes() == [digest]
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)], ids=["022", "077", "002"])
+def test_a_blob_gets_the_mode_a_new_file_gets(store, umask, mode):
+    old = os.umask(umask)
+    try:
+        digest = store.put(b"blob %o" % umask)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((store.root / digest).stat().st_mode) == mode
+    assert os.listdir(store.root) == [digest]
 
 
 @pytest.mark.parametrize(
@@ -563,8 +576,8 @@ def test_run_validator_holds_a_bounded_number_of_models(monkeypatch, ledger, sto
 @pytest.mark.parametrize(
     "stage,log",
     # only a log the walk refuses, here at its first row, sizes the model
-    [("parse_model", "z\n0\n1\n1\n"), ("compile_step", "z\n0\n1\n1\n"), ("reach", "z\n1\n1\n")],
-    ids=["parse_model", "compile_step", "reach"],
+    [("parse_model", "z\n0\n1\n1\n"), ("compile_model", "z\n0\n1\n1\n"), ("reach", "z\n1\n1\n")],
+    ids=["parse_model", "compile_model", "reach"],
 )
 def test_run_validator_caches_no_exception(monkeypatch, ledger, store, stage, log):
     """A model whose parse, compile or sizing raises unexpectedly is tried
@@ -574,7 +587,7 @@ def test_run_validator_caches_no_exception(monkeypatch, ledger, store, stage, lo
     tries = []
 
     def raising(arg, *args, **kwargs):
-        # parse_model reads the hostile text and compile_step its parse tree;
+        # parse_model reads the hostile text and compile_model its parse tree;
         # reach sizes, with no target, only for a refused log, the hostile one
         if stage == "reach":
             hit = len(args) < 3 and "target" not in kwargs
@@ -635,25 +648,16 @@ def test_a_refused_log_compiles_its_model_once(monkeypatch, ledger, store):
     """Sizing for a refused log reuses the initial valuations and the
     successor function the walk found; ``run_validator`` compiles and
     sizes once per model."""
-    from traceval import model
-
-    def counted(name):
-        """Count the calls made through ``lifecycle`` and ``model`` alike."""
-        calls = _count_calls(monkeypatch, name)
-        real = getattr(model, name)
-        monkeypatch.setattr(model, name, lambda *args: calls.append(args) or real(*args))
-        return calls
-
-    calls = {name: counted(name) for name in ("compile_step", "_initial_valuations")}
+    compiles = _count_calls(monkeypatch, "compile_model")
     sizings = _count_calls(monkeypatch, "reach")
     # the init constraint adds x==1 to the initial valuations
     toggle = TOGGLE.replace("\n[]", "\ninit x>0;\n[]", 1)
     assert adjudicate(toggle, "x\n0\n1\n1\n") == (STATUS_REJECTED, "property-failed")
-    assert [len(c) for c in (calls["compile_step"], calls["_initial_valuations"], sizings)] == [1, 1, 1]
+    assert [len(compiles), len(sizings)] == [1, 1]
     for log_text in ("x\n0\n0\n1\n", "x\n2\n2\n", "x\n1\n0\n1\n1\n"):
         _submitted(ledger, store, toggle, log_text)
     assert [verdict for _, verdict in run_validator(ledger, store)] == [STATUS_REJECTED] * 3
-    assert [len(c) for c in (calls["compile_step"], calls["_initial_valuations"], sizings)] == [2, 2, 2]
+    assert [len(compiles), len(sizings)] == [2, 2]
 
 
 def test_a_refused_log_steps_each_state_once(monkeypatch):
@@ -661,13 +665,13 @@ def test_a_refused_log_steps_each_state_once(monkeypatch):
     function, not through the walk's memo; a second refusal steps nothing
     new, as the walk steps through its memo and the model is sized once."""
     steps = []
-    real = lifecycle.compile_step
+    real = lifecycle.compile_model
 
-    def counting(model):
-        step = real(model)
-        return lambda v: steps.append(v) or step(v)
+    def counting(model, max_states):
+        initial, step = real(model, max_states)
+        return initial, lambda v: steps.append(v) or step(v)
 
-    monkeypatch.setattr(lifecycle, "compile_step", counting)
+    monkeypatch.setattr(lifecycle, "compile_model", counting)
     prepared = lifecycle.PreparedModel(GRID10)
     # the weak search to (9,9) steps most of the grid; (0,0) is unreachable from there
     assert prepared.judge("x,y\n0,0\n9,9\n0,0\n", "weak")[:2] == (STATUS_REJECTED, "property-failed")

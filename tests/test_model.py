@@ -20,7 +20,7 @@ from traceval import model as model_module
 from traceval.expr import INT_MAX, BinOp, BoolLit, IntLit, Name, NotOp
 from traceval.lang import parse_model, print_model
 from traceval.lifecycle import STATUS_CONFIRMED, adjudicate
-from traceval.model import GuardedCommand, StateGraph, SystemModel, VarDecl, build_graph, compile_step
+from traceval.model import GuardedCommand, StateGraph, SystemModel, VarDecl, build_graph, compile_model
 from traceval.town import Objective, ObjectiveStep, town_model_text
 
 
@@ -29,15 +29,15 @@ def _cmd(guard, updates=()):
 
 
 def test_step_single_enabled_command():
-    assert compile_step(parse_model(CHAIN2))((0,)) == [(1,)]
+    assert compile_model(parse_model(CHAIN2))[1]((0,)) == [(1,)]
 
 
 def test_step_deadlock_self_loop():
-    assert compile_step(parse_model(CHAIN2))((1,)) == [(1,)]
+    assert compile_model(parse_model(CHAIN2))[1]((1,)) == [(1,)]
 
 
 def test_step_toggle():
-    successors = compile_step(parse_model(TOGGLE))
+    successors = compile_model(parse_model(TOGGLE))[1]
     assert successors((0,)) == [(1,)]
     assert successors((1,)) == [(0,)]
 
@@ -46,11 +46,11 @@ def test_step_simultaneous_updates_read_pre_state():
     model = parse_model(
         "var a : 0..3 init 1;\nvar b : 0..3 init 2;\n[] true -> a'=b & b'=a;\n"
     )
-    assert compile_step(model)((1, 2)) == [(2, 1)]
+    assert compile_model(model)[1]((1, 2)) == [(2, 1)]
 
 
 def test_step_out_of_bounds_names_command_and_variable():
-    successors = compile_step(parse_model("var x : 0..1 init 1;\n[boom] x==1 -> x'=x+1;\n"))
+    successors = compile_model(parse_model("var x : 0..1 init 1;\n[boom] x==1 -> x'=x+1;\n"))[1]
     with pytest.raises(ModelError, match=r"\[boom\].*'x' to 2.*0\.\.1"):
         successors((1,))
 
@@ -139,6 +139,48 @@ def test_integer_init_constraint_is_refused():
     with pytest.raises(ModelError, match="^init constraint is not boolean$"):
         build_graph(model)
     _assert_graph_matches_reference(model)
+
+
+@settings(max_examples=150, deadline=None)
+@given(models().filter(lambda model: model.init_constraint is not None))
+def test_compile_model_gives_the_reference_initial_valuations(model):
+    assert compile_model(model)[0] == tuple(naive_eval.initial_valuations(model))
+
+
+@pytest.mark.parametrize(
+    "init,hi,budget,refusal",
+    [
+        (BinOp("==", Name("ghost"), IntLit(0)), 2, 10, "ModelError: init constraint: unknown identifier 'ghost'"),
+        (Name("x"), 2, 10, "ModelError: init constraint is not boolean"),
+        (
+            BinOp(">", BinOp("*", Name("x"), IntLit(INT_MAX)), IntLit(0)), 2, 10,
+            "ModelError: init constraint: arithmetic overflow in '*': result 18446744073709551614",
+        ),
+        (
+            BinOp(">", Name("x"), IntLit(0)), 2, 2,
+            "StateExplosionError: state explosion: init constraint enumeration exceeded 2 candidates",
+        ),
+        (
+            BinOp("==", Name("x"), IntLit(0)), INT_MAX, 1_000_000,
+            "StateExplosionError: state explosion: init constraint enumeration exceeded 1000000 candidates",
+        ),
+    ],
+    ids=["unknown-name", "not-boolean", "overflow", "over-the-budget", "wide-domain"],
+)
+def test_compile_model_refuses_an_init_constraint_before_any_guard(init, hi, budget, refusal):
+    """Each refusal is worded as before; it comes before the guard that is
+    not boolean, and a domain wider than the budget is refused before it is
+    enumerated."""
+    import tracemalloc
+
+    model = SystemModel({}, (VarDecl("x", 0, hi, 0),), (_cmd(Name("x")),), init)
+    tracemalloc.start()
+    try:
+        assert _outcome(compile_model, model, budget) == refusal
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _random_model(rng: random.Random) -> SystemModel:
@@ -241,7 +283,7 @@ def _assert_graph_matches_reference(model):
 @given(models())
 def test_compiled_step_and_graph_match_reference(model):
     domain = itertools.product(*(range(v.lo, v.hi + 1) for v in model.variables))
-    successors = compile_step(model)
+    successors = compile_model(model)[1]
     for valuation in domain:
         if _reference_raises(naive_eval.step, model, valuation):
             with pytest.raises(ModelError):
@@ -371,16 +413,18 @@ def _unshared_model(model):
 
 
 def _answers(model, valuations):
-    """The text of ``model``, its successors or ModelError text at each of
-    ``valuations``, and its graph or the text of the ModelError building
-    it raises; or the text of the ModelError compiling it raises."""
-    successors = _outcome(compile_step, model)
-    if isinstance(successors, str):
-        return successors
+    """The text of ``model``, its initial valuations, its successors or
+    ModelError text at each of ``valuations``, and its graph or the text of
+    the ModelError building it raises; or the text of the ModelError
+    compiling it raises."""
+    compiled = _outcome(compile_model, model)
+    if isinstance(compiled, str):
+        return compiled
+    initial, successors = compiled
     graph = _outcome(build_graph, model)
     if not isinstance(graph, str):
         graph = (graph.states, graph.initial, successor_lists(graph))
-    return print_model(model), [_outcome(successors, v) for v in valuations], graph
+    return print_model(model), initial, [_outcome(successors, v) for v in valuations], graph
 
 
 def _domain(model):
@@ -417,7 +461,7 @@ def test_nodes_a_built_model_shares_answer_as_copies_of_them():
             GuardedCommand(None, BinOp("&", h, guard), step_y),
         ))
         for valuation in _domain(model):
-            assert _outcome(compile_step(model), valuation) == _outcome(naive_eval.step, model, valuation)
+            assert _outcome(compile_model(model)[1], valuation) == _outcome(naive_eval.step, model, valuation)
         _assert_graph_matches_reference(model)
         assert _answers(model, _domain(model)) == _answers(_unshared_model(model), _domain(model))
     untyped = BinOp("+", x, BoolLit(True))
@@ -425,7 +469,7 @@ def test_nodes_a_built_model_shares_answer_as_copies_of_them():
         GuardedCommand("a", g, (("y", untyped),)),
         GuardedCommand("b", BinOp("==", x, IntLit(1)), (("y", untyped),)),
     ))
-    successors = compile_step(model)
+    successors = compile_model(model)[1]
     for valuation, named in (((0, 0), "#1 [a]"), ((1, 0), "#2 [b]")):
         assert _outcome(successors, valuation) == f"ModelError: command {named}: operands of '+' must be integers"
     assert _answers(model, _domain(model)) == _answers(_unshared_model(model), _domain(model))
@@ -455,7 +499,7 @@ def test_parsing_shares_every_equal_subtree_and_compiling_compiles_each_once(mon
 
     for name in ("_compile_binary", "_compile_leaf"):
         monkeypatch.setattr(expr_module, name, counting(getattr(expr_module, name)))
-    compile_step(model)
+    compile_model(model)
     commands = _node_objects(_roots(dataclasses.replace(model, init_constraint=None)))
     assert set(compiled) == {id(e) for e in commands if not isinstance(e, NotOp)}
     assert set(compiled.values()) == {1}
@@ -473,7 +517,7 @@ def test_a_long_conjunction_compiles_in_linear_time(deep):
     variables = (VarDecl("x", 0, 1, 0), VarDecl("y", 0, 1, 0))
     model = SystemModel({}, variables, (GuardedCommand(None, guard, (("x", IntLit(1)),)),))
     start = time.perf_counter()
-    successors = compile_step(model)
+    successors = compile_model(model)[1]
     assert time.perf_counter() - start < 30
     assert [successors(v) for v in ((0, 0), (0, 1))] == [[(0, 0)], [(1, 1)]]
 
@@ -529,7 +573,7 @@ def test_errors_raise_model_error_exactly_where_the_reference_raises(guard, upda
     for x in range(3):
         assert _reference_raises(naive_eval.step, model, (x,)) == (x in raising)
     try:
-        successors = compile_step(model)
+        successors = compile_model(model)[1]
     except ModelError as exc:
         # a guard that cannot be typed fails the compile, as it fails every state
         assert raising == {0, 1, 2}
@@ -643,7 +687,7 @@ def _outcome(fn, *args):
 @given(pinned_models())
 def test_dispatch_matches_reference_with_the_same_errors(model):
     domain = itertools.product(*(range(v.lo, v.hi + 1) for v in model.variables))
-    successors = compile_step(model)
+    successors = compile_model(model)[1]
     for valuation in domain:
         expected = _outcome(naive_eval.step, model, valuation)
         assert _outcome(successors, valuation) == expected
@@ -663,7 +707,7 @@ def test_a_shift_past_64_bits_overflows_whatever_the_range():
     fits the range but not 64 bits, so it still overflows."""
     wide = VarDecl("x", 0, INT_MAX + 5, INT_MAX)
     model = SystemModel({}, (wide,), (_cmd(BoolLit(True), (("x", BinOp("+", Name("x"), IntLit(1))),)),))
-    successors = compile_step(model)
+    successors = compile_model(model)[1]
     expected = _outcome(naive_eval.step, model, (INT_MAX,))
     assert expected.startswith("ModelError: command #1: arithmetic overflow in '+'")
     assert _outcome(successors, (INT_MAX,)) == expected
@@ -727,7 +771,7 @@ def test_budgets_stop_the_build_and_the_search_where_the_reference_does(model, d
     target = data.draw(st.one_of(st.none(), st.sampled_from(domain)))
     reachable = _outcome(naive_eval.reachable_graph, model)
     count = len(domain) if isinstance(reachable, str) else len(reachable[0])
-    successors, inits = compile_step(model), naive_eval.initial_valuations(model)
+    successors, inits = compile_model(model)[1], naive_eval.initial_valuations(model)
     for budget in range(count + 2):
         assert _outcome(_graph_rows, model, budget) == _outcome(_reference_build, model, budget)
         assert _outcome(reach, successors, inits, budget, target) == _outcome(
@@ -743,14 +787,14 @@ def test_the_first_failing_command_is_named_across_tables():
         "[ys] y==0 -> x'=7;\n"           # the table on y
         "[never] x==1 & x==2 -> x'=9;\n"
     )
-    successors = compile_step(model)
+    successors = compile_model(model)[1]
     assert successors((2, 1)) == [(2, 1)]
     for valuation, named in (((0, 0), "[scan]"), ((2, 0), "[ys]"), ((1, 2), "[scan]")):
         with pytest.raises(ModelError, match=re.escape(named)):
             successors(valuation)
     without_scan = SystemModel({}, model.variables, model.commands[1:])
     with pytest.raises(ModelError, match=r"command #1 \[both\]: update drives 'y' to 9"):
-        compile_step(without_scan)((1, 0))
+        compile_model(without_scan)[1]((1, 0))
 
 
 def _pinned_position(guard):
@@ -797,7 +841,7 @@ def test_dispatch_tries_only_the_commands_pinned_to_a_state(monkeypatch):
     # the table lookups, and the whole guards of the commands tried at every state
     monkeypatch.setattr(model_module, "itemgetter", lambda *slots: counting(itemgetter(*slots)))
     monkeypatch.setattr(model_module, "conjunction", lambda *args: counting(real_conjunction(*args)))
-    successors = compile_step(model)
+    successors = compile_model(model)[1]
     calls = 0
     assert successors((99, 99, 0, 0)) == [(99, 99, 0, 0)]
     tables = calls  # a valuation no command pins calls only the table lookups
