@@ -23,7 +23,7 @@ Property grammar: atoms ``IDENT op INT``, whatever the identifier's name;
 ``parse_model`` builds one node per distinct subexpression: equal
 subexpressions of a model, such as a ``x==0`` that hundreds of guards
 test, are one shared node.  Nodes are immutable, so sharing changes no
-answer; ``model.compile_step`` compiles each shared node once.
+answer; ``model.compile_model`` compiles each shared node once.
 
 ``print_model`` and ``ctl.print_formula`` emit canonical text, so
 ``parse(print(x))`` is structurally ``x``; both print through the one

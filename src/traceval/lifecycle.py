@@ -1,8 +1,11 @@
 """Simulated liability lifecycle: content store, event ledger, validator.
 
 The store is a directory of blobs named by the lowercase-hex SHA-256 of
-their bytes.  The ledger is an append-only JSON-lines file; replaying it
-rebuilds every liability's status.  One method, ``Ledger._apply``, rules
+their bytes, read whole through one unbuffered file; a name there that is
+not a regular file (a directory, a FIFO) counts as missing.  The ledger is
+an append-only JSON-lines file, each event appended as one unbuffered
+``O_APPEND`` write of its encoded line; replaying it rebuilds every
+liability's status.  One method, ``Ledger._apply``, rules
 on every transition (Created -> ResultSubmitted -> Confirmed | Rejected),
 for appends and replays alike, and refuses an illegal one.  A ledger file
 that is not UTF-8, has a line that is not a JSON object, or records an
@@ -53,7 +56,7 @@ import hashlib
 import json
 import os
 import re
-import tempfile
+import stat
 import time
 import warnings
 from dataclasses import dataclass
@@ -110,14 +113,13 @@ _POLL_INTERVAL = 0.5
 def write_atomically(path: Path, data: bytes):
     """Write ``data`` to a temporary file of its own beside ``path`` and
     rename it over ``path``, so a failed write leaves any old file as it
-    was.  The file gets the mode a new file gets, not mkstemp's 0600."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    was.  The temporary file takes a fresh random name and is created with
+    O_EXCL and mode 0666, so the kernel applies the umask as to a new file."""
+    tmp = path.parent / f".{path.name}.{os.urandom(16).hex()}"
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -130,38 +132,40 @@ class ContentStore:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._prefix = os.path.join(self.root, "")  # a blob's path is this plus its hash
 
-    def _path(self, digest: str) -> Path:
-        if not _HASH_RE.fullmatch(digest):
-            raise StoreError(f"not a content hash: {digest!r}")
-        return self.root / digest
+    def _has(self, digest: str) -> bool:
+        """Whether ``digest`` names a regular file, by one ``stat``: a
+        directory, a FIFO or any other file there counts as missing."""
+        try:
+            return stat.S_ISREG(os.stat(self._prefix + digest).st_mode)
+        except (FileNotFoundError, NotADirectoryError):
+            return False
 
     def put(self, data: bytes) -> str:
         digest = hashlib.sha256(data).hexdigest()
-        path = self.root / digest
-        if not path.exists():
+        if not self._has(digest):
             # A temporary name of its own per writer: two writers of one blob
             # never write into one file.  ``hashes`` ignores such names.
-            write_atomically(path, data)
+            write_atomically(self.root / digest, data)
         return digest
 
     def put_text(self, text: str) -> str:
         return self.put(text.encode("utf-8"))
 
     def get(self, digest: str) -> bytes:
-        path = self._path(digest)
-        if not path.is_file():
+        if not _HASH_RE.fullmatch(digest):
+            raise StoreError(f"not a content hash: {digest!r}")
+        if not self._has(digest):
             raise StoreError(f"unknown hash {digest}")
-        return path.read_bytes()
+        with open(self._prefix + digest, "rb", buffering=0) as fh:
+            return fh.readall()
 
     def get_text(self, digest: str) -> str:
         return self.get(digest).decode("utf-8")
 
     def __contains__(self, digest: str) -> bool:
-        try:
-            return self._path(digest).is_file()
-        except StoreError:
-            return False
+        return _HASH_RE.fullmatch(digest) is not None and self._has(digest)
 
     def hashes(self) -> list[str]:
         return sorted(
@@ -290,15 +294,18 @@ class Ledger:
         return liab
 
     def append(self, kind: str, **payload) -> dict:
-        """Validate and persist one event; returns it with its seq.  A failed
-        write reloads the ledger from its file and re-raises."""
+        """Validate and persist one event, with one unbuffered ``O_APPEND``
+        write of its encoded line (more only if the write comes up short);
+        returns it with its seq.  A failed write reloads the ledger from
+        its file and re-raises."""
         event = {"seq": len(self.events) + 1, "kind": kind, **payload}
-        line = json.dumps(event, separators=(",", ":")) + "\n"
+        line = (json.dumps(event, separators=(",", ":")) + "\n").encode("utf-8")
         self._apply(event)
         self.events.append(event)
         try:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line)
+            with open(self.path, "ab", buffering=0) as fh:
+                while line:
+                    line = line[fh.write(line):]
         except BaseException:
             self.reload()
             raise

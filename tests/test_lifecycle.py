@@ -1,9 +1,11 @@
+import builtins
 import hashlib
 import json
 import os
 import shutil
 import stat
 import tempfile
+import threading
 import warnings
 
 import pytest
@@ -84,6 +86,17 @@ def test_a_blob_gets_the_mode_a_new_file_gets(store, umask, mode):
     assert os.listdir(store.root) == [digest]
 
 
+def test_a_blob_is_put_without_touching_the_umask(monkeypatch, store):
+    """The umask is process-wide: setting it, even briefly, races every
+    other thread that creates a file."""
+    def umask(mask):
+        raise AssertionError(f"os.umask({mask:#o}) called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    digest = store.put(b"blob")
+    assert store.get(digest) == b"blob"
+
+
 @pytest.mark.parametrize(
     "digest",
     ["nonsense", "ABCDEF0123456789" * 4, "0123456789abcdef" * 4 + "\n", "0" * 63 + "\u0663", "../" + "0" * 61],
@@ -101,6 +114,42 @@ def test_store_verify_flags_corruption(store):
     assert store.verify() == []
     (store.root / digest).write_bytes(b"tampered")
     assert store.verify() == [digest]
+
+
+@pytest.mark.parametrize("blob", ["model", "log"])
+@pytest.mark.parametrize("kind", ["directory", "fifo"])
+def test_a_hash_that_names_no_regular_file_is_missing(ledger, store, kind, blob):
+    """A directory or a FIFO named by a hash is an unknown hash and is never
+    opened: opening a FIFO waits for a writer, so the checks run in a
+    thread that must end within five seconds.  Putting the blob again
+    replaces a FIFO and fails on a directory, leaving no temporary file."""
+    lid = _submitted(ledger, store)
+    liab = ledger.liability(lid)
+    digest = liab.model_hash if blob == "model" else liab.result_hash
+    data = (CHAIN2 if blob == "model" else "x\n0\n1\n1\n").encode()
+    path = store.root / digest
+    path.unlink()
+    path.mkdir() if kind == "directory" else os.mkfifo(path)
+    outcome = []
+
+    def check():
+        with pytest.raises(StoreError, match=f"unknown hash {digest}"):
+            store.get(digest)
+        outcome.extend([digest in store, validate(ledger, store, lid)])
+        if kind == "directory":
+            with pytest.raises(IsADirectoryError):
+                store.put(data)
+        else:
+            assert store.put(data) == digest and store.get(digest) == data
+        outcome.append([name for name in os.listdir(store.root) if name.startswith(".")])
+
+    worker = threading.Thread(target=check, daemon=True)
+    worker.start()
+    worker.join(timeout=5)
+    assert not worker.is_alive(), "the check hung"
+    assert outcome == [False, STATUS_REJECTED, []]
+    assert ledger.liability(lid).reason == "missing-blob"
+    assert Ledger(ledger.path).events == ledger.events
 
 
 # --- ledger state machine ----------------------------------------------------
@@ -796,6 +845,39 @@ def test_a_torn_last_line_is_cut_with_a_warning(monkeypatch, ledger, store, torn
     assert validate(fresh, store, lid) == STATUS_CONFIRMED
     assert Ledger(ledger.path).events == fresh.events
     assert fresh.liability(lid).status == STATUS_CONFIRMED
+
+
+def test_an_append_survives_short_writes(monkeypatch, ledger, store):
+    """A file that takes one byte per write still gets every whole line."""
+    writes = []
+
+    class OneByteFile:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            writes.append(len(data))
+            return self.fh.write(data[:1])
+
+    def one_byte_open(path, mode="r", *args, **kwargs):
+        fh = builtins.open(path, mode, *args, **kwargs)
+        return OneByteFile(fh) if "a" in mode else fh
+
+    monkeypatch.setattr(lifecycle, "open", one_byte_open, raising=False)
+    _submitted(ledger, store)
+    _submitted(ledger, store, log_text="x\n1\n1\n")
+    assert [verdict for _, verdict in run_validator(ledger, store)] == [STATUS_CONFIRMED, STATUS_REJECTED]
+    events = ledger.events
+    text = "".join(json.dumps(e, separators=(",", ":")) + "\n" for e in events)
+    assert ledger.path.read_text() == text
+    assert len(writes) == len(text)
+    assert Ledger(ledger.path).events == events
 
 
 def test_a_last_event_without_a_newline_is_ended_with_one(ledger, store):
