@@ -7,7 +7,8 @@ binds tighter than ``|`` and both bind looser than ``!`` and temporals.
 ``print_formula`` is ``expr.print_tree`` with this language's layout, the
 one printer expressions use too: it reads the precedence of ``&`` and
 ``|`` from ``expr.BIN_PREC``, never recurses, and takes time and memory
-linear in the text it prints.
+linear in the text it prints.  The node classes share ``expr.Node``'s
+equality and hashing, which never recurse either.
 """
 
 from __future__ import annotations
@@ -16,70 +17,70 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import EvalError
-from .expr import ATOM_PREC, BIN_PREC, NOT_PREC, print_tree
+from .expr import ATOM_PREC, BIN_PREC, NOT_PREC, Node, print_tree
 
 
-@dataclass(frozen=True)
-class TrueF:
+@dataclass(frozen=True, eq=False)
+class TrueF(Node):
     pass
 
 
-@dataclass(frozen=True)
-class FalseF:
+@dataclass(frozen=True, eq=False)
+class FalseF(Node):
     pass
 
 
-@dataclass(frozen=True)
-class Atom:
+@dataclass(frozen=True, eq=False)
+class Atom(Node):
     var: str
     op: str
     value: int
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False)
+class Not(Node):
     child: "CtlFormula"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False)
+class And(Node):
     left: "CtlFormula"
     right: "CtlFormula"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False)
+class Or(Node):
     left: "CtlFormula"
     right: "CtlFormula"
 
 
-@dataclass(frozen=True)
-class EX:
+@dataclass(frozen=True, eq=False)
+class EX(Node):
     child: "CtlFormula"
 
 
-@dataclass(frozen=True)
-class EF:
+@dataclass(frozen=True, eq=False)
+class EF(Node):
     child: "CtlFormula"
 
 
-@dataclass(frozen=True)
-class EG:
+@dataclass(frozen=True, eq=False)
+class EG(Node):
     child: "CtlFormula"
 
 
-@dataclass(frozen=True)
-class AX:
+@dataclass(frozen=True, eq=False)
+class AX(Node):
     child: "CtlFormula"
 
 
-@dataclass(frozen=True)
-class AF:
+@dataclass(frozen=True, eq=False)
+class AF(Node):
     child: "CtlFormula"
 
 
-@dataclass(frozen=True)
-class AG:
+@dataclass(frozen=True, eq=False)
+class AG(Node):
     child: "CtlFormula"
 
 

@@ -1,13 +1,12 @@
 """Execution logs and their compilation into CTL properties.
 
 A log is a CSV table: a header of variable names, then one row of signed
-64-bit integer values per observed state.  ``parse_log`` checks the rows
-in bulk, with one line-anchored regex search for the first line that is
-not a row of integer cells of at most 18 digits, the cells that surely
-fit in 64 bits.  When it finds none, the cells are converted in chunks of
-whole lines inside C calls; otherwise the line-by-line parse runs, and it
-alone words every ``LogError``.  The log compiles into two property
-shapes:
+64-bit integer values per observed state.  ``parse_log`` reads the rows
+with a line-anchored regex search for each odd line, one that is not a
+row of integer cells of at most 18 digits, which surely fit in 64 bits.
+Each odd line is read alone, giving its row or the ``LogError`` that
+names it, and the clean lines between are converted in chunks of whole
+lines inside C calls.  The log compiles into two property shapes:
 
 * strong -- consecutive rows must be connected by single transitions (EX)
   and the final row must hold forever (AG);
@@ -36,7 +35,6 @@ from .errors import LogError
 from .expr import INT_MAX, INT_MIN, int_literal
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_INT_RE = re.compile(r"-?\d+\Z")
 # One cell of a row that fits in 64 bits: an integer of at most 18 digits,
 # with blanks, but no newline, around it.
 _CELL = r"[^\S\n]*-?\d{1,18}[^\S\n]*"
@@ -79,13 +77,9 @@ class ExecutionLog:
 
 
 def parse_log(text: str) -> ExecutionLog:
-    """Parse CSV log text (LF or CRLF, no quoting).
-
-    The header is read first.  When every line after it is a row of as many
-    integer cells as the header has names, none of 19 digits or more, the
-    cells are converted in bulk; otherwise ``_parse_rows`` reads the body
-    line by line and raises the ``LogError`` that names the first bad
-    line."""
+    """Parse CSV log text (LF or CRLF, no quoting): the header, then the
+    rows with ``_read_rows``, whose first bad line raises the ``LogError``
+    that names it."""
     if not text:
         raise LogError("empty log")
     newline = text.find("\n")
@@ -97,57 +91,59 @@ def parse_log(text: str) -> ExecutionLog:
             raise LogError(f"invalid variable name {cell!r} in header")
     m = len(header)
     end = len(text) - text.endswith("\n")
-    rows = _bulk_rows(text, newline, end, m) if newline < end else None
-    if rows is None:
-        rows = _parse_rows(text[newline + 1:], m)
-    return ExecutionLog(tuple(header), rows)
+    return ExecutionLog(tuple(header), _read_rows(text, newline, end, m))
 
 
-def _bulk_rows(text: str, start: int, end: int, m: int) -> tuple[tuple[int, ...], ...] | None:
+def _read_rows(text: str, start: int, end: int, m: int) -> tuple[tuple[int, ...], ...]:
     """The rows on the lines of ``text[start + 1:end]``, ``start`` being the
-    header's newline, or None unless each line is ``m`` integer cells of at
-    most 18 digits, which all fit in 64 bits."""
-    # One search for a line that is not a row.  Anchored on the newline
-    # before each line, not on ^, it starts a match only at newlines, which
-    # the regex engine finds by scanning for that one character.
-    row = f"{_CELL}(?:,{_CELL}){{{m - 1}}}$"
-    if re.compile(f"(?m)\n(?!{row})").search(text, start, end) is not None:
-        return None
+    header's newline.  Each odd line, one that is not ``m`` integer cells
+    of at most 18 digits, is read alone before the clean run above it is
+    converted, so a bad line is refused before any cell above it is."""
+    # Anchored on the newline before each line, not on ^, the search starts
+    # a match only at newlines, which the regex engine finds by scanning for
+    # that one character.
+    odd = re.compile(f"(?m)\n(?!{_CELL}(?:,{_CELL}){{{m - 1}}}$)")
     rows: list[tuple[int, ...]] = []
-    i = start + 1
-    while i < end:
-        j = text.find("\n", i + _CHUNK, end)
+    i, line_no = start + 1, 2  # the first line not yet read, and its number
+    for found in odd.finditer(text, start, end):
+        at = found.start()  # the newline before the odd line
+        line_no += text.count("\n", i, at + 1)
+        stop = text.find("\n", at + 1, end)
+        stop = end if stop < 0 else stop
+        row = _line_row(text[at + 1:stop], line_no, m)
+        _convert(rows, text, i, at, m)
+        rows.append(row)
+        i, line_no = stop + 1, line_no + 1
+    _convert(rows, text, i, end, m)
+    return tuple(rows)
+
+
+def _convert(rows: list, text: str, i: int, stop: int, m: int) -> None:
+    """Append the rows of the clean lines of ``text[i:stop]`` to ``rows``."""
+    while i < stop:
+        j = text.find("\n", i + _CHUNK, stop)
         if j < 0:
-            j = end
+            j = stop
         cells = map(int, _TOKEN_RE.findall(text, i, j))
         rows.extend(zip(*[cells] * m))
         i = j + 1
-    return tuple(rows)
 
 
-def _parse_rows(body: str, m: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of ``body``, the text after the header's newline, read line
-    by line: the first bad line raises ``LogError``."""
-    lines = body.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    rows: list[tuple[int, ...]] = []
-    for line_no, line in enumerate(lines, start=2):
-        cells = [cell.strip() for cell in line.rstrip("\r").split(",")]
-        if len(cells) != m:
-            raise LogError(f"ragged row at line {line_no}: {len(cells)} cells, expected {m}")
-        values = []
-        for col, cell in enumerate(cells, start=1):
-            if not _INT_RE.match(cell):
-                raise LogError(f"non-integer cell {cell!r} at line {line_no}, column {col}")
-            value = int_literal(cell)
-            if value is None:
-                raise LogError(
-                    f"cell at line {line_no}, column {col} is outside {INT_MIN}..{INT_MAX}"
-                )
-            values.append(value)
-        rows.append(tuple(values))
-    return tuple(rows)
+def _line_row(line: str, line_no: int, m: int) -> tuple[int, ...]:
+    """The row on one odd line, numbered ``line_no``, or the ``LogError``
+    that names what is wrong with it."""
+    cells = [cell.strip() for cell in line.rstrip("\r").split(",")]
+    if len(cells) != m:
+        raise LogError(f"ragged row at line {line_no}: {len(cells)} cells, expected {m}")
+    values = []
+    for col, cell in enumerate(cells, start=1):
+        if not _TOKEN_RE.fullmatch(cell):
+            raise LogError(f"non-integer cell {cell!r} at line {line_no}, column {col}")
+        value = int_literal(cell)
+        if value is None:
+            raise LogError(f"cell at line {line_no}, column {col} is outside {INT_MIN}..{INT_MAX}")
+        values.append(value)
+    return tuple(values)
 
 
 def format_log(log: ExecutionLog) -> str:

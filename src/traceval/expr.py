@@ -1,8 +1,9 @@
 """Integer/boolean expression trees used in guards, updates and constraints.
 
-Expressions are plain frozen dataclasses.  Typing is static: arithmetic
-(``+ - *``) works on integers, comparisons produce booleans and ``& | !``
-combine booleans, and a mismatch is found without evaluating anything.
+Expressions are frozen dataclasses on ``Node``.  Typing is static:
+arithmetic (``+ - *``) works on integers, comparisons produce booleans and
+``& | !`` combine booleans, and a mismatch is found without evaluating
+anything.
 ``compile_parts`` type-checks a tree and turns it into functions of a
 valuation tuple in one pass, so a model's init constraint, guards and
 updates are walked once, not at every state.  It hands back what is data
@@ -18,7 +19,9 @@ machine-representable.
 ``print_tree`` is the one printer, for expressions here and for CTL
 formulas in ``ctl``: an explicit stack, with each language's layout
 naming the precedence of a node and the bounds its operands must meet.
-``print_expr`` is it with this module's layout.
+``print_expr`` is it with this module's layout.  ``Node`` is the base of
+both languages' node classes, whose equality and hashing walk one
+explicit stack too.
 """
 
 from __future__ import annotations
@@ -47,30 +50,63 @@ CMP_OPS = {
 BOOL_OPS = ("&", "|")
 
 
-@dataclass(frozen=True)
-class IntLit:
+class Node:
+    """A tree node, of an expression or of a CTL formula.  Two nodes are
+    equal when they are of one class and their fields are equal, as two
+    frozen dataclasses are, and equal nodes hash equal; but both walk the
+    trees with one explicit stack, in ``_tokens``, so no depth is too deep.
+    The node classes are dataclasses declared with ``eq=False``, which
+    keep these methods."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or _tokens(self) == _tokens(other)
+
+    def __hash__(self):
+        return hash(tuple(_tokens(self)))
+
+
+def _tokens(root: Node) -> list:
+    """The class of each node of the tree at ``root`` and each field value
+    that is not a node, in one fixed order: as each class has a fixed number
+    of fields, two trees are equal exactly when these lists are."""
+    out: list = []
+    stack: list = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Node):
+            out.append(type(item))
+            stack.extend(getattr(item, name) for name in item.__match_args__)
+        else:
+            out.append(item)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class IntLit(Node):
     value: int
 
 
-@dataclass(frozen=True)
-class BoolLit:
+@dataclass(frozen=True, eq=False)
+class BoolLit(Node):
     value: bool
 
 
-@dataclass(frozen=True)
-class Name:
+@dataclass(frozen=True, eq=False)
+class Name(Node):
     ident: str
 
 
-@dataclass(frozen=True)
-class BinOp:
+@dataclass(frozen=True, eq=False)
+class BinOp(Node):
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class NotOp:
+@dataclass(frozen=True, eq=False)
+class NotOp(Node):
     operand: "Expr"
 
 

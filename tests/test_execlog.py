@@ -5,12 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_log
+from conftest import CHAIN2
 from traceval import ctl, execlog
 from traceval.checker import holds_initially, sat
 from traceval.ctl import print_formula
 from traceval.errors import LogError
 from traceval.expr import INT_MAX, INT_MIN
 from traceval.execlog import (
+    MODES,
     ExecutionLog,
     UnsatisfiableLogWarning,
     format_log,
@@ -19,6 +21,7 @@ from traceval.execlog import (
     row_conjunction,
 )
 from traceval.lang import parse_model
+from traceval.lifecycle import REASON_MALFORMED_LOG, STATUS_CONFIRMED, STATUS_REJECTED, adjudicate
 from traceval.model import build_graph, compile_model
 
 
@@ -71,15 +74,26 @@ _NOT_CELLS = (
     "+1", "1_0", "_1", "", "-", "x", "1 2", "9223372036854775808", "-9223372036854775809",
     "12345678901234567890",
 )
+# Cells of 19-25 digits, which make a line odd, one the bulk search flags:
+# inside the 64-bit range, zero-padded or not, and outside it.
+_LONG_CELLS = (
+    "9223372036854775807", "-9223372036854775808", "0000009223372036854775807",
+    "-000000000000000000000042", "000000000000000000000", "1000000000000000000",
+    "9223372036854775808", "-9223372036854775809", "99999999999999999999999",
+    "-1000000000000000000000000", "0000009223372036854775808",
+)
 _NAMES = ("x", "y", " z ", "w\r", "x1", "_")
 _NOT_NAMES = ("1a", "", "\xa0v", "x")
-_PIECES = _BLANKS + _CELLS + _NOT_CELLS + (",", "\n", "\r\n", "\n\n")
+_PIECES = _BLANKS + _CELLS + _NOT_CELLS + _LONG_CELLS + (",", "\n", "\r\n", "\n\n")
+_ODD_KINDS = ("long", "long", "any", "ragged", "blank")
 
 
 @st.composite
 def log_texts(draw):
     """Log text of 1-4 columns: rows of cells made of the pieces above,
-    sometimes ragged, blank or CRLF-ended, or free text of the pieces."""
+    sometimes ragged, blank, CRLF-ended or with a cell of 19-25 digits, or
+    free text of the pieces.  Such odd lines fall anywhere, first, last or
+    on every line."""
     names = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True))
     if draw(st.integers(0, 9)) == 0:
         names[draw(st.integers(0, len(names) - 1))] = draw(st.sampled_from(_NOT_NAMES))
@@ -87,16 +101,24 @@ def log_texts(draw):
     if draw(st.integers(0, 9)) == 0:
         return header + "\n" + "".join(draw(st.lists(st.sampled_from(_PIECES), max_size=30)))
     m = len(names)
+    count = draw(st.integers(0, 8))
+    odd = {"anywhere": (), "first": (0,), "last": (count - 1,), "every": range(count)}[
+        draw(st.sampled_from(("anywhere", "first", "last", "every")))
+    ]
     lines = [header]
-    for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(("row",) * 12 + ("any", "ragged", "blank")))
+    for k in range(count):
+        kinds = _ODD_KINDS if k in odd else ("row",) * 12 + _ODD_KINDS
+        kind = draw(st.sampled_from(kinds))
         if kind == "blank":
             lines.append(draw(st.sampled_from(_BLANKS)))
             continue
         width = m + draw(st.sampled_from((-1, 1))) if kind == "ragged" else m
         cores = _CELLS + _NOT_CELLS if kind == "any" else _CELLS
         cell = st.tuples(st.sampled_from(_BLANKS), st.sampled_from(cores), st.sampled_from(_BLANKS))
-        lines.append(",".join("".join(draw(cell)) for _ in range(max(width, 1))))
+        cells = ["".join(draw(cell)) for _ in range(max(width, 1))]
+        if kind == "long":
+            cells[draw(st.integers(0, m - 1))] = draw(st.sampled_from(_LONG_CELLS))
+        lines.append(",".join(cells))
     end = draw(st.sampled_from(("\n", "\r\n")))
     return end.join(lines) + draw(st.sampled_from(("", "\n", "\r\n", "\n\n")))
 
@@ -127,6 +149,33 @@ def test_a_long_log_is_converted_in_chunks_of_whole_lines():
     assert log == naive_log.parse_log(text)
     with pytest.raises(LogError, match="ragged row at line 20002: 2 cells, expected 3"):
         parse_log(text + "1,2\n")
+
+
+@pytest.mark.parametrize("line", ["9223372036854775807,1", "-0000009223372036854775808,2", "3,oops"])
+@pytest.mark.parametrize("chunk", [1, 16, 1 << 16])
+def test_an_odd_line_anywhere_in_a_chunked_log(line, chunk):
+    """An odd line, a row of a 19-digit or longer cell or a bad line, on
+    each line of a log in turn, so on both sides of every chunk boundary,
+    is read as the reference reads it."""
+    clean = [f"{i},-{i * 7}" for i in range(24)]
+    for k in range(len(clean) + 1):
+        text = "a,b\n" + "\n".join(clean[:k] + [line] + clean[k:]) + "\n"
+        with mock.patch.object(execlog, "_CHUNK", chunk):
+            assert _parsed(parse_log, text) == _parsed(naive_log.parse_log, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_texts(),
+    st.sampled_from((CHAIN2, "var x : 0..3 init 0;\nvar y : 0..1 init 1;\n[] x<3 -> x'=x+1;\n")),
+    st.sampled_from(MODES),
+)
+def test_adjudicate_returns_a_verdict_on_any_log_text(text, model, mode):
+    """Any log text gets a (verdict, reason) pair, never an exception, and
+    the reason is malformed-log exactly when the reference refuses it."""
+    verdict, reason = adjudicate(model, text, mode)
+    assert verdict in (STATUS_CONFIRMED, STATUS_REJECTED)
+    assert (reason == REASON_MALFORMED_LOG) == (_parsed(naive_log.parse_log, text)[0] == "error")
 
 
 def test_parse_duplicate_header():

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import example, given, strategies as st
 
+import naive_eq
 import naive_print
+from conftest import SRC
 from traceval.errors import EvalError
 from traceval.expr import (
     BIN_PREC,
@@ -146,3 +152,53 @@ def test_print_expr_and_print_model_print_deep_trees():
     assert print_model(model) == (
         "var x : 0..1 init 0;\n[] " + "!" * depth + "x==0 -> x'=" + sum_text + ";\n"
     )
+
+
+@given(_trees, _trees)
+def test_tree_equality_and_hash_match_the_recursive_reference(a, b):
+    """Equal exactly when the frozen-dataclass meaning says so, and equal
+    trees hash equal; a copy that shares no node is equal to its tree."""
+    assert (a == b) == (naive_eq.frozen(a) == naive_eq.frozen(b)) == (not a != b)
+    copy = naive_eq.rebuilt(a)
+    assert copy == a and hash(copy) == hash(a)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+_DEEP_TREES = """
+import sys
+from traceval.expr import BinOp, IntLit, Name, NotOp
+
+limit = sys.getrecursionlimit()
+depth = 100_000
+
+def negated(value):
+    tree = BinOp("==", Name("x"), IntLit(value))
+    for _ in range(depth):
+        tree = NotOp(tree)
+    return tree
+
+def total(last):
+    tree = IntLit(0)
+    for i in range(1, depth - 1):
+        tree = BinOp("+", tree, IntLit(i))
+    return BinOp("+", tree, IntLit(last))
+
+for make in (negated, total):
+    a, b, other = make(0), make(0), make(1)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != other and not a == other
+assert sys.getrecursionlimit() == limit
+print("ok")
+"""
+
+
+def test_deep_trees_compare_and_hash_at_the_default_recursion_limit():
+    """In a fresh interpreter, which the suite's parsers have not given a
+    higher recursion limit: 100,000-deep chains of '!' and 100,000-term
+    sums compare and hash without recursing."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", _DEEP_TREES], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")

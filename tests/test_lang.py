@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import CHAIN2, SAMPLES
+import naive_eq
 import naive_lex
 import naive_print
 from corpus import CMPS, IDENTS, bundled_town, models, town_texts
@@ -294,6 +295,17 @@ _formulas = st.recursive(
 @given(_formulas)
 def test_formula_round_trip(f):
     assert parse_formula(print_formula(f)) == f
+
+
+@given(_formulas, _formulas)
+def test_formula_equality_and_hash_match_the_recursive_reference(f, g):
+    """Equal exactly when the frozen-dataclass meaning says so, and equal
+    formulas hash equal; a copy that shares no node is equal to its formula."""
+    assert (f == g) == (naive_eq.frozen(f) == naive_eq.frozen(g)) == (not f != g)
+    copy = naive_eq.rebuilt(f)
+    assert copy == f and hash(copy) == hash(f)
+    if f == g:
+        assert hash(f) == hash(g)
 
 
 _A, _B = ctl.Atom("a", "==", 1), ctl.Atom("b", "<", -2)
