@@ -34,7 +34,8 @@ stands on with the model's successor function:
 * row 1 must be an initial valuation;
 * strong: row k+1 must be among the successors of row k;
 * weak: row k+1 is row k, one of its successors, or found by a forward
-  search from row k (``reach``), which stops there;
+  search from row k (``reach``), which stops there; the searches of one
+  log share the state budget;
 * the chain ends at row n-1 (``faithful``) or row n (``corrected``), and
   AG(row n) holds there when it is row n and its only successor is itself.
 
@@ -349,11 +350,13 @@ def follow(
     holds; otherwise the first row the walk refuses.  The log's columns are
     the model's variables, in order.  Raises :class:`LogError` for an
     unknown mode or base, as ``log_property`` does, and
-    :class:`StateExplosionError` when a weak search finds more than
-    ``max_states`` valuations."""
+    :class:`StateExplosionError` when the weak searches find more than
+    ``max_states`` valuations in all: each search gets what the searches
+    before it, in log order, left of the budget, and spends the valuations
+    it finds."""
     check_shape(mode, base)
     rows = log.rows
-    here = rows[0]
+    here, left = rows[0], max_states
     if here not in initial:
         return Witness(1, "not-initial")
     for k in range(2, len(rows) if base == "faithful" else len(rows) + 1):
@@ -362,8 +365,18 @@ def follow(
             if row not in successors(here):
                 return Witness(k, "no-transition")
         elif row != here and row not in successors(here):
-            if row not in reach(successors, (here,), max_states, row)[0]:
+            try:
+                found = reach(successors, (here,), left, row)[0]
+            except StateExplosionError:  # its text names what was left
+                found = None
+            # a search stops at its row even past what was left
+            if found is None or len(found) > left:
+                raise StateExplosionError(
+                    f"state explosion: weak searches found more than {max_states} states"
+                )
+            if row not in found:
                 return Witness(k, "unreachable")
+            left -= len(found)
         here = row
     if here == rows[-1] and list(successors(here)) == [here]:
         return None

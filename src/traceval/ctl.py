@@ -8,7 +8,7 @@ binds tighter than ``|`` and both bind looser than ``!`` and temporals.
 one printer expressions use too: it reads the precedence of ``&`` and
 ``|`` from ``expr.BIN_PREC``, never recurses, and takes time and memory
 linear in the text it prints.  The node classes share ``expr.Node``'s
-equality and hashing, which never recurse either.
+equality, hashing and ``repr``, which never recurse either.
 """
 
 from __future__ import annotations
@@ -20,66 +20,66 @@ from .errors import EvalError
 from .expr import ATOM_PREC, BIN_PREC, NOT_PREC, Node, print_tree
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class TrueF(Node):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class FalseF(Node):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Atom(Node):
     var: str
     op: str
     value: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(Node):
     child: "CtlFormula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(Node):
     left: "CtlFormula"
     right: "CtlFormula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Or(Node):
     left: "CtlFormula"
     right: "CtlFormula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class EX(Node):
     child: "CtlFormula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class EF(Node):
     child: "CtlFormula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class EG(Node):
     child: "CtlFormula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class AX(Node):
     child: "CtlFormula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class AF(Node):
     child: "CtlFormula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class AG(Node):
     child: "CtlFormula"
 

@@ -28,7 +28,6 @@ class ParseError(TracevalError):
         col: int | None = None,
         offset: int | None = None,
     ):
-        self.bare_message = message
         self.line = line
         self.col = col
         self.offset = offset

@@ -21,7 +21,8 @@ formulas in ``ctl``: an explicit stack, with each language's layout
 naming the precedence of a node and the bounds its operands must meet.
 ``print_expr`` is it with this module's layout.  ``Node`` is the base of
 both languages' node classes, whose equality and hashing walk one
-explicit stack too.
+explicit stack too, and whose ``repr`` is ``print_tree`` with a
+dataclass's layout.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ class Node:
     equal when they are of one class and their fields are equal, as two
     frozen dataclasses are, and equal nodes hash equal; but both walk the
     trees with one explicit stack, in ``_tokens``, so no depth is too deep.
-    The node classes are dataclasses declared with ``eq=False``, which
-    keep these methods."""
+    ``repr`` prints a node as its dataclass would, through ``print_tree``,
+    which never recurses either.  The node classes are dataclasses declared
+    with ``eq=False`` and ``repr=False``, which keep these methods."""
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -65,6 +67,9 @@ class Node:
 
     def __hash__(self):
         return hash(tuple(_tokens(self)))
+
+    def __repr__(self):
+        return print_tree(self, _repr_layout)
 
 
 def _tokens(root: Node) -> list:
@@ -83,29 +88,29 @@ def _tokens(root: Node) -> list:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class IntLit(Node):
     value: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BoolLit(Node):
     value: bool
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Name(Node):
     ident: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BinOp(Node):
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class NotOp(Node):
     operand: "Expr"
 
@@ -430,6 +435,17 @@ def print_tree(root, layout: Callable) -> str:
             pieces = ("(", *pieces, ")")
         stack.extend(reversed(pieces))
     return "".join(out)
+
+
+def _repr_layout(node: Node):
+    """``Class(field=value, ...)``, the layout of a dataclass's ``repr``."""
+    pieces: list = [f"{type(node).__qualname__}("]
+    for i, name in enumerate(node.__match_args__):
+        value = getattr(node, name)
+        pieces.append(f"{', ' if i else ''}{name}=")
+        pieces.append((value, 0) if isinstance(value, Node) else repr(value))
+    pieces.append(")")
+    return 0, pieces
 
 
 def _layout(e: Expr):

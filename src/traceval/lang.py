@@ -44,6 +44,7 @@ import re
 import string
 import sys
 from itertools import islice
+from typing import Callable
 
 from . import ctl
 from .errors import EvalError, ParseError, line_col
@@ -153,16 +154,10 @@ class _Stream:
         if not self.accept(text):
             raise self.error(f"expected '{text}'" + (f" {what}" if what else ""))
 
-    def expect_int(self, what: str) -> int:
-        """The index of the current token, an integer literal; steps past it."""
-        if not self.toks[self.pos].isdecimal():
-            raise self.error(f"expected {what}")
-        self.pos += 1
-        return self.pos - 1
-
-    def expect_ident(self, what: str) -> int:
-        """The index of the current token, an identifier; steps past it."""
-        if not _is_ident(self.toks[self.pos]):
+    def expect_token(self, is_kind: Callable[[str], bool], what: str) -> int:
+        """The index of the current token, which ``is_kind`` accepts; steps
+        past it."""
+        if not is_kind(self.toks[self.pos]):
             raise self.error(f"expected {what}")
         self.pos += 1
         return self.pos - 1
@@ -219,7 +214,7 @@ def _parse_unary(s: _Stream) -> Expr:
         return node
     if tok == "-":
         s.pos += 1
-        index = s.expect_int("an integer after '-'")
+        index = s.expect_token(str.isdecimal, "an integer after '-'")
         key = "-" + s.toks[index]
         leaf = s.leaves.get(key)
         if leaf is None:
@@ -268,12 +263,12 @@ def _literal(s: _Stream, index: int, negative: bool = False) -> int:
 
 def _signed_int(s: _Stream, what: str) -> int:
     negative = s.accept("-")
-    return _literal(s, s.expect_int(what), negative)
+    return _literal(s, s.expect_token(str.isdecimal, what), negative)
 
 
 def _decl_name(s: _Stream, what: str, taken: set[str]) -> int:
     """The index of a new declaration's name."""
-    index = s.expect_ident(what)
+    index = s.expect_token(_is_ident, what)
     name = s.toks[index]
     if name in MODEL_KEYWORDS:
         raise s.error_at(index, f"'{name}' is a reserved word")
@@ -351,7 +346,7 @@ def _model(s: _Stream) -> SystemModel:
         updates: list[tuple[str, Expr]] = []
         if not s.accept("skip"):
             while True:
-                at = s.expect_ident("a variable to update")
+                at = s.expect_token(_is_ident, "a variable to update")
                 target = toks[at]
                 if target not in var_names:
                     raise s.error_at(

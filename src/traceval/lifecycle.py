@@ -40,7 +40,10 @@ confirmed when the model has more reachable states than ``max_states`` but
 the walk stays within them, or when an update fails only at states the
 log never steps from.  A log that steps from such a state is rejected
 ``malformed-model``, and an ``init`` constraint over a domain wider than
-the budget rejects every log for ``state-explosion``.
+the budget rejects every log for ``state-explosion``.  A weak log's
+searches share the budget, in log order: one whose searches find more
+than ``max_states`` states in all is rejected ``state-explosion``, even
+when each search alone stays within it.
 
 One process at a time may write a ledger file, and until a lock is held
 across load and append (ROADMAP item 3), no process may load a ledger

@@ -275,9 +275,15 @@ def compile_model(
         table.setdefault(key if len(key) > 1 else key[0], []).append(command)
     lookups = [(itemgetter(*pinned), table.get) for pinned, table in tables.items()]
 
-    # commands defaults to the scanned list, so that a model with no pins
-    # is served by this function alone
-    def successors(v: Valuation, commands=scanned) -> list[Valuation]:
+    def successors(v: Valuation) -> list[Valuation]:
+        commands = scanned
+        if lookups:
+            # a loop, as a comprehension would make ``v`` a cell that every
+            # read below goes through (and, before Python 3.12, a call)
+            commands = scanned.copy()
+            for get, lookup in lookups:
+                commands += lookup(get(v), ())
+            commands.sort()  # declaration order; indices are unique
         out = []
         try:
             for _, where, guard, literals, updates in commands:
@@ -304,15 +310,7 @@ def compile_model(
             return sorted(set(out))
         return out or [v]
 
-    if not lookups:
-        return initial, successors
-
-    def dispatch(v: Valuation) -> list[Valuation]:
-        commands = scanned + [c for get, lookup in lookups for c in lookup(get(v), ())]
-        commands.sort()  # declaration order; indices are unique
-        return successors(v, commands)
-
-    return initial, dispatch
+    return initial, successors
 
 
 def _always(v: Valuation) -> bool:

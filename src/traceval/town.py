@@ -251,7 +251,6 @@ def build_bindings(town: TownMap, objective: Objective, *, reduce: bool = True) 
         "var d : 0..3 init @start_d@;",
         "var k : 0..@seq_len@ init 0;",
     ]
-    action_tags: list[str] = []
     action_info: dict[str, tuple[TownNode, int]] = {}
     ordered = sorted(town.nodes, key=lambda n: (n.x, n.y))
     for node in ordered:
@@ -265,7 +264,6 @@ def build_bindings(town: TownMap, objective: Objective, *, reduce: bool = True) 
                 if not town.has_edge((node.x, node.y), dst):
                     continue
                 tag_name = f"act_{tag_letters(node.tag)}_{HEADING_LETTERS[d0]}_{action}"
-                action_tags.append(tag_name)
                 action_info[tag_name] = (node, d0)
                 lines.append(
                     f"[{tag_name}] @{tag_name}@ -> "
@@ -295,18 +293,14 @@ def build_bindings(town: TownMap, objective: Objective, *, reduce: bool = True) 
     bindings: dict[str, str] = {}
     for tag_name, indices in used.items():
         node, d0 = action_info[tag_name]
-        uniq = sorted(set(indices))
-        if len(uniq) == 1:
-            k_guard = f"k=={uniq[0]}"
-        else:
-            k_guard = "(" + " | ".join(f"k=={i}" for i in uniq) + ")"
+        k_guard = " | ".join(f"k=={i}" for i in indices)
+        if len(indices) > 1:
+            k_guard = f"({k_guard})"
         bindings[tag_name] = f"x=={node.x} & y=={node.y} & d=={d0} & {k_guard}"
     if not reduce:
-        for tag_name in action_tags:
-            if tag_name in bindings:
-                continue
-            node, d0 = action_info[tag_name]
-            bindings[tag_name] = f"x=={node.x} & y=={node.y} & d=={d0} & k<{seq_len}"
+        for tag_name, (node, d0) in action_info.items():
+            if tag_name not in bindings:
+                bindings[tag_name] = f"x=={node.x} & y=={node.y} & d=={d0} & k<{seq_len}"
 
     settings = Settings(
         parameters={
@@ -315,7 +309,7 @@ def build_bindings(town: TownMap, objective: Objective, *, reduce: bool = True) 
             "start_d": town.start[2],
             "seq_len": seq_len,
         },
-        defaults={tag_name: "false" for tag_name in action_tags},
+        defaults=dict.fromkeys(action_info, "false"),
     )
     return TownModelParts(template=template, bindings=bindings, settings=settings)
 

@@ -1,8 +1,9 @@
-"""Reference equality for ``expr`` and ``ctl`` tree nodes.
+"""Reference equality and ``repr`` for ``expr`` and ``ctl`` tree nodes.
 
 The meaning the nodes had as plain frozen dataclasses, written as one
 recursive call per level: a node is its class and its field values, so
-two trees are equal exactly when their ``frozen`` forms are.
+two trees are equal exactly when their ``frozen`` forms are, and it
+prints as ``represented`` gives it.
 """
 
 from __future__ import annotations
@@ -22,3 +23,11 @@ def rebuilt(node):
     if not is_dataclass(node):
         return node
     return type(node)(*(rebuilt(getattr(node, f.name)) for f in fields(node)))
+
+
+def represented(node) -> str:
+    """``repr(node)`` as a plain dataclass gives it: ``Class(field=value, ...)``."""
+    if not is_dataclass(node):
+        return repr(node)
+    shown = (f"{f.name}={represented(getattr(node, f.name))}" for f in fields(node) if f.repr)
+    return f"{type(node).__qualname__}({', '.join(shown)})"

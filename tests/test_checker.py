@@ -3,15 +3,17 @@ import random
 import warnings
 from functools import partial
 from itertools import compress, count, islice
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from corpus import (
     bundled_town, fault_logs, models, random_formula, random_graph, random_town_logs, successor_lists, town_texts,
 )
 from naive_ctl import NaiveChecker
+import unbudgeted_follow
 from traceval import checker, ctl
 from traceval.checker import StateSet, follow, holds_initially, reach, sat
 from traceval.errors import EvalError, LogError, ModelError, StateExplosionError
@@ -596,6 +598,76 @@ def test_walk_refuses_what_log_property_refuses():
             with pytest.raises(LogError, match=message):
                 decide(log, mode, base)
     assert walk(log) is None
+
+
+def _spent_and_witness(successors, initial, log, base):
+    """The states each weak search of the walk before the budget was shared
+    finds, in log order, and that walk's witness."""
+    spent = []
+
+    def counted(*args):
+        found, edges = reach(*args)
+        spent.append(len(found))
+        return found, edges
+
+    with mock.patch.object(unbudgeted_follow, "reach", counted):
+        witness = unbudgeted_follow.follow(successors, initial, log, "weak", base)
+    return spent, witness
+
+
+@st.composite
+def models_and_far_logs(draw, max_steps=8):
+    """The text of a model whose graph is a random graph's part reachable
+    from its initial state, one command per edge, and a log from that
+    state whose rows mostly lie anywhere ahead of the row before, and
+    otherwise anywhere in the graph, so that a weak walk searches from
+    most of them."""
+    rng = draw(st.randoms(use_true_random=False))
+    graph = random_graph(rng, max_states=draw(st.sampled_from((8, 24, 64))), distinct=True)
+    (s,) = graph.initial
+    states, succ = graph.states, successor_lists(graph)
+    text = "var x : 0..7 init {};\nvar y : 0..7 init {};\n".format(*states[s]) + "".join(
+        "[] x=={} & y=={} -> x'={} & y'={};\n".format(*states[a], *states[b])
+        for a in range(len(states)) for b in succ[a]
+    )
+    rows = [states[s]]
+    for _ in range(draw(st.integers(1, max_steps))):
+        ahead = sorted(_reachable(succ, s)) if draw(st.integers(0, 4)) else range(len(states))
+        s = draw(st.sampled_from(ahead))
+        rows.append(states[s])
+    return text, ExecutionLog(graph.variables, tuple(rows))
+
+
+# x cycles through 0..99 and the log alternates 0 and 98 for 20 rows: each
+# search from 0 finds 99 states and each from 98 finds 3, 1,017 in all, and
+# the last row is not absorbing
+_CYCLE = (
+    "var x : 0..100 init 0;\n[] x<99 -> x'=x+1;\n[] x==99 -> x'=0;\n[] x==100 -> skip;\n",
+    ExecutionLog(("x",), ((0,), (98,)) * 10),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(models_and_far_logs(), st.integers(-3, 3), st.sampled_from(BASES))
+@example(_CYCLE, -1, "corrected")
+@example(_CYCLE, 0, "corrected")
+def test_weak_searches_share_the_state_budget(case, slack, base):
+    """Within the budget the searches find in all, the walk refuses the row
+    the walk before the budget was shared refuses; past it, the walk raises
+    and ``judge`` says ``state-explosion``.  A strong walk searches nothing."""
+    text, log = case
+    initial, successors = compile_model(parse_model(text))
+    spent, witness = _spent_and_witness(successors, initial, log, base)
+    budget = max(0, sum(spent) + slack)
+    if sum(spent) <= budget:
+        assert follow(successors, initial, log, "weak", base, budget) == witness
+    else:
+        with pytest.raises(StateExplosionError, match=f"weak searches found more than {budget} states"):
+            follow(successors, initial, log, "weak", base, budget)
+        verdict = PreparedModel(text, budget).judge(format_log(log), "weak", base)
+        assert verdict == (STATUS_REJECTED, "state-explosion", None)
+    strong = unbudgeted_follow.follow(successors, initial, log, "strong", base)
+    assert follow(successors, initial, log, "strong", base, 0) == strong
 
 
 # ---------------------------------------------------------------------------

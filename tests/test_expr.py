@@ -165,8 +165,15 @@ def test_tree_equality_and_hash_match_the_recursive_reference(a, b):
         assert hash(a) == hash(b)
 
 
+@given(_trees)
+@example(BinOp("+", Name("x"), IntLit(1)))
+def test_tree_repr_matches_the_recursive_reference(expr):
+    assert repr(expr) == naive_eq.represented(expr)
+
+
 _DEEP_TREES = """
 import sys
+from traceval import ctl
 from traceval.expr import BinOp, IntLit, Name, NotOp
 
 limit = sys.getrecursionlimit()
@@ -178,25 +185,45 @@ def negated(value):
         tree = NotOp(tree)
     return tree
 
+def negated_repr(value):
+    leaf = f"BinOp(op='==', left=Name(ident='x'), right=IntLit(value={value}))"
+    return "NotOp(operand=" * depth + leaf + ")" * depth
+
 def total(last):
     tree = IntLit(0)
     for i in range(1, depth - 1):
         tree = BinOp("+", tree, IntLit(i))
     return BinOp("+", tree, IntLit(last))
 
-for make in (negated, total):
+def total_repr(last):
+    rights = "".join(f", right=IntLit(value={i}))" for i in [*range(1, depth - 1), last])
+    return "BinOp(op='+', left=" * (depth - 1) + "IntLit(value=0)" + rights
+
+def conjoined(last):
+    formula = ctl.Atom("x", "==", 0)
+    for i in range(1, depth - 1):
+        formula = ctl.And(formula, ctl.Atom("x", "==", i))
+    return ctl.AG(ctl.And(formula, ctl.Atom("x", "==", last)))
+
+def conjoined_repr(last):
+    rights = "".join(f", right=Atom(var='x', op='==', value={i}))" for i in [*range(1, depth - 1), last])
+    return "AG(child=" + "And(left=" * (depth - 1) + "Atom(var='x', op='==', value=0)" + rights + ")"
+
+for make, shown in ((negated, negated_repr), (total, total_repr), (conjoined, conjoined_repr)):
     a, b, other = make(0), make(0), make(1)
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != other and not a == other
+    assert repr(a) == shown(0) and repr(other) == shown(1)
 assert sys.getrecursionlimit() == limit
 print("ok")
 """
 
 
-def test_deep_trees_compare_and_hash_at_the_default_recursion_limit():
+def test_deep_trees_compare_hash_and_repr_at_the_default_recursion_limit():
     """In a fresh interpreter, which the suite's parsers have not given a
-    higher recursion limit: 100,000-deep chains of '!' and 100,000-term
-    sums compare and hash without recursing."""
+    higher recursion limit: 100,000-deep chains of '!', 100,000-term sums
+    and 100,000-atom conjunctions compare, hash and ``repr`` without
+    recursing."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
         [sys.executable, "-c", _DEEP_TREES], env=env, capture_output=True, text=True, timeout=120

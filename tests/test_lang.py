@@ -308,6 +308,12 @@ def test_formula_equality_and_hash_match_the_recursive_reference(f, g):
         assert hash(f) == hash(g)
 
 
+@given(_formulas)
+@example(ctl.AG(ctl.And(ctl.Atom("x", "==", 1), ctl.Not(ctl.TrueF()))))
+def test_formula_repr_matches_the_recursive_reference(f):
+    assert repr(f) == naive_eq.represented(f)
+
+
 _A, _B = ctl.Atom("a", "==", 1), ctl.Atom("b", "<", -2)
 
 
@@ -436,7 +442,7 @@ def _outcome(fn, text, *args):
     except ParseError as exc:
         if exc.offset is not None:
             assert line_col(text, exc.offset) == (exc.line, exc.col)
-        return "error", (str(exc), exc.bare_message, exc.line, exc.col)
+        return "error", (str(exc), exc.line, exc.col)
 
 
 def _kind(tok):

@@ -2,6 +2,7 @@ import builtins
 import hashlib
 import json
 import os
+import random
 import shutil
 import stat
 import tempfile
@@ -730,6 +731,40 @@ def test_a_refused_log_steps_each_state_once(monkeypatch):
     assert len(set(walked)) == len(walked) == len(prepared._memo) > 90
     assert prepared.judge("x,y\n0,0\n0,1\n0,1\n", "strong")[:2] == (STATUS_REJECTED, "property-failed")
     assert len(steps) == len(walked) + 100
+
+
+def test_the_walk_memo_is_emptied_when_it_holds_max_states():
+    """One prepared model, as ``run_validator`` keeps it, judges weak logs
+    of a 100-state counter that together step far more states than its
+    budget of 30: its memo never holds more than 30 successor lists, it is
+    emptied whenever full, and every verdict is a fresh model's."""
+    from traceval.execlog import BASES
+
+    text = "var x : 0..99 init 0;\n[] x<99 -> x'=x+1;\n[] x==99 -> skip;\n"
+    prepared = lifecycle.PreparedModel(text, max_states=30)
+    held, step = [], prepared._successors
+
+    def watched(v):
+        held.append(len(prepared._memo))
+        return step(v)
+
+    prepared._successors = watched
+    rng, verdicts = random.Random(5), set()
+    for _ in range(12):
+        # counting up from 0 (or, refused, from 5) with a few jumps, each
+        # searched, to 99, which holds forever
+        x, rows = rng.choice((0, 0, 0, 5)), []
+        while x < 99:
+            rows.append(x)
+            x = min(99, x + rng.choice((1,) * 18 + (2, 3)))
+        log = "x\n" + "".join(f"{v}\n" for v in rows + [99, 99])
+        for base in BASES:
+            verdict = prepared.judge(log, "weak", base)
+            assert verdict == lifecycle.PreparedModel(text, max_states=30).judge(log, "weak", base)
+            assert len(prepared._memo) <= 30
+            verdicts.add(verdict[:2])
+    assert max(held) == 29 and held.count(0) > 5
+    assert verdicts == {(STATUS_CONFIRMED, None), (STATUS_REJECTED, "state-explosion")}
 
 
 # b==0 counts n up to 999,999; from (0,0) the model may move to b==1 instead,
