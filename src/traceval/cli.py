@@ -250,7 +250,19 @@ def _add_property_flags(p):
 
 
 def _add_budget_flag(p):
-    p.add_argument("--max-states", type=int, default=DEFAULT_STATE_BUDGET, metavar="N")
+    p.add_argument("--max-states", type=_state_budget, default=DEFAULT_STATE_BUDGET, metavar="N")
+
+
+def _state_budget(text: str) -> int:
+    """The value of ``--max-states``: an integer of at least 1, refused as a
+    usage error before any input is read."""
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return budget
 
 
 def _add_workspace_flags(p):

@@ -5,8 +5,8 @@ A log is a CSV table: a header of variable names, then one row of signed
 with a line-anchored regex search for each odd line, one that is not a
 row of integer cells of at most 18 digits, which surely fit in 64 bits.
 Each odd line is read alone, giving its row or the ``LogError`` that
-names it, and the clean lines between are converted in chunks of whole
-lines inside C calls.  The log compiles into two property shapes:
+names it; the clean lines between, proven rows, are split at commas and
+converted by ``int`` in chunks.  The log compiles into two property shapes:
 
 * strong -- consecutive rows must be connected by single transitions (EX)
   and the final row must hold forever (AG);
@@ -38,8 +38,9 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # One cell of a row that fits in 64 bits: an integer of at most 18 digits,
 # with blanks, but no newline, around it.
 _CELL = r"[^\S\n]*-?\d{1,18}[^\S\n]*"
+# An integer cell after stripping, for ``_line_row`` alone.
 _TOKEN_RE = re.compile(r"-?\d+")
-# Characters of whole lines per findall, so that the strings of only one
+# Characters of whole lines per split, so that the strings of only one
 # chunk's cells are alive at once, not those of the whole log.
 _CHUNK = 1 << 16
 
@@ -66,7 +67,7 @@ class ExecutionLog:
         if len(self.rows) < 2:
             raise LogError("fewer than 2 rows")
         m = len(self.variables)
-        if any(map(m.__ne__, map(len, self.rows))):
+        if {*map(len, self.rows)} != {m}:
             for i, row in enumerate(self.rows, start=1):
                 if len(row) != m:
                     raise LogError(f"row {i} has {len(row)} cells, expected {m}")
@@ -99,9 +100,8 @@ def _read_rows(text: str, start: int, end: int, m: int) -> tuple[tuple[int, ...]
     header's newline.  Each odd line, one that is not ``m`` integer cells
     of at most 18 digits, is read alone before the clean run above it is
     converted, so a bad line is refused before any cell above it is."""
-    # Anchored on the newline before each line, not on ^, the search starts
-    # a match only at newlines, which the regex engine finds by scanning for
-    # that one character.
+    # Anchored on the newline before each line, not on ^, a match starts only
+    # at newlines, which the regex engine finds by scanning for that character.
     odd = re.compile(f"(?m)\n(?!{_CELL}(?:,{_CELL}){{{m - 1}}}$)")
     rows: list[tuple[int, ...]] = []
     i, line_no = start + 1, 2  # the first line not yet read, and its number
@@ -119,12 +119,13 @@ def _read_rows(text: str, start: int, end: int, m: int) -> tuple[tuple[int, ...]
 
 
 def _convert(rows: list, text: str, i: int, stop: int, m: int) -> None:
-    """Append the rows of the clean lines of ``text[i:stop]`` to ``rows``."""
+    """Append the rows of the clean lines of ``text[i:stop]`` to ``rows``,
+    stripping each cell, as ``int`` refuses the blanks \\x1c-\\x1f."""
     while i < stop:
         j = text.find("\n", i + _CHUNK, stop)
         if j < 0:
             j = stop
-        cells = map(int, _TOKEN_RE.findall(text, i, j))
+        cells = map(int, map(str.strip, text[i:j].replace("\n", ",").split(",")))
         rows.extend(zip(*[cells] * m))
         i = j + 1
 
@@ -147,9 +148,8 @@ def _line_row(line: str, line_no: int, m: int) -> tuple[int, ...]:
 
 
 def format_log(log: ExecutionLog) -> str:
-    lines = [",".join(log.variables)]
-    lines.extend(",".join(str(v) for v in row) for row in log.rows)
-    return "\n".join(lines) + "\n"
+    rows = (",".join(map(str, row)) for row in log.rows)
+    return "\n".join([",".join(log.variables), *rows, ""])
 
 
 def row_conjunction(log: ExecutionLog, i: int) -> ctl.CtlFormula:

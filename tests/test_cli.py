@@ -557,6 +557,46 @@ def test_validate_liability_and_watch_are_a_usage_error(tmp_path, capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "-3", "ten"])
+@pytest.mark.parametrize("command", ["check", "validate", "demo"])
+def test_a_state_budget_below_1_is_a_usage_error(capsys, demo_tmp, command, budget):
+    """Refused before any input is read: the check's files do not exist, and
+    the pending liability's ledger and the demo's directory stay as they were."""
+    lid = _town_order(demo_tmp, capsys)
+    assert _execute(demo_tmp, lid, fault="wrong-turn:2") == 0
+    ledger = (demo_tmp / "ledger.jsonl").read_bytes()
+    entries = sorted(demo_tmp.iterdir())
+    args = {
+        "check": ["check", "--model", str(demo_tmp / "absent.gcm"), "--property", str(demo_tmp / "absent.ctl")],
+        "validate": _validate_args(demo_tmp),
+        "demo": ["demo", "--town", str(SAMPLES / "town5x5.json"), "--objective", str(SAMPLES / "objective.json"),
+                 "--fault", "wrong-turn:2"],
+    }[command]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main([*args, "--max-states", budget])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument --max-states: expected an integer of at least 1, got '{budget}'\n"
+    )
+    assert (demo_tmp / "ledger.jsonl").read_bytes() == ledger
+    assert sorted(demo_tmp.iterdir()) == entries
+
+
+def test_a_state_budget_of_1_is_accepted(capsys, demo_tmp):
+    """The least budget is a budget: a refused log of the 8-state town
+    model outgrows it and is state-explosion; the default gives the walk's
+    verdict."""
+    town = ["demo", "--town", str(SAMPLES / "town5x5.json"), "--objective", str(SAMPLES / "objective.json"),
+            "--fault", "wrong-turn:2"]
+    assert main([*town, "--max-states", "1"]) == 1
+    assert "validate: liability 1 Rejected (state-explosion)\n" in capsys.readouterr().out
+    assert main(town) == 1
+    assert "validate: liability 1 Rejected (property-failed)\n" in capsys.readouterr().out
+
+
 DEEP = "(" * 5000 + "x==0" + ")" * 5000  # nested past the parser's recursion
 
 

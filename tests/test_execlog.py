@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import pytest
@@ -178,6 +179,24 @@ def test_adjudicate_returns_a_verdict_on_any_log_text(text, model, mode):
     assert (reason == REASON_MALFORMED_LOG) == (_parsed(naive_log.parse_log, text)[0] == "error")
 
 
+# Every code point the regex engine takes for a blank around a cell: the
+# whole of \s but the newline, which ends a line.
+_SPACES = re.findall(r"[^\S\n]", "".join(map(chr, range(0x110000))))
+
+
+@pytest.mark.parametrize("chunk", [1, 16, 1 << 16])
+def test_every_blank_around_a_cell_is_read_as_the_reference_reads_it(chunk):
+    """Each blank before and after the cells of clean lines, over chunk
+    boundaries: str.strip must remove it and int() then take the cell."""
+    assert len(_SPACES) == 28
+    lines = [f"{c}{i}{c},{c}-{i * 7}{c}" for i, c in enumerate(_SPACES * 2)]
+    text = "a,b\n" + "\n".join(lines) + "\n"
+    with mock.patch.object(execlog, "_CHUNK", chunk):
+        log = parse_log(text)
+    assert log == naive_log.parse_log(text)
+    assert log.rows[-1] == (55, -385)
+
+
 def test_parse_duplicate_header():
     with pytest.raises(LogError, match="duplicate header"):
         parse_log("x,x\n0,0\n1,1\n")
@@ -188,6 +207,8 @@ def test_parse_duplicate_header():
     (("x", "y", "x"), ((0, 0, 0), (0, 0, 0)), "duplicate header name"),
     (("x",), ((0,),), "fewer than 2 rows"),
     (("x", "y"), ((0, 0), (1,), (1, 1)), "row 2 has 1 cells, expected 2"),
+    (("x", "y"), ((0, 0, 0), (1, 1, 1), (2, 2, 2)), "row 1 has 3 cells, expected 2"),
+    (("x", "y"), ((0, 0), (1, 1), (2, 2, 2)), "row 3 has 3 cells, expected 2"),
 ])
 def test_a_directly_built_log_checks_itself(variables, rows, message):
     with pytest.raises(LogError) as caught:
@@ -200,8 +221,14 @@ def test_a_ragged_row_is_reported_before_a_repeated_header():
         parse_log("x,x\n0,0\n1\n")
 
 
-def test_format_round_trip():
-    log = parse_log("x,y\n0,1\n2,3\n")
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.lists(
+    st.tuples(*[st.integers(INT_MIN, INT_MAX) | st.sampled_from((INT_MIN, INT_MAX, 0, -1))] * m),
+    min_size=2, max_size=30,
+)))
+def test_format_round_trip(rows):
+    """Logs of 1-4 columns, of cells across the 64-bit range."""
+    log = ExecutionLog(tuple("abcd"[: len(rows[0])]), tuple(rows))
     assert parse_log(format_log(log)) == log
 
 
