@@ -318,18 +318,17 @@ def reach(
     initial valuations and the successor function, that is the order
     ``build_graph`` numbers states in, so a search that steps every state
     finds its states and edges, and raises what it raises.
-    Stops once ``target`` is found; raises :class:`StateExplosionError`
-    before stepping a state once more than ``max_states`` are found."""
+    Before stepping each state it raises :class:`StateExplosionError` if
+    more than ``max_states`` are found, then stops if ``target`` is; it
+    keeps ``found`` and its queue, at most ``max_states`` when it returns."""
     queue = list(sources)
     found, edges = set(queue), 0
     add, append = found.add, queue.append
     for v in queue:
-        # one test per state; the target first, so that finding it stops
-        # the search even past the budget
-        if len(found) > max_states or target in found:
-            if target in found:
-                break
+        if len(found) > max_states:
             raise StateExplosionError(f"state explosion: more than {max_states} reachable states")
+        if target in found:
+            break
         step = successors(v)
         edges += len(step)
         for t in step:
@@ -353,7 +352,7 @@ def follow(
     :class:`StateExplosionError` when the weak searches find more than
     ``max_states`` valuations in all: each search gets what the searches
     before it, in log order, left of the budget, and spends the valuations
-    it finds."""
+    it finds; the walk keeps one search's valuations at a time."""
     check_shape(mode, base)
     rows = log.rows
     here, left = rows[0], max_states
@@ -368,12 +367,9 @@ def follow(
             try:
                 found = reach(successors, (here,), left, row)[0]
             except StateExplosionError:  # its text names what was left
-                found = None
-            # a search stops at its row even past what was left
-            if found is None or len(found) > left:
                 raise StateExplosionError(
                     f"state explosion: weak searches found more than {max_states} states"
-                )
+                ) from None
             if row not in found:
                 return Witness(k, "unreachable")
             left -= len(found)

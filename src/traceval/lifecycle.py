@@ -21,9 +21,9 @@ store and walk the log's rows forward with the model's compiled successor
 function (``checker.follow``), which decides the log's property without
 building it or a state graph.  ``PreparedModel`` parses a model text and
 compiles it (``model.compile_model``), and ``PreparedModel.judge`` checks
-one log.  Only a log the walk refuses sizes the model, once per prepared
-model, by a forward search of every reachable state (``checker.reach``),
-and its
+one log through a bounded ``lru_cache`` of the successor function.  Only
+a log the walk refuses sizes the model, once per prepared model, by a
+forward search of every reachable state (``checker.reach``), and its
 ``property-failed`` verdict event records the row the log left the model
 at, the check that row failed and the reachable state and edge counts.
 ``run_validator`` prepares each distinct model text once per call, through
@@ -43,7 +43,8 @@ log never steps from.  A log that steps from such a state is rejected
 the budget rejects every log for ``state-explosion``.  A weak log's
 searches share the budget, in log order: one whose searches find more
 than ``max_states`` states in all is rejected ``state-explosion``, even
-when each search alone stays within it.
+when each search alone stays within it.  A ``max_states`` below 1 makes
+``adjudicate``, ``validate`` and ``run_validator`` raise ``ValueError``.
 
 One process at a time may write a ledger file, and until a lock is held
 across load and append (ROADMAP item 3), no process may load a ledger
@@ -63,7 +64,7 @@ import stat
 import time
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 from typing import Callable
 
@@ -108,6 +109,9 @@ _HASH_RE = re.compile(f"[0-9a-f]{{{_HASH_RE_LEN}}}")
 
 # Prepared models one run_validator call keeps; the least recently used goes.
 _CACHED_MODELS = 8
+
+# Successor lists a model's walk keeps; logs re-step a few states (long-input 2, the town 8 or 35).
+_STEPS_KEPT = 4096
 
 # Seconds a run_validator --watch loop sleeps between re-reads of the ledger.
 _POLL_INTERVAL = 0.5
@@ -357,34 +361,31 @@ class PreparedModel:
     first log the walk refuses.
 
     Holds the model's variable names, the initial valuations and successor
-    function ``compile_model`` gives, and a memo of the successors the walk
-    stepped (at most ``max_states``, emptied when full); or why the model
-    was refused.  Sizing, a forward search of every reachable state from
-    that pair, sets ``reachable``, the set of reachable valuations, and
-    ``edge_count``, or why it failed.  ``_attempt`` gives the parse, the
-    compile, the walk and the sizing their reason; one that raises
-    anything else propagates and records nothing, so the next log tries
-    it again.  One prepared model can judge any number of logs.
+    function ``compile_model`` gives, or why the model was refused.  The
+    walk steps through ``_steps``, an ``lru_cache`` of that function that
+    keeps at most ``_STEPS_KEPT`` successor lists; ``sizing`` keeps the
+    first refused log's search: at most ``max_states`` reachable
+    valuations and the edge count, or why it failed.  ``_attempt`` gives
+    the parse, the compile, the walk and the sizing their reason; one that
+    raises anything else propagates and records nothing, so the next log
+    tries it again.  One prepared model can judge any number of logs.
     """
 
     def __init__(self, model_text: str, max_states: int = DEFAULT_STATE_BUDGET):
         self.max_states = max_states
-        self.reachable = self.edge_count = self._unsized = None
-        self._memo: dict = {}
         model, self.reason = _attempt(partial(parse_model, model_text))
         self.var_names = None if model is None else model.var_names
         if model is not None:
             # a compile failure is answered after the log's own checks
             compiled, self.reason = _attempt(partial(compile_model, model, max_states))
-            self._initial, self._successors = compiled or (None, None)
+            if compiled is not None:
+                self._initial, self._successors = compiled
+                self._steps = lru_cache(maxsize=_STEPS_KEPT)(self._successors)
 
-    def _step(self, v):
-        found = self._memo.get(v)
-        if found is None:
-            if len(self._memo) >= self.max_states:
-                self._memo.clear()
-            found = self._memo[v] = self._successors(v)
-        return found
+    @cached_property
+    def sizing(self) -> tuple[tuple[set, int] | None, str | None]:
+        """``((reachable, edges), None)``, or ``(None, reason)`` when the search fails."""
+        return _attempt(partial(reach, self._successors, self._initial, self.max_states))
 
     def judge(
         self, log_text: str, mode: str = "strong", base: str = "faithful"
@@ -401,20 +402,16 @@ class PreparedModel:
             return STATUS_REJECTED, REASON_VARIABLE_MISMATCH, None
         if self.reason is not None:
             return STATUS_REJECTED, self.reason, None
-        walk = partial(follow, self._step, self._initial, log, mode, base, self.max_states)
+        walk = partial(follow, self._steps, self._initial, log, mode, base, self.max_states)
         witness, reason = _attempt(walk)
+        if witness is not None:  # a refused log sizes the model
+            size, reason = self.sizing
         if reason is not None:
             return STATUS_REJECTED, reason, None
         if witness is None:
             return STATUS_CONFIRMED, None, None
-        if self.reachable is None and self._unsized is None:
-            size = partial(reach, self._successors, self._initial, self.max_states)
-            found, self._unsized = _attempt(size)
-            self.reachable, self.edge_count = found or (None, None)
-        if self._unsized is not None:
-            return STATUS_REJECTED, self._unsized, None
         # The rows before the witness's lie on a path from an initial state.
-        if log.rows[witness.row - 1] not in self.reachable:
+        if log.rows[witness.row - 1] not in size[0]:
             witness = Witness(witness.row, "not-a-model-state")
         return STATUS_REJECTED, REASON_PROPERTY_FAILED, witness
 
@@ -429,6 +426,11 @@ def _attempt(make: Callable):
         return None, REASON_MALFORMED_MODEL
 
 
+def _require_budget(max_states: int):
+    if max_states < 1:  # before any blob is read or event appended
+        raise ValueError(f"max_states must be at least 1, got {max_states!r}")
+
+
 def adjudicate(
     model_text: str,
     log_text: str,
@@ -439,6 +441,7 @@ def adjudicate(
     """Pure validation core: (verdict, reason) for a model text and a log
     text.  A malformed artifact gets a reason code, but a model text too
     deep to parse still raises ``RecursionError`` (ROADMAP item 1)."""
+    _require_budget(max_states)
     return PreparedModel(model_text, max_states).judge(log_text, mode, base)[:2]
 
 
@@ -451,6 +454,7 @@ def validate(
     max_states: int = DEFAULT_STATE_BUDGET,
 ) -> str:
     """Model-check one pending liability and record the verdict event."""
+    _require_budget(max_states)
     return _validate(ledger, store, lid, mode, base, partial(PreparedModel, max_states=max_states))
 
 
@@ -491,10 +495,8 @@ def _validate(
     if reason is not None:
         event["reason"] = reason
     if witness is not None:
-        event.update(
-            row=witness.row, check=witness.check,
-            states=len(prepared.reachable), edges=prepared.edge_count,
-        )
+        reachable, edges = prepared.sizing[0]
+        event.update(row=witness.row, check=witness.check, states=len(reachable), edges=edges)
     ledger.append(KIND_VERDICT, **event)
     return verdict
 
@@ -517,6 +519,7 @@ def run_validator(
     Each distinct model text is parsed and compiled once per call, and
     sized at most once, for the first log it refuses.
     """
+    _require_budget(max_states)
     # Keyed by the model text, not its hash, because ContentStore.get does
     # not re-hash: a replaced blob file would make a hash key stale.  The
     # bound keeps a --watch run's memory bounded.

@@ -526,8 +526,9 @@ def _assert_judged_as_the_oracles_say(prepared, graph, log):
         got = None if witness is None else (witness.row, witness.check)
         assert got == _brute_witness(graph, log, mode, base), (mode, base, log.rows)
         if witness is not None:
-            assert (len(prepared.reachable), prepared.edge_count) == (graph.state_count, graph.edge_count)
-            assert prepared.reachable == set(graph.states)
+            reachable, edges = prepared.sizing[0]
+            assert (len(reachable), edges) == (graph.state_count, graph.edge_count)
+            assert reachable == set(graph.states)
 
 
 @st.composite

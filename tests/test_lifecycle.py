@@ -1,4 +1,5 @@
 import builtins
+import gc
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import stat
 import tempfile
 import threading
 import warnings
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -712,8 +714,8 @@ def test_a_refused_log_compiles_its_model_once(monkeypatch, ledger, store):
 
 def test_a_refused_log_steps_each_state_once(monkeypatch):
     """Sizing steps each reachable state once with the compiled successor
-    function, not through the walk's memo; a second refusal steps nothing
-    new, as the walk steps through its memo and the model is sized once."""
+    function, not through the walk's cache; a second refusal steps nothing
+    new, as the walk steps through its cache and the model is sized once."""
     steps = []
     real = lifecycle.compile_model
 
@@ -725,31 +727,26 @@ def test_a_refused_log_steps_each_state_once(monkeypatch):
     prepared = lifecycle.PreparedModel(GRID10)
     # the weak search to (9,9) steps most of the grid; (0,0) is unreachable from there
     assert prepared.judge("x,y\n0,0\n9,9\n0,0\n", "weak")[:2] == (STATUS_REJECTED, "property-failed")
-    assert len(prepared.reachable) == 100
+    reachable = prepared.sizing[0][0]
+    assert len(reachable) == 100
     walked, sized = steps[:-100], steps[-100:]
-    assert sorted(sized) == sorted(prepared.reachable)
-    assert len(set(walked)) == len(walked) == len(prepared._memo) > 90
+    assert sorted(sized) == sorted(reachable)
+    assert len(set(walked)) == len(walked) == prepared._steps.cache_info().currsize > 90
     assert prepared.judge("x,y\n0,0\n0,1\n0,1\n", "strong")[:2] == (STATUS_REJECTED, "property-failed")
     assert len(steps) == len(walked) + 100
 
 
-def test_the_walk_memo_is_emptied_when_it_holds_max_states():
+@pytest.mark.parametrize("kept", [1, 2, 8])
+def test_the_walk_keeps_at_most_steps_kept_successor_lists(monkeypatch, kept):
     """One prepared model, as ``run_validator`` keeps it, judges weak logs
-    of a 100-state counter that together step far more states than its
-    budget of 30: its memo never holds more than 30 successor lists, it is
-    emptied whenever full, and every verdict is a fresh model's."""
+    of a 100-state counter that together step far more states than the
+    walk keeps: its cache fills up to ``_STEPS_KEPT`` successor lists and
+    no further, and every verdict is a fresh model's."""
     from traceval.execlog import BASES
 
     text = "var x : 0..99 init 0;\n[] x<99 -> x'=x+1;\n[] x==99 -> skip;\n"
-    prepared = lifecycle.PreparedModel(text, max_states=30)
-    held, step = [], prepared._successors
-
-    def watched(v):
-        held.append(len(prepared._memo))
-        return step(v)
-
-    prepared._successors = watched
-    rng, verdicts = random.Random(5), set()
+    fresh = {base: [] for base in BASES}
+    rng, logs = random.Random(5), []
     for _ in range(12):
         # counting up from 0 (or, refused, from 5) with a few jumps, each
         # searched, to 99, which holds forever
@@ -757,14 +754,51 @@ def test_the_walk_memo_is_emptied_when_it_holds_max_states():
         while x < 99:
             rows.append(x)
             x = min(99, x + rng.choice((1,) * 18 + (2, 3)))
-        log = "x\n" + "".join(f"{v}\n" for v in rows + [99, 99])
+        logs.append("x\n" + "".join(f"{v}\n" for v in rows + [99, 99]))
+        for base in BASES:
+            fresh[base].append(lifecycle.PreparedModel(text, max_states=30).judge(logs[-1], "weak", base))
+    monkeypatch.setattr(lifecycle, "_STEPS_KEPT", kept)
+    prepared = lifecycle.PreparedModel(text, max_states=30)
+    verdicts, held = set(), set()
+    for i, log in enumerate(logs):
         for base in BASES:
             verdict = prepared.judge(log, "weak", base)
-            assert verdict == lifecycle.PreparedModel(text, max_states=30).judge(log, "weak", base)
-            assert len(prepared._memo) <= 30
+            assert verdict == fresh[base][i]
+            held.add(prepared._steps.cache_info().currsize)
             verdicts.add(verdict[:2])
-    assert max(held) == 29 and held.count(0) > 5
+    assert max(held) == kept
     assert verdicts == {(STATUS_CONFIRMED, None), (STATUS_REJECTED, "state-explosion")}
+
+
+def test_a_weak_verdict_keeps_at_most_steps_kept_successor_lists(monkeypatch):
+    """A weak search through a cycle of 10,000 states steps each of them
+    once, and the walk keeps no more than ``_STEPS_KEPT`` of their
+    successor lists alive: none beyond its cache."""
+    n = 10_000
+    text = f"var x : 0..{n - 1} init 0;\n[] x<{n - 1} -> x'=x+1;\n[] x=={n - 1} -> x'=0;\n"
+    refs, stepped, real = [], set(), lifecycle.compile_model
+
+    class Successors(list):  # a list that a weak reference can follow
+        pass
+
+    def tracked(model, max_states):
+        initial, step = real(model, max_states)
+
+        def traced(v):
+            stepped.add(v)
+            found = Successors(step(v))
+            refs.append(weakref.ref(found))
+            return found
+        return initial, traced
+
+    monkeypatch.setattr(lifecycle, "compile_model", tracked)
+    prepared = lifecycle.PreparedModel(text)
+    log = f"x\n0\n{n - 2}\n{n - 1}\n0\n"
+    assert prepared.judge(log, "weak", "corrected")[:2] == (STATUS_REJECTED, "property-failed")
+    gc.collect()
+    live = sum(ref() is not None for ref in refs)
+    assert len(stepped) >= n - 2 > lifecycle._STEPS_KEPT
+    assert 0 < live <= lifecycle._STEPS_KEPT
 
 
 # b==0 counts n up to 999,999; from (0,0) the model may move to b==1 instead,
@@ -796,6 +830,43 @@ def test_an_admitted_log_is_confirmed_past_the_state_budget():
     # the weak search from (0,0) to (1,60) finds about 120 valuations
     assert adjudicate(PAST_THE_BUDGET, jump, "weak", max_states=200) == (STATUS_CONFIRMED, None)
     assert adjudicate(PAST_THE_BUDGET, jump, "weak", max_states=100) == (STATUS_REJECTED, "state-explosion")
+
+
+def test_adjudicate_refuses_a_state_budget_below_1(monkeypatch):
+    """A budget below 1 raises ``ValueError`` before the model is parsed;
+    it was judged as a budget no model meets, ``state-explosion``."""
+    assert adjudicate(TOGGLE, "x\n0\n0\n", "strong", max_states=2) == (STATUS_REJECTED, "property-failed")
+    parses = _count_calls(monkeypatch, "parse_model")
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match=rf"max_states must be at least 1, got {budget}$"):
+            adjudicate(TOGGLE, "x\n0\n0\n", "strong", max_states=budget)
+    assert parses == []
+
+
+def _assert_the_budget_is_refused(monkeypatch, ledger, store, run):
+    """``run(lid, budget)`` raises ``ValueError`` for budgets below 1, and
+    reads no blob and appends no event: the ledger's bytes stay as they were."""
+    lid = _submitted(ledger, store, TOGGLE, "x\n0\n0\n")
+    before, reads, real = ledger.path.read_bytes(), [], store.get
+    monkeypatch.setattr(store, "get", lambda digest: reads.append(digest) or real(digest))
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match=rf"max_states must be at least 1, got {budget}$"):
+            run(lid, budget)
+    assert reads == []
+    assert ledger.path.read_bytes() == before
+    assert Ledger(ledger.path).liability(lid).status == STATUS_RESULT_SUBMITTED
+
+
+def test_validate_refuses_a_state_budget_below_1(monkeypatch, ledger, store):
+    _assert_the_budget_is_refused(
+        monkeypatch, ledger, store, lambda lid, budget: validate(ledger, store, lid, max_states=budget)
+    )
+
+
+def test_run_validator_refuses_a_state_budget_below_1(monkeypatch, ledger, store):
+    _assert_the_budget_is_refused(
+        monkeypatch, ledger, store, lambda lid, budget: run_validator(ledger, store, max_states=budget)
+    )
 
 
 # x==2 is reachable, and stepping from it drives x to 7, outside 0..3

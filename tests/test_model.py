@@ -740,14 +740,14 @@ def _reference_build(model, max_states):
 
 def _reference_reach(model, sources, max_states, target):
     """``checker.reach`` written out, stepping with the reference evaluator:
-    a found target stops the search before the budget is tested."""
+    the budget is tested before a found target stops the search."""
     queue = list(sources)
     found, edges = set(queue), 0
     for v in queue:
-        if target in found:
-            break
         if len(found) > max_states:
             raise _explodes(max_states)
+        if target in found:
+            break
         step = naive_eval.step(model, v)
         edges += len(step)
         for t in step:
@@ -777,6 +777,17 @@ def test_budgets_stop_the_build_and_the_search_where_the_reference_does(model, d
         assert _outcome(reach, successors, inits, budget, target) == _outcome(
             _reference_reach, model, inits, budget, target
         )
+
+
+def test_a_target_found_past_the_budget_raises():
+    """The step from x==1 finds the target x==2, a third state: with room
+    for three states the search returns, and with room for two it raises,
+    as the budget is tested before the target."""
+    model = parse_model("var x : 0..3 init 0;\n[] x<3 -> x'=x+1;\n")
+    successors = compile_model(model)[1]
+    for budget, outcome in ((3, ({(0,), (1,), (2,)}, 2)), (2, f"StateExplosionError: {_explodes(2)}")):
+        assert _outcome(reach, successors, [(0,)], budget, (2,)) == outcome
+        assert _outcome(_reference_reach, model, [(0,)], budget, (2,)) == outcome
 
 
 def test_the_first_failing_command_is_named_across_tables():
